@@ -1,0 +1,76 @@
+"""Byte-for-byte replay of stored CLI outputs in tests/golden/.
+
+Each case is one CLI call whose output is written with ``--out`` (and, for
+``lhv``, the hidden draws with ``--dump-lambdas``); every file it writes
+must equal the stored copy.  Regenerate the stored files only when an
+output is meant to change, and say which bytes changed and why:
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+from pathlib import Path
+
+import pytest
+
+from boolebell.cli import run
+
+GOLDEN = Path(__file__).parent / "golden"
+
+N = "20000"
+AXES = ["--a", "[0.3,-0.5,0.8]", "--b", "[-0.2,0.9,0.4]"]
+EXTRA = ["--directions", "[[0.1,0.2,0.97],[-0.6,0.3,-0.2]]"]
+
+
+def _experiment(model: str, seed: int, extra: list[str], fmt: str) -> list[str]:
+    return ["experiment", *AXES, "--model", model, "--n", N, "--seed", str(seed), *extra,
+            "--format", fmt]
+
+
+CASES = {
+    f"experiment_{model}_k{k}.{fmt}": _experiment(f"sign-{model}", seed, extra, fmt)
+    for model, seeds in (("circle", (11, 12)), ("sphere", (13, 14)))
+    for k, seed, extra in ((0, seeds[0], []), (2, seeds[1], EXTRA))
+    for fmt in ("json", "csv")
+}
+# own-axis rows whose target carries float dust (a . a = 0.9999999999999998)
+CASES["experiment_circle_dusty_axes.csv"] = [
+    "experiment", "--a", "[1,1,0]", "--b", "[0,1,1]", "--model", "sign-circle",
+    "--n", N, "--seed", "3", "--format", "csv",
+]
+for _model in ("circle", "sphere"):
+    CASES[f"lhv_{_model}.json"] = [
+        "lhv", "--model", f"sign-{_model}", "--alpha", "[1,0.2,-0.3]",
+        "--beta", "[0.4,1,0.5]", "--n", "500", "--seed", "5", "--format", "json",
+    ]
+
+# cases that also write their hidden draws: case name -> dump file name
+DUMPS = {"lhv_circle.json": "lhv_circle_lambdas.csv", "lhv_sphere.json": "lhv_sphere_lambdas.csv"}
+
+
+def produce(name: str, outdir: Path) -> tuple[int, list[str]]:
+    """Run one case with its files written under ``outdir``."""
+    files = [name]
+    argv = CASES[name] + ["--out", str(outdir / name)]
+    if name in DUMPS:
+        files.append(DUMPS[name])
+        argv += ["--dump-lambdas", str(outdir / DUMPS[name])]
+    return run(argv), files
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_output_matches_golden(name, tmp_path):
+    code, files = produce(name, tmp_path)
+    assert code == (1 if name.startswith("experiment") else 0)
+    for file in files:
+        assert (tmp_path / file).read_bytes() == (GOLDEN / file).read_bytes(), file
+
+
+def test_every_golden_file_has_a_case():
+    produced = set(CASES) | set(DUMPS.values())
+    assert {path.name for path in GOLDEN.iterdir()} == produced
+
+
+if __name__ == "__main__":
+    GOLDEN.mkdir(exist_ok=True)
+    for case in sorted(CASES):
+        produce(case, GOLDEN)
