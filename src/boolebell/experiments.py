@@ -24,7 +24,6 @@ from .realism import (
     commit,
     counterfactual_values,
     measure,
-    sample_lhv,
 )
 from .rng import RngStream
 from .sampler import PreparedSource, clamp_unit_dot, random_signs, sample_prepared, sample_singlet_partner
@@ -343,8 +342,11 @@ def no_apbp_experiment(
     pinned = model.pinned_to_plane(a, b)
     base = RngStream(cfg.seed)
 
-    x, u, lam = sample_lhv(pinned, witness.alpha, -a, cfg.n, base.substream(0))
-    v = counterfactual_values(pinned, lam, -b, "B")
+    # the draws sample_lhv would make, kept as hidden state: no n x 3 lambdas
+    hidden = pinned.draw_lambdas(witness.alpha, -a, cfg.n, base.substream(0))
+    x = SignSequence.from_array(pinned.response_a(hidden, witness.alpha))
+    u = SignSequence.from_array(pinned.response_b(hidden, -a))
+    v = counterfactual_values(pinned, hidden, -b, "B")
 
     targets = (
         clamp_unit_dot(a.dot(witness.alpha)),
@@ -418,17 +420,17 @@ def _lhv_certificate(
     chosen, so the protocol ordering inside certify_ap is honest.
     """
     k = len(cfg.directions)
-    lambdas = [
+    hidden = [
         model.draw_lambdas(wing_direction, wing_direction, cfg.n, base.substream(offset + j))
         for j in range(k)
     ]
     u = concatenate(
-        SignSequence.from_array(model.response_b(lambdas[j], wing_direction))
+        SignSequence.from_array(model.response_b(hidden[j], wing_direction))
         for j in range(k)
     )
 
     def source(u_block: SignSequence, alpha: UnitVector3, j: int) -> SignSequence:
-        return SignSequence.from_array(model.response_a(lambdas[j], alpha))
+        return SignSequence.from_array(model.response_a(hidden[j], alpha))
 
     return certify_ap(source, u, axis_claimed, cfg)
 

@@ -7,6 +7,13 @@ sequences.  Any triple of such sequences therefore satisfies the
 three-sequence bound exactly; what such a model cannot do is reproduce the
 cosine correlations, and the experiments module quantifies that failure.
 
+A block's hidden state is kept in angle form, not as an n x 3 array: the
+great-circle law keeps its uniform draws t (lambda at angle 2 pi t in the
+plane frame) and answers sign(d . lambda) by comparing t with an arc of
+half a turn; the sphere law keeps lambda's three coordinates as separate
+columns, computed with one cos and one sin per draw.  The n x 3 lambdas
+are built only on request (:func:`sample_lhv`, ``lhv --dump-lambdas``).
+
 The commitment protocol is the bookkeeping half: preparation signs must be
 committed before a measurement direction is chosen, and a token is spent
 by measuring.  Out-of-order use raises :class:`OrderingViolation`.
@@ -16,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable
+from typing import Callable, Union
 
 import numpy as np
 
@@ -50,14 +57,79 @@ class OrderingViolation(RuntimeError):
     """The commit -> choose-direction -> measure order was broken."""
 
 
-def _sign_response(lambdas: np.ndarray, direction: UnitVector3) -> np.ndarray:
-    # sign(direction . lambda) with sign(0) := +1
-    s = lambdas @ direction.as_array()
-    return np.where(s >= 0.0, np.int8(1), np.int8(-1))
+class _CircleDraws:
+    """Great-circle hidden state: uniforms t, with psi = 2 pi t, in a frame.
+
+    lambda = cos(psi) e1 + sin(psi) e2, so d . lambda = R cos(psi - phi_d)
+    with phi_d = atan2(e2 . d, e1 . d) and R >= 0.  The sign is therefore
+    a test of whether t lies on the closed half-turn arc centred on
+    phi_d / (2 pi): a modular comparison, with no trig per draw.
+    """
+
+    __slots__ = ("t", "e1", "e2")
+
+    def __init__(self, t: np.ndarray, e1: np.ndarray, e2: np.ndarray):
+        self.t = t
+        self.e1 = e1
+        self.e2 = e2
+
+    def __len__(self) -> int:
+        return len(self.t)
+
+    def nonnegative(self, direction: UnitVector3) -> np.ndarray:
+        d = direction.as_array()
+        p, q = float(self.e1 @ d), float(self.e2 @ d)
+        if p == 0.0 and q == 0.0:
+            # d is normal to the plane: d . lambda = 0 and sign(0) := +1
+            return np.ones(len(self.t), dtype=bool)
+        lo = (math.atan2(q, p) / (2.0 * math.pi) - 0.25) % 1.0
+        hi = lo + 0.5
+        if hi <= 1.0:
+            return (self.t >= lo) & (self.t <= hi)
+        return (self.t >= lo) | (self.t <= hi - 1.0)
+
+    def lambdas(self) -> np.ndarray:
+        psi = 2.0 * math.pi * self.t
+        return np.cos(psi)[:, None] * self.e1 + np.sin(psi)[:, None] * self.e2
 
 
-def _mirrored_sign_response(lambdas: np.ndarray, direction: UnitVector3) -> np.ndarray:
-    return -_sign_response(lambdas, direction)
+class _VectorDraws:
+    """Hidden unit vectors held as three coordinate columns."""
+
+    __slots__ = ("x", "y", "z")
+
+    def __init__(self, x: np.ndarray, y: np.ndarray, z: np.ndarray):
+        self.x = x
+        self.y = y
+        self.z = z
+
+    @classmethod
+    def of(cls, lambdas: np.ndarray) -> "_VectorDraws":
+        return cls(lambdas[:, 0], lambdas[:, 1], lambdas[:, 2])
+
+    def __len__(self) -> int:
+        return len(self.z)
+
+    def nonnegative(self, direction: UnitVector3) -> np.ndarray:
+        s = self.x * direction.x
+        s += self.y * direction.y
+        s += self.z * direction.z
+        return s >= 0.0
+
+    def lambdas(self) -> np.ndarray:
+        return np.column_stack((self.x, self.y, self.z))
+
+
+HiddenDraws = Union[_CircleDraws, _VectorDraws]
+
+
+def _sign_response(hidden: HiddenDraws, direction: UnitVector3) -> np.ndarray:
+    # sign(direction . lambda) with sign(0) := +1, as True for +1
+    return hidden.nonnegative(direction)
+
+
+def _mirrored_sign_response(hidden: HiddenDraws, direction: UnitVector3) -> np.ndarray:
+    return ~_sign_response(hidden, direction)
 
 
 def _orthonormal_to(e1: np.ndarray) -> np.ndarray:
@@ -77,32 +149,38 @@ def _circle_frame(alpha: UnitVector3, beta: UnitVector3) -> tuple[np.ndarray, np
     return e1, e2 / np.linalg.norm(e2)
 
 
-def _circle_points(frame: tuple[np.ndarray, np.ndarray], n: int, rng: RngStream) -> np.ndarray:
-    psi = 2.0 * math.pi * rng.uniforms(n)
-    return np.outer(np.cos(psi), frame[0]) + np.outer(np.sin(psi), frame[1])
+def _circle_points(frame: tuple[np.ndarray, np.ndarray], n: int, rng: RngStream) -> _CircleDraws:
+    return _CircleDraws(rng.uniforms(n), frame[0], frame[1])
 
 
-def _sphere_points(n: int, rng: RngStream) -> np.ndarray:
+def _sphere_points(n: int, rng: RngStream) -> _VectorDraws:
     z = 2.0 * rng.uniforms(n) - 1.0
     phi = 2.0 * math.pi * rng.uniforms(n)
     r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-    return np.column_stack([r * np.cos(phi), r * np.sin(phi), z])
+    x = np.cos(phi)
+    x *= r
+    y = np.sin(phi, out=phi)
+    y *= r
+    return _VectorDraws(x, y, z)
 
 
 @dataclass(frozen=True)
 class LhvModel:
     """Hidden-variable law plus one deterministic response map per wing.
 
-    ``response_a``/``response_b`` take (lambdas, own direction) only, so a
-    wing's values cannot depend on the far setting; that is the locality
-    property the tests check by permuting the far direction.
+    ``draw_lambdas`` returns a block's hidden state in its compact form
+    (see the module docstring); ``len`` of it is the number of pairs.
+    ``response_a``/``response_b`` take (hidden state, own direction) only
+    and return a bool array, True for +1, so a wing's values cannot depend
+    on the far setting; that is the locality property the tests check by
+    permuting the far direction.
     """
 
     name: str
     hidden_variable_law: str
-    draw_lambdas: Callable[[UnitVector3, UnitVector3, int, RngStream], np.ndarray]
-    response_a: Callable[[np.ndarray, UnitVector3], np.ndarray]
-    response_b: Callable[[np.ndarray, UnitVector3], np.ndarray]
+    draw_lambdas: Callable[[UnitVector3, UnitVector3, int, RngStream], HiddenDraws]
+    response_a: Callable[[HiddenDraws, UnitVector3], np.ndarray]
+    response_b: Callable[[HiddenDraws, UnitVector3], np.ndarray]
 
     def pinned_to_plane(self, a: UnitVector3, b: UnitVector3) -> "LhvModel":
         """Fix the circle law to the (a, b) plane for a whole experiment.
@@ -160,30 +238,39 @@ def sign_model_correlation(theta: float) -> float:
 def sample_lhv(
     model: LhvModel, alpha: UnitVector3, beta: UnitVector3, n: int, rng: RngStream
 ) -> tuple[SignSequence, SignSequence, np.ndarray]:
-    """One run: draw lambdas, answer both wings, retain lambdas.
+    """One run: draw the hidden state, answer both wings, retain lambdas.
 
-    The returned lambda buffer is marked read-only; assigned values must
-    not change once produced, and counterfactual queries replay from it.
+    The returned n x 3 lambda buffer is built from the hidden state and
+    marked read-only; assigned values must not change once produced, and
+    counterfactual queries replay from it.
     """
     if n < 1:
         raise ValueError("need at least one pair")
-    lambdas = model.draw_lambdas(alpha, beta, n, rng)
+    hidden = model.draw_lambdas(alpha, beta, n, rng)
+    a_seq = SignSequence.from_array(model.response_a(hidden, alpha))
+    b_seq = SignSequence.from_array(model.response_b(hidden, beta))
+    lambdas = hidden.lambdas()
     lambdas.setflags(write=False)
-    a_seq = SignSequence.from_array(model.response_a(lambdas, alpha))
-    b_seq = SignSequence.from_array(model.response_b(lambdas, beta))
     return a_seq, b_seq, lambdas
 
 
 def counterfactual_values(
-    model: LhvModel, lambdas: np.ndarray | None, direction: UnitVector3, side: str
+    model: LhvModel,
+    lambdas: np.ndarray | HiddenDraws | None,
+    direction: UnitVector3,
+    side: str,
 ) -> SignSequence:
     """Signs the model assigns to an unperformed measurement.
 
     ``side`` picks the wing ("A" or "B") whose response map answers; the
-    result is fully determined by the retained lambdas.
+    result is fully determined by the retained draws: the n x 3 lambdas
+    of :func:`sample_lhv`, or the hidden state ``model.draw_lambdas``
+    returned.
     """
-    if lambdas is None or np.size(lambdas) == 0:
+    if lambdas is None or len(lambdas) == 0:
         raise MissingHiddenState("no retained hidden-variable draws")
+    if isinstance(lambdas, np.ndarray):
+        lambdas = _VectorDraws.of(lambdas)
     wing = side.upper()
     if wing == "A":
         return SignSequence.from_array(model.response_a(lambdas, direction))

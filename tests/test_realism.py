@@ -144,6 +144,41 @@ class TestCounterfactuals:
             counterfactual_values(model, lam, X_HAT, "C")
 
 
+class TestHiddenStateResponses:
+    """Answers from the compact hidden state against sign(lambda @ d)."""
+
+    N = 100_000
+
+    @pytest.mark.parametrize("name", MODEL_NAMES)
+    def test_compact_state_matches_materialized_lambdas(self, name):
+        # pinned to the x-y plane, so z is the circle's exact plane normal
+        model = make_lhv_model(name).pinned_to_plane(X_HAT, plane_direction(60))
+        hidden = model.draw_lambdas(X_HAT, plane_direction(60), self.N, RngStream(40))
+        _, _, lam = sample_lhv(model, X_HAT, plane_direction(60), self.N, RngStream(40))
+        assert len(hidden) == self.N
+        assert np.array_equal(hidden.lambdas(), lam)
+
+        gen = np.random.default_rng(41)
+        random_dirs = [UnitVector3.from_iterable(gen.normal(size=3)) for _ in range(8)]
+        in_plane = [plane_direction(t) for t in (0, 37.5, 90, 180, 301.2)]
+        directions = random_dirs + [-d for d in random_dirs] + in_plane + [Z_HAT, -Z_HAT]
+        for d in directions:
+            fast = model.response_a(hidden, d)
+            reference = lam @ d.as_array() >= 0.0
+            assert fast.dtype == bool
+            assert np.array_equal(fast, reference), d
+            assert np.array_equal(model.response_b(hidden, d), ~reference), d
+            assert counterfactual_values(model, lam, d, "A") == SignSequence.from_array(fast)
+            assert counterfactual_values(model, hidden, d, "B") == SignSequence.from_array(~fast)
+
+    def test_plane_normal_answers_plus_one_everywhere(self):
+        model = make_lhv_model("sign-circle").pinned_to_plane(X_HAT, plane_direction(60))
+        hidden = model.draw_lambdas(X_HAT, X_HAT, 1000, RngStream(42))
+        assert model.response_a(hidden, Z_HAT).all()
+        assert model.response_a(hidden, -Z_HAT).all()
+        assert not model.response_b(hidden, Z_HAT).any()
+
+
 class TestModelFactory:
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError):
