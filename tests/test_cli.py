@@ -137,6 +137,17 @@ class TestSamplingCommands:
 
 
 class TestCertifyAndExperiment:
+    def test_certify_ap_dusty_own_axis_passes(self, capsys):
+        # a . a = 0.9999999999999998 against an exact estimate of 1.0
+        code, out, _ = invoke(
+            capsys,
+            "certify-ap", "--axis", "[1,1,0]", "--directions", "[[1,1,0],[1,0,0]]",
+            "--n", "1000", "--seed", "3",
+        )
+        assert code == 0
+        assert out.splitlines()[0].endswith("stderr=0.000000, pass=yes")
+        assert out.splitlines()[-1] == "verdict=PASS"
+
     def test_certify_ap_json_envelope(self, capsys):
         code, out, _ = invoke(
             capsys,

@@ -7,6 +7,7 @@ from boolebell.experiments import (
     FEASIBILITY_MAX_LENGTH,
     ApCertificate,
     ExperimentConfig,
+    _row_passes,
     certify_ap,
     feasibility_bruteforce,
     no_apbp_experiment,
@@ -14,7 +15,7 @@ from boolebell.experiments import (
     singlet_ap_experiment,
 )
 from boolebell.geometry import ColinearAxes, UnitVector3, geometric_witness
-from boolebell.realism import make_lhv_model
+from boolebell.realism import MODEL_NAMES, make_lhv_model
 from boolebell.rng import RngStream
 from boolebell.sampler import random_signs
 from boolebell.sequences import EmptySequence, LengthMismatch, LengthTooLarge, SignSequence
@@ -215,6 +216,48 @@ def oracle_feasibility(a, b, alpha, n, epsilon):
                 ):
                     return True
     return False
+
+
+class TestOwnAxisFloatDust:
+    """Measured along its own axis a source gives estimate +-1 with stderr
+    0, while the target a . a can miss 1 by rounding dust; that must not
+    fail the row."""
+
+    DUSTY_A = UnitVector3(1, 1, 0)
+    DUSTY_B = UnitVector3(0, 1, 1)
+
+    def assert_dusty_row_passes(self, row):
+        assert row.stderr == 0.0 and abs(row.estimate) == 1.0
+        assert row.target != row.estimate  # the dust is really there
+        assert row.passed
+
+    def test_dusty_prepared_axis(self):
+        cfg = ExperimentConfig(seed=3, n=1000, directions=(self.DUSTY_A, X_HAT))
+        cert = prepared_ap_experiment(self.DUSTY_A, cfg)
+        self.assert_dusty_row_passes(cert.rows[0])
+        assert cert.passed
+
+    def test_dusty_singlet_axis(self):
+        # the own direction as a user types it, (-3, -3, -1), against -beta
+        beta = UnitVector3(3, 3, 1)
+        cfg = ExperimentConfig(seed=3, n=1000, directions=(UnitVector3(-3, -3, -1), X_HAT))
+        cert = singlet_ap_experiment(beta, cfg)
+        self.assert_dusty_row_passes(cert.rows[0])
+        assert cert.passed
+
+    @pytest.mark.parametrize("name", MODEL_NAMES)
+    def test_experiment_own_axis_rows(self, name):
+        cfg = ExperimentConfig(seed=3, n=2000)
+        result = no_apbp_experiment(self.DUSTY_A, self.DUSTY_B, make_lhv_model(name), cfg)
+        # cert_u claims a (direction 0), cert_v claims b (direction 1)
+        self.assert_dusty_row_passes(result.certificate_u.rows[0])
+        self.assert_dusty_row_passes(result.certificate_v.rows[1])
+        assert result.contradiction_closed
+
+    def test_genuine_gap_at_zero_stderr_still_fails(self):
+        assert _row_passes(1.0, 1.0 - 2.0**-52, 0.0, 4.0)
+        assert not _row_passes(1.0, 1.0 - 1e-12, 0.0, 4.0)
+        assert not _row_passes(-1.0, 1.0, 0.0, 4.0)
 
 
 class TestFeasibility:
