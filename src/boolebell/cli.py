@@ -43,6 +43,18 @@ from .sequences import (
 )
 
 FORMATS = ("text", "csv", "json")
+SEED_LIMIT = 1 << 64  # the rng keys on 64 bits; larger or negative seeds would alias
+
+
+def _seed(value) -> int:
+    """A seed in [0, 2**64), from a flag or a config file."""
+    try:
+        seed = int(value)
+    except (TypeError, ValueError):
+        raise argparse.ArgumentTypeError(f"seed must be an integer, got {value!r}") from None
+    if not 0 <= seed < SEED_LIMIT:
+        raise argparse.ArgumentTypeError(f"seed must be in [0, 2**64), got {seed}")
+    return seed
 
 
 def _parse_vector(text: str) -> UnitVector3:
@@ -456,7 +468,7 @@ def _build_config(args, file_cfg: dict, default_scenario: str) -> ExperimentConf
     elif "directions" in file_cfg:
         directions = [UnitVector3.from_iterable(v) for v in file_cfg["directions"]]
     return ExperimentConfig(
-        seed=args.seed if args.seed is not None else int(file_cfg.get("seed", 0)),
+        seed=args.seed if args.seed is not None else _seed(file_cfg.get("seed", 0)),
         n=args.n if args.n is not None else int(file_cfg.get("n", 100_000)),
         sigma_k=args.sigma_k
         if args.sigma_k is not None
@@ -609,7 +621,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("correlate", help="correlation of two sign sequences")
     p.add_argument("--f", required=True, help="sign sequence, e.g. '+--+' (or @file)")
     p.add_argument("--g", required=True, help="sign sequence (or @file)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     _add_io_flags(p)
     p.set_defaults(handler=_cmd_correlate)
 
@@ -617,13 +629,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--f", required=True)
     p.add_argument("--g", required=True)
     p.add_argument("--h", required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     _add_io_flags(p)
     p.set_defaults(handler=_cmd_check_boole)
 
     p = sub.add_parser("bruteforce", help="exhaustive maximum of the bound at length n")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     _add_io_flags(p)
     p.set_defaults(handler=_cmd_bruteforce)
 
@@ -634,7 +646,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--orthogonal-to", choices=("a", "b"), default="a")
     p.add_argument("--sweep", help="angle sweep START:STOP:STEP in degrees")
     p.add_argument("--plot", help="prefix for two-column plot data files")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     _add_io_flags(p)
     p.set_defaults(handler=_cmd_witness)
 
@@ -642,7 +654,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--axis", required=True, help="preparation axis as JSON vector")
     p.add_argument("--alpha", required=True, help="measurement direction as JSON vector")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--dump-u", help="write preparation signs to this path")
     p.add_argument("--dump-x", help="write measured signs to this path")
     _add_io_flags(p)
@@ -652,7 +664,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", required=True)
     p.add_argument("--beta", required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--dump-a", help="write near-wing signs to this path")
     p.add_argument("--dump-b", help="write far-wing signs to this path")
     _add_io_flags(p)
@@ -663,7 +675,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", required=True)
     p.add_argument("--beta", required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--dump-lambdas", help="write hidden draws as CSV to this path")
     _add_io_flags(p)
     p.set_defaults(handler=_cmd_lhv)
@@ -674,7 +686,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--directions", help="JSON list of measurement directions")
     p.add_argument("--config", help="JSON config file mirroring the experiment config")
     p.add_argument("--n", type=int)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=_seed)
     p.add_argument("--sigma-k", type=float)
     p.add_argument("--threads", type=int, default=1)
     _add_io_flags(p)
@@ -689,7 +701,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--directions", help="JSON list of extra certification directions")
     p.add_argument("--config", help="JSON config file")
     p.add_argument("--n", type=int)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=_seed)
     p.add_argument("--sigma-k", type=float)
     p.add_argument("--threads", type=int, default=1)
     p.add_argument("--summary", help="also write a JSON summary to this path")
@@ -707,7 +719,7 @@ def run(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.handler(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, argparse.ArgumentTypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -252,3 +252,57 @@ class TestContractDetails:
         )
         assert proc.returncode == 0
         assert "max_lhs=1.000000" in proc.stdout
+
+
+SEEDED_COMMANDS = {
+    "correlate": ["correlate", "--f", "++--", "--g", "+-+-"],
+    "check-boole": ["check-boole", "--f", "+--+", "--g", "++++", "--h=----"],
+    "bruteforce": ["bruteforce", "--n", "3"],
+    "witness": ["witness", "--a", "[1,0,0]", "--b", "[0,1,0]"],
+    "simulate-prepared": ["simulate-prepared", "--axis", "[0,0,1]", "--alpha", "[1,0,0]",
+                          "--n", "100"],
+    "simulate-singlet": ["simulate-singlet", "--alpha", "[0,0,1]", "--beta", "[1,0,0]",
+                         "--n", "100"],
+    "lhv": ["lhv", "--alpha", "[1,0,0]", "--beta", "[0,1,0]", "--n", "100"],
+    "certify-ap": ["certify-ap", "--axis", "[0,0,1]", "--directions", "[[0,0,1],[1,0,0]]",
+                   "--n", "100"],
+    "experiment": ["experiment", "--a", "[1,0,0]", "--b", "[0,1,0]", "--n", "100"],
+}
+SEED_ENDS = (0, 2**64 - 1)
+SEEDS_OUTSIDE = (-1, 2**64)
+
+
+class TestSeedRange:
+    """Seeds key a 64-bit generator: one outside [0, 2**64) would alias."""
+
+    @pytest.mark.parametrize("seed", SEEDS_OUTSIDE)
+    @pytest.mark.parametrize("command", sorted(SEEDED_COMMANDS))
+    def test_flag_outside_range_exits_two(self, capsys, command, seed):
+        code, out, err = invoke(capsys, *SEEDED_COMMANDS[command], f"--seed={seed}")
+        assert code == 2
+        assert out == ""
+        assert "seed must be in [0, 2**64)" in err
+
+    @pytest.mark.parametrize("seed", SEED_ENDS)
+    @pytest.mark.parametrize("command", sorted(SEEDED_COMMANDS))
+    def test_flag_at_range_ends_runs(self, capsys, command, seed):
+        code, out, _ = invoke(
+            capsys, *SEEDED_COMMANDS[command], "--seed", str(seed), "--format", "json"
+        )
+        assert code in (0, 1)
+        assert json.loads(out)["seed"] == seed
+
+    @pytest.mark.parametrize("seed", SEEDS_OUTSIDE + SEED_ENDS)
+    @pytest.mark.parametrize("command", ["certify-ap", "experiment"])
+    def test_config_file_seed(self, capsys, tmp_path, command, seed):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"seed": seed}))
+        code, out, err = invoke(
+            capsys, *SEEDED_COMMANDS[command], "--config", str(path), "--format", "json"
+        )
+        if seed in SEEDS_OUTSIDE:
+            assert code == 2
+            assert err.startswith("error: seed must be in [0, 2**64)")
+        else:
+            assert code in (0, 1)
+            assert json.loads(out)["seed"] == seed
