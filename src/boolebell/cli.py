@@ -48,10 +48,10 @@ SEED_LIMIT = 1 << 64  # the rng keys on 64 bits; larger or negative seeds would 
 
 def _seed(value) -> int:
     """A seed in [0, 2**64), from a flag or a config file."""
-    try:
-        seed = int(value)
-    except (TypeError, ValueError):
-        raise argparse.ArgumentTypeError(f"seed must be an integer, got {value!r}") from None
+    text = str(value)  # a config file's 5.5 or true must not pass as 5 or 1
+    if not text.removeprefix("-").isdigit():
+        raise argparse.ArgumentTypeError(f"seed must be an integer, got {value!r}")
+    seed = int(text)
     if not 0 <= seed < SEED_LIMIT:
         raise argparse.ArgumentTypeError(f"seed must be in [0, 2**64), got {seed}")
     return seed

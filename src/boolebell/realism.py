@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Union
+from typing import Callable
 
 import numpy as np
 
@@ -120,7 +120,7 @@ class _VectorDraws:
         return np.column_stack((self.x, self.y, self.z))
 
 
-HiddenDraws = Union[_CircleDraws, _VectorDraws]
+HiddenDraws = _CircleDraws | _VectorDraws
 
 
 def _sign_response(hidden: HiddenDraws, direction: UnitVector3) -> np.ndarray:

@@ -306,3 +306,11 @@ class TestSeedRange:
         else:
             assert code in (0, 1)
             assert json.loads(out)["seed"] == seed
+
+    @pytest.mark.parametrize("seed", [5.5, 5.0, True, "x", None])
+    def test_config_file_seed_must_be_an_integer(self, capsys, tmp_path, seed):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"seed": seed}))
+        code, _, err = invoke(capsys, *SEEDED_COMMANDS["certify-ap"], "--config", str(path))
+        assert code == 2
+        assert err.startswith("error: seed must be an integer")
