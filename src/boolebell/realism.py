@@ -103,10 +103,6 @@ class _VectorDraws:
         self.y = y
         self.z = z
 
-    @classmethod
-    def of(cls, lambdas: np.ndarray) -> "_VectorDraws":
-        return cls(lambdas[:, 0], lambdas[:, 1], lambdas[:, 2])
-
     def __len__(self) -> int:
         return len(self.z)
 
@@ -267,10 +263,10 @@ def counterfactual_values(
     of :func:`sample_lhv`, or the hidden state ``model.draw_lambdas``
     returned.
     """
+    if isinstance(lambdas, np.ndarray):
+        lambdas = _VectorDraws(*lambdas.T) if lambdas.size else None
     if lambdas is None or len(lambdas) == 0:
         raise MissingHiddenState("no retained hidden-variable draws")
-    if isinstance(lambdas, np.ndarray):
-        lambdas = _VectorDraws.of(lambdas)
     wing = side.upper()
     if wing == "A":
         return SignSequence.from_array(model.response_a(lambdas, direction))
