@@ -37,6 +37,24 @@ CASES["experiment_circle_dusty_axes.csv"] = [
     "experiment", "--a", "[1,1,0]", "--b", "[0,1,1]", "--model", "sign-circle",
     "--n", N, "--seed", "3", "--format", "csv",
 ]
+# n = 150 003 spans three 65 536-pair chunks and is not a multiple of 4, so
+# prepared u blocks start inside a Philox counter block and every block
+# ends in a partial chunk
+LONG_N = "150003"
+for _model in ("circle", "sphere"):
+    CASES[f"experiment_{_model}_k2_long.json"] = [
+        "experiment", *AXES, "--model", f"sign-{_model}", "--n", LONG_N, "--seed", "15",
+        *EXTRA, "--format", "json",
+    ]
+LONG_DIRECTIONS = ["--directions", "[[0.3,-0.5,0.8],[0.1,0.2,0.97],[-0.6,0.3,-0.2]]"]
+CASES["certify_prepared_long.json"] = [
+    "certify-ap", "--axis", "[0.3,-0.5,0.8]", *LONG_DIRECTIONS, "--n", LONG_N,
+    "--seed", "16", "--format", "json",
+]
+CASES["certify_singlet_long.json"] = [
+    "certify-ap", "--singlet-beta", "[-0.3,0.5,-0.8]", *LONG_DIRECTIONS, "--n", LONG_N,
+    "--seed", "17", "--format", "json",
+]
 for _model in ("circle", "sphere"):
     CASES[f"lhv_{_model}.json"] = [
         "lhv", "--model", f"sign-{_model}", "--alpha", "[1,0.2,-0.3]",
