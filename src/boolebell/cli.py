@@ -475,7 +475,6 @@ def _build_config(args, file_cfg: dict, default_scenario: str) -> ExperimentConf
         else float(file_cfg.get("sigma_k", 4.0)),
         directions=tuple(directions),
         scenario=str(file_cfg.get("scenario", default_scenario)),
-        threads=args.threads,
     )
 
 
@@ -688,7 +687,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int)
     p.add_argument("--seed", type=_seed)
     p.add_argument("--sigma-k", type=float)
-    p.add_argument("--threads", type=int, default=1)
     _add_io_flags(p)
     p.set_defaults(handler=_cmd_certify_ap)
 
@@ -703,7 +701,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int)
     p.add_argument("--seed", type=_seed)
     p.add_argument("--sigma-k", type=float)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--summary", help="also write a JSON summary to this path")
     _add_io_flags(p)
     p.set_defaults(handler=_cmd_experiment)
@@ -721,6 +718,11 @@ def run(argv: list[str] | None = None) -> int:
         return args.handler(args)
     except (ValueError, OSError, argparse.ArgumentTypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        # the whole-sequence commands hold all n outcomes in memory
+        print(f"error: out of memory ({exc or 'allocation failed'}); try a smaller --n",
+              file=sys.stderr)
         return 2
 
 

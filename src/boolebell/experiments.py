@@ -9,14 +9,20 @@ model to be axis-prepared for two distinct axes at once: geometry puts the
 target left-hand side above 1, exact arithmetic keeps the empirical one at
 or below 1, so the correlation gaps must absorb the difference and at
 least one certificate fails by a quantifiable margin.
+
+Every block is streamed in chunks of ``_CHUNK`` pairs.  A chunk is drawn
+from computed Philox counters, committed, measured along the block's
+direction and reduced to integer products sums, which add up exactly
+across chunks; then it is dropped.  Memory therefore stays at a few chunks
+whatever n is, and the results are the ones a whole-block run would give,
+bit for bit, for any chunk size that is a multiple of 4.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
-from typing import Callable, Iterator, Sequence
+from dataclasses import dataclass, replace
+from typing import Callable, Iterator
 
 from .geometry import UnitVector3, geometric_witness
 from .realism import (
@@ -29,12 +35,12 @@ from .realism import (
 from .rng import RngStream
 from .sampler import PreparedSource, clamp_unit_dot, random_signs, sample_prepared, sample_singlet_partner
 from .sequences import (
+    CorrelationEstimate,
     EmptySequence,
     LengthMismatch,
     LengthTooLarge,
     SignSequence,
-    boole_bell_lhs,
-    concatenate,
+    boole_bell_lhs_from_sums,
     correlation,
 )
 
@@ -54,8 +60,21 @@ __all__ = [
     "feasibility_bruteforce",
 ]
 
-# a measured-sequence generator: (u_block, direction, block_index) -> x_block
-SourceFn = Callable[[SignSequence, UnitVector3, int], SignSequence]
+# Pairs per chunk.  A multiple of 4, so every chunk starts on a Philox
+# counter block; a chunk's float arrays take 512 KiB each.
+_CHUNK = 1 << 16
+
+# measures committed signs along a chosen direction: (u, alpha) -> x
+Sampler = Callable[[SignSequence, UnitVector3], SignSequence]
+# a block's chunk source: (block j, first pair, pair count) -> (u, sampler);
+# u holds the chunk's committed signs, sampler measures the same pairs
+ChunkSource = Callable[[int, int, int], tuple[SignSequence, Sampler]]
+
+
+def _chunks(n: int) -> Iterator[tuple[int, int]]:
+    """(first pair, pair count) of each chunk of an n-pair block."""
+    for start in range(0, n, _CHUNK):
+        yield start, min(_CHUNK, n - start)
 
 
 @dataclass(frozen=True)
@@ -67,15 +86,12 @@ class ExperimentConfig:
     sigma_k: float = 4.0
     directions: tuple[UnitVector3, ...] = ()
     scenario: str = ""
-    threads: int = field(default=1, compare=False)
 
     def __post_init__(self) -> None:
         if self.n < 100:
             raise ValueError("n must be at least 100 per direction")
         if self.sigma_k < 2:
             raise ValueError("sigma_k below 2 would fail sound sources routinely")
-        if self.threads < 1:
-            raise ValueError("threads must be positive")
         object.__setattr__(self, "directions", tuple(self.directions))
 
     def to_dict(self) -> dict:
@@ -97,7 +113,6 @@ class ExperimentConfig:
                 UnitVector3.from_iterable(d) for d in data.get("directions", [])
             ),
             scenario=str(data.get("scenario", "")),
-            threads=int(data.get("threads", 1)),
         )
 
 
@@ -241,46 +256,43 @@ def _row_passes(estimate: float, target: float, stderr: float, sigma_k: float) -
     return abs(estimate - target) <= sigma_k * stderr
 
 
-def certify_ap(
-    source: SourceFn, u: SignSequence, a: UnitVector3, cfg: ExperimentConfig
-) -> ApCertificate:
-    """Certify that ``source`` behaves as prepared along ``a`` via ``u``.
+def certify_ap(source: ChunkSource, a: UnitVector3, cfg: ExperimentConfig) -> ApCertificate:
+    """Certify that ``source`` behaves as prepared along ``a``.
 
-    ``u`` covers all direction blocks (length n * len(directions)); block j
-    is committed, direction j is chosen, and only then is the block
-    measured, so the protocol ordering is enforced per block.  Blocks are
-    disjoint: each particle is measured once.
+    Block j holds n fresh pairs measured along direction j; each particle
+    is measured once.  Chunk by chunk, the source draws the pairs' committed
+    signs u, the u are committed, direction j is chosen, and only then are
+    the pairs measured, so the protocol ordering is enforced per chunk.
+    Each row's correlation comes from the block's exact products sum,
+    added up over its chunks.
     """
     if not cfg.directions:
         raise ValueError("certification needs at least one direction")
-    k = len(cfg.directions)
-    if u.length != cfg.n * k:
-        raise LengthMismatch(
-            f"u must cover {k} blocks of {cfg.n} signs, got length {u.length}"
+    rows = []
+    for j, direction in enumerate(cfg.directions):
+        total = 0
+        for start, count in _chunks(cfg.n):
+            u, sampler = source(j, start, count)
+            if u.length != count:
+                raise LengthMismatch(
+                    f"block {j} chunk at {start} needs {count} committed signs, got {u.length}"
+                )
+            x = measure(choose_direction(commit(u), direction), sampler)
+            total += correlation(u, x).sum_products
+        est = CorrelationEstimate.from_sum(total, cfg.n)
+        target = clamp_unit_dot(a.dot(direction))
+        rows.append(
+            ApRow(
+                direction=direction,
+                target=target,
+                estimate=est.value,
+                stderr=est.stderr,
+                passed=_row_passes(est.value, target, est.stderr, cfg.sigma_k),
+            )
         )
-
-    def run_block(j: int) -> ApRow:
-        block = u[j * cfg.n : (j + 1) * cfg.n]
-        token = choose_direction(commit(block), cfg.directions[j])
-        x = measure(token, lambda uu, aa, _j=j: source(uu, aa, _j))
-        est = correlation(block, x)
-        target = clamp_unit_dot(a.dot(cfg.directions[j]))
-        return ApRow(
-            direction=cfg.directions[j],
-            target=target,
-            estimate=est.value,
-            stderr=est.stderr,
-            passed=_row_passes(est.value, target, est.stderr, cfg.sigma_k),
-        )
-
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            rows = tuple(pool.map(run_block, range(k)))
-    else:
-        rows = tuple(run_block(j) for j in range(k))
     return ApCertificate(
         axis_claimed=a,
-        rows=rows,
+        rows=tuple(rows),
         n=cfg.n,
         sigma_k=cfg.sigma_k,
         passed=all(row.passed for row in rows),
@@ -288,45 +300,40 @@ def certify_ap(
 
 
 def prepared_ap_experiment(a: UnitVector3, cfg: ExperimentConfig) -> ApCertificate:
-    """Certify a genuinely axis-prepared source against its own axis."""
+    """Certify a genuinely axis-prepared source against its own axis.
+
+    The committed signs of all blocks are one run of fair draws on
+    substream 0, block j taking draws j n .. (j + 1) n - 1; block j is
+    measured with substream 1 + j.
+    """
     base = RngStream(cfg.seed)
-    u = random_signs(cfg.n * len(cfg.directions), base.substream(0))
+    signs = base.substream(0)
 
-    def source(u_block: SignSequence, alpha: UnitVector3, j: int) -> SignSequence:
-        return sample_prepared(PreparedSource(a, u_block), alpha, base.substream(1 + j))
+    def source(j: int, start: int, count: int) -> tuple[SignSequence, Sampler]:
+        u = SignSequence.from_array(signs.uniforms_at(j * cfg.n + start, count) < 0.5)
+        rng = base.substream(1 + j).after(start)
+        return u, lambda uu, alpha: sample_prepared(PreparedSource(a, uu), alpha, rng)
 
-    return certify_ap(source, u, a, cfg)
+    return certify_ap(source, a, cfg)
 
 
 def singlet_ap_experiment(beta: UnitVector3, cfg: ExperimentConfig) -> ApCertificate:
     """Certify the far wing of singlet pairs as prepared along -beta.
 
     The near wing is measured along beta throughout; its outcomes are the
-    committed u.  Each direction block uses fresh pairs; the far wing is
-    sampled conditionally on the committed near-wing outcomes, which
-    realizes the same joint law as sampling the pair at once.
+    committed u, drawn for block j from substream 2 j.  Each direction
+    block uses fresh pairs; the far wing is sampled from substream 2 j + 1
+    conditionally on the committed near-wing outcomes, which realizes the
+    same joint law as sampling the pair at once.
     """
     base = RngStream(cfg.seed)
-    k = len(cfg.directions)
-    if k == 0:
-        raise ValueError("certification needs at least one direction")
-    u = concatenate(random_signs(cfg.n, base.substream(2 * j)) for j in range(k))
 
-    def source(u_block: SignSequence, alpha: UnitVector3, j: int) -> SignSequence:
-        return sample_singlet_partner(u_block, beta, alpha, base.substream(2 * j + 1))
+    def source(j: int, start: int, count: int) -> tuple[SignSequence, Sampler]:
+        u = random_signs(count, base.substream(2 * j).after(start))
+        rng = base.substream(2 * j + 1).after(start)
+        return u, lambda uu, alpha: sample_singlet_partner(uu, beta, alpha, rng)
 
-    return certify_ap(source, u, -beta, cfg)
-
-
-def _triangle_legs(
-    targets: tuple[float, float, float],
-    estimates: Sequence,
-) -> tuple[TriangleLeg, TriangleLeg, TriangleLeg]:
-    labels = ("ux", "vx", "uv")
-    return tuple(
-        TriangleLeg(label=lab, target=t, estimate=e.value, stderr=e.stderr)
-        for lab, t, e in zip(labels, targets, estimates)
-    )
+    return certify_ap(source, -beta, cfg)
 
 
 def no_apbp_experiment(
@@ -349,23 +356,37 @@ def no_apbp_experiment(
     pinned = model.pinned_to_plane(a, b)
     base = RngStream(cfg.seed)
 
-    # the draws sample_lhv would make, kept as hidden state: no n x 3 lambdas
-    hidden = pinned.draw_lambdas(witness.alpha, -a, cfg.n, base.substream(0))
-    x = SignSequence.from_array(pinned.response_a(hidden, witness.alpha))
-    u = SignSequence.from_array(pinned.response_b(hidden, -a))
-    v = counterfactual_values(pinned, hidden, -b, "B")
+    # the witness block: the three pair sums of x, u, v, one chunk at a time
+    hidden_rng = base.substream(0)
+    sums = {"ux": 0, "vx": 0, "uv": 0}
+    for start, count in _chunks(cfg.n):
+        hidden = pinned.draw_lambdas(witness.alpha, -a, count, hidden_rng.after(start), cfg.n)
+        chunk = {
+            "x": SignSequence.from_array(pinned.response_a(hidden, witness.alpha)),
+            "u": SignSequence.from_array(pinned.response_b(hidden, -a)),
+            "v": counterfactual_values(pinned, hidden, -b, "B"),
+        }
+        for pair in sums:
+            sums[pair] += correlation(chunk[pair[0]], chunk[pair[1]]).sum_products
 
-    targets = (
-        clamp_unit_dot(a.dot(witness.alpha)),
-        clamp_unit_dot(b.dot(witness.alpha)),
-        clamp_unit_dot(a.dot(b)),
+    def pair_sum(p: str, q: str) -> int:
+        return sums["".join(sorted(p + q))]
+
+    targets = {
+        "ux": clamp_unit_dot(a.dot(witness.alpha)),
+        "vx": clamp_unit_dot(b.dot(witness.alpha)),
+        "uv": clamp_unit_dot(a.dot(b)),
+    }
+    estimates = {pair: CorrelationEstimate.from_sum(total, cfg.n) for pair, total in sums.items()}
+    triangle = tuple(
+        TriangleLeg(label=pair, target=targets[pair], estimate=est.value, stderr=est.stderr)
+        for pair, est in estimates.items()
     )
-    estimates = (correlation(u, x), correlation(v, x), correlation(u, v))
-    triangle = _triangle_legs(targets, estimates)
 
-    by_name = {"x": x, "u": u, "v": v}
-    f, g, h = (by_name[ch] for ch in witness.assignment)
-    empirical = boole_bell_lhs(f, g, h)
+    f, g, h = witness.assignment
+    empirical = float(
+        boole_bell_lhs_from_sums(pair_sum(f, g), pair_sum(f, h), pair_sum(g, h), cfg.n)
+    )
     inequality = InequalityReport(
         alpha=witness.alpha,
         case_label=witness.case_label,
@@ -383,28 +404,22 @@ def no_apbp_experiment(
     cert_v = _lhv_certificate(pinned, -b, b, cert_cfg, base, offset=1 + k)
 
     failing = cert_u.failing_rows() + cert_v.failing_rows()
+    lift = (witness.lhs_value - 1.0) / 3.0
 
-    def floor_of(row: ApRow) -> float:
-        return (witness.lhs_value - 1.0) / 3.0 - cfg.sigma_k * row.stderr
+    def gap(row: ApRow) -> float:
+        return abs(row.estimate - row.target)
 
-    failing_margin = 0.0
-    margin_floor = (witness.lhs_value - 1.0) / 3.0
-    margin_ok = False
-    for row in failing:
-        gap = abs(row.estimate - row.target)
-        if gap >= failing_margin:
-            failing_margin = gap
-            margin_floor = floor_of(row)
-        if gap >= floor_of(row):
-            margin_ok = True
+    # the largest gap; on ties the last failing row
+    worst = max(reversed(failing), key=gap, default=None)
+    margin_ok = any(gap(row) >= lift - cfg.sigma_k * row.stderr for row in failing)
 
     return NoApBpResult(
         certificate_u=cert_u,
         certificate_v=cert_v,
         inequality=inequality,
         triangle=triangle,
-        failing_margin=failing_margin,
-        margin_floor=margin_floor,
+        failing_margin=0.0 if worst is None else gap(worst),
+        margin_floor=lift if worst is None else lift - cfg.sigma_k * worst.stderr,
         margin_ok=margin_ok,
         contradiction_closed=(
             inequality.verdict == "contradiction" and bool(failing) and margin_ok
@@ -422,24 +437,20 @@ def _lhv_certificate(
 ) -> ApCertificate:
     """Certify the model's near wing against ``axis_claimed``.
 
-    The committed u holds the far wing's values along ``wing_direction``
-    for every block; all hidden draws happen before any direction is
-    chosen, so the protocol ordering inside certify_ap is honest.
+    Block j's pairs come from substream offset + j.  For each chunk the
+    committed u holds the far wing's values along ``wing_direction``; the
+    chunk's hidden draws happen before its direction is chosen, and the
+    near wing then answers from the same draws, so the protocol ordering
+    inside certify_ap is honest.
     """
-    k = len(cfg.directions)
-    hidden = [
-        model.draw_lambdas(wing_direction, wing_direction, cfg.n, base.substream(offset + j))
-        for j in range(k)
-    ]
-    u = concatenate(
-        SignSequence.from_array(model.response_b(hidden[j], wing_direction))
-        for j in range(k)
-    )
 
-    def source(u_block: SignSequence, alpha: UnitVector3, j: int) -> SignSequence:
-        return SignSequence.from_array(model.response_a(hidden[j], alpha))
+    def source(j: int, start: int, count: int) -> tuple[SignSequence, Sampler]:
+        rng = base.substream(offset + j).after(start)
+        hidden = model.draw_lambdas(wing_direction, wing_direction, count, rng, cfg.n)
+        u = SignSequence.from_array(model.response_b(hidden, wing_direction))
+        return u, lambda uu, alpha: SignSequence.from_array(model.response_a(hidden, alpha))
 
-    return certify_ap(source, u, axis_claimed, cfg)
+    return certify_ap(source, axis_claimed, cfg)
 
 
 FEASIBILITY_MAX_LENGTH = 5

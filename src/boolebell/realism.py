@@ -14,6 +14,12 @@ half a turn; the sphere law keeps lambda's three coordinates as separate
 columns, computed with one cos and one sin per draw.  The n x 3 lambdas
 are built only on request (:func:`sample_lhv`, ``lhv --dump-lambdas``).
 
+A block can also be drawn one chunk of pairs at a time: ``draw_lambdas``
+called with the block's stream moved to the chunk's first pair
+(``RngStream.after``) and the block's size draws exactly that chunk of the
+whole-block draw, so experiments hold one chunk of hidden state at a time,
+whatever n is.
+
 The commitment protocol is the bookkeeping half: preparation signs must be
 committed before a measurement direction is chosen, and a token is spent
 by measuring.  Out-of-order use raises :class:`OrderingViolation`.
@@ -149,9 +155,12 @@ def _circle_points(frame: tuple[np.ndarray, np.ndarray], n: int, rng: RngStream)
     return _CircleDraws(rng.uniforms(n), frame[0], frame[1])
 
 
-def _sphere_points(n: int, rng: RngStream) -> _VectorDraws:
+def _sphere_points(n: int, rng: RngStream, block: int | None = None) -> _VectorDraws:
+    # z takes a block's first run of draws and phi the run after it, so a
+    # chunk of a larger block finds its phi one whole-block z run ahead
+    phi_rng = rng if block is None else rng.after(block)
     z = 2.0 * rng.uniforms(n) - 1.0
-    phi = 2.0 * math.pi * rng.uniforms(n)
+    phi = 2.0 * math.pi * phi_rng.uniforms(n)
     r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
     x = np.cos(phi)
     x *= r
@@ -164,8 +173,10 @@ def _sphere_points(n: int, rng: RngStream) -> _VectorDraws:
 class LhvModel:
     """Hidden-variable law plus one deterministic response map per wing.
 
-    ``draw_lambdas`` returns a block's hidden state in its compact form
-    (see the module docstring); ``len`` of it is the number of pairs.
+    ``draw_lambdas(alpha, beta, n, rng, block=None)`` returns the hidden
+    state of n pairs in its compact form (see the module docstring); ``len``
+    of it is the number of pairs.  With ``block`` given, the n pairs are
+    the chunk of a block of ``block`` pairs that starts where ``rng`` stands.
     ``response_a``/``response_b`` take (hidden state, own direction) only
     and return a bool array, True for +1, so a wing's values cannot depend
     on the far setting; that is the locality property the tests check by
@@ -174,7 +185,7 @@ class LhvModel:
 
     name: str
     hidden_variable_law: str
-    draw_lambdas: Callable[[UnitVector3, UnitVector3, int, RngStream], HiddenDraws]
+    draw_lambdas: Callable[..., HiddenDraws]
     response_a: Callable[[HiddenDraws, UnitVector3], np.ndarray]
     response_b: Callable[[HiddenDraws, UnitVector3], np.ndarray]
 
@@ -189,7 +200,7 @@ class LhvModel:
             return self
         frame = _circle_frame(a, b)
 
-        def draw(alpha, beta, n, rng, _frame=frame):
+        def draw(alpha, beta, n, rng, block=None, _frame=frame):
             return _circle_points(_frame, n, rng)
 
         return replace(self, draw_lambdas=draw)
@@ -205,14 +216,14 @@ def make_lhv_model(name: str) -> LhvModel:
     """
     if name == "sign-circle":
 
-        def draw(alpha, beta, n, rng):
+        def draw(alpha, beta, n, rng, block=None):
             return _circle_points(_circle_frame(alpha, beta), n, rng)
 
         law = "great-circle"
     elif name == "sign-sphere":
 
-        def draw(alpha, beta, n, rng):
-            return _sphere_points(n, rng)
+        def draw(alpha, beta, n, rng, block=None):
+            return _sphere_points(n, rng, block)
 
         law = "uniform-sphere"
     else:

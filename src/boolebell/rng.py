@@ -5,17 +5,23 @@ stream can be reconstructed from three integers anywhere in a run and
 replays identically regardless of thread scheduling or platform.  Each
 draw call builds a fresh Philox generator jumped to the current counter;
 Philox emits four 64-bit words per counter block, so consumption rounds
-up to whole blocks.
+up to whole blocks.  Any stretch of a run can therefore be read on its
+own, from a computed counter (Salmon et al., "Parallel random numbers: as
+easy as 1, 2, 3", SC'11): experiments stream their blocks chunk by chunk
+this way and still draw the values a whole-block draw would.
 """
 
 from __future__ import annotations
+
+import operator
 
 import numpy as np
 from numpy.random import Generator, Philox
 
 __all__ = ["RngStream"]
 
-_MASK64 = (1 << 64) - 1
+_KEY_LIMIT = 1 << 64
+_MASK64 = _KEY_LIMIT - 1
 _DRAWS_PER_BLOCK = 4  # 64-bit outputs per Philox counter increment
 
 
@@ -25,6 +31,13 @@ def _splitmix64(x: int) -> int:
     x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
     return x ^ (x >> 31)
+
+
+def _key(name: str, value) -> int:
+    key = operator.index(value)
+    if not 0 <= key < _KEY_LIMIT:
+        raise ValueError(f"{name} must be in [0, 2**64), got {key}")
+    return key
 
 
 class RngStream:
@@ -39,8 +52,8 @@ class RngStream:
     def __init__(self, seed: int, stream_id: int = 0, counter: int = 0):
         if counter < 0:
             raise ValueError("counter must be non-negative")
-        self.seed = seed & _MASK64
-        self.stream_id = stream_id & _MASK64
+        self.seed = _key("seed", seed)
+        self.stream_id = _key("stream_id", stream_id)
         self.counter = counter
 
     def _generator(self) -> Generator:
@@ -56,6 +69,24 @@ class RngStream:
         values = self._generator().random(n)
         self.counter += -(-n // _DRAWS_PER_BLOCK)
         return values
+
+    def after(self, n: int) -> "RngStream":
+        """A copy standing where this stream will after drawing n values.
+
+        A draw rounds up to whole counter blocks, so for n a multiple of 4
+        the copy's values are exactly values n, n + 1, ... of this stream.
+        This stream does not move.
+        """
+        return RngStream(self.seed, self.stream_id, self.counter + -(-n // _DRAWS_PER_BLOCK))
+
+    def uniforms_at(self, draw: int, n: int) -> np.ndarray:
+        """Values draw .. draw + n - 1 of this stream; its counter does not move.
+
+        Reads from counter block draw // 4 and drops the first draw % 4
+        values, so a run read in chunks equals the run drawn at once.
+        """
+        skip = draw % _DRAWS_PER_BLOCK
+        return self.after(draw - skip).uniforms(skip + n)[skip:]
 
     def signs(self, n: int) -> np.ndarray:
         """n fair +1/-1 draws as int8."""

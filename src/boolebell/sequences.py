@@ -34,6 +34,7 @@ __all__ = [
     "coincidence_probability",
     "boole_bell_lhs",
     "boole_bell_lhs_exact",
+    "boole_bell_lhs_from_sums",
     "boole_bell_lhs_prob",
     "brute_force_max_lhs",
 ]
@@ -204,6 +205,17 @@ class CorrelationEstimate:
     stderr: float
     sum_products: int = field(repr=False, default=0)
 
+    @classmethod
+    def from_sum(cls, sum_products: int, n: int) -> "CorrelationEstimate":
+        """The estimate of n pairs whose products sum to ``sum_products``.
+
+        The sum may be accumulated chunk by chunk: integer sums add up
+        exactly, so the estimate does not depend on how n was split.
+        """
+        value = sum_products / n
+        stderr = (max(0.0, 1.0 - value * value) / n) ** 0.5
+        return cls(value=value, n=n, stderr=stderr, sum_products=sum_products)
+
     def as_fraction(self) -> Fraction:
         return Fraction(self.sum_products, self.n)
 
@@ -221,11 +233,7 @@ def _products_sum(f: SignSequence, g: SignSequence) -> int:
 def correlation(f: SignSequence, g: SignSequence) -> CorrelationEstimate:
     """Empirical correlation (1/n) sum_i f_i g_i, exact in the numerator."""
     _require_same_length(f, g)
-    n = f.length
-    s = _products_sum(f, g)
-    value = s / n
-    stderr = (max(0.0, 1.0 - value * value) / n) ** 0.5
-    return CorrelationEstimate(value=value, n=n, stderr=stderr, sum_products=s)
+    return CorrelationEstimate.from_sum(_products_sum(f, g), f.length)
 
 
 def coincidence_probability(f: SignSequence, g: SignSequence) -> Fraction:
@@ -239,13 +247,21 @@ def coincidence_probability(f: SignSequence, g: SignSequence) -> Fraction:
     return Fraction(agreements, f.length)
 
 
+def boole_bell_lhs_from_sums(s_fg: int, s_fh: int, s_gh: int, n: int) -> Fraction:
+    """|<f,g> - <f,h>| + <g,h> from the three products sums of n entries."""
+    numerator = abs(s_fg - s_fh) + s_gh
+    # holds term by term for any +-1 triple, so for sums added chunk by chunk too
+    assert numerator <= n
+    return Fraction(numerator, n)
+
+
 def boole_bell_lhs_exact(f: SignSequence, g: SignSequence, h: SignSequence) -> Fraction:
     """|<f,g> - <f,h>| + <g,h> as an exact rational."""
     _require_same_length(f, g)
     _require_same_length(f, h)
-    numerator = abs(_products_sum(f, g) - _products_sum(f, h)) + _products_sum(g, h)
-    assert numerator <= f.length  # holds term by term for any +-1 triple
-    return Fraction(numerator, f.length)
+    return boole_bell_lhs_from_sums(
+        _products_sum(f, g), _products_sum(f, h), _products_sum(g, h), f.length
+    )
 
 
 def boole_bell_lhs(f: SignSequence, g: SignSequence, h: SignSequence) -> float:

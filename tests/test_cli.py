@@ -314,3 +314,34 @@ class TestSeedRange:
         code, _, err = invoke(capsys, *SEEDED_COMMANDS["certify-ap"], "--config", str(path))
         assert code == 2
         assert err.startswith("error: seed must be an integer")
+
+
+def _out_of_memory(*args, **kwargs):
+    raise MemoryError("Unable to allocate 7.28 TiB for an array with shape (1000000000000,)")
+
+
+class TestOutOfMemory:
+    """A whole-sequence command whose --n does not fit exits 2 with a
+    message; the samplers are replaced, so nothing large is allocated."""
+
+    CASES = {
+        "sample_prepared": ["simulate-prepared", "--axis", "[0,0,1]", "--alpha", "[1,0,0]"],
+        "sample_singlet": ["simulate-singlet", "--alpha", "[0,0,1]", "--beta", "[1,0,0]"],
+        "sample_lhv": ["lhv", "--alpha", "[0,0,1]", "--beta", "[1,0,0]"],
+    }
+
+    @pytest.mark.parametrize("sampler", sorted(CASES))
+    def test_memory_error_exits_two(self, capsys, monkeypatch, sampler):
+        monkeypatch.setattr(f"boolebell.cli.{sampler}", _out_of_memory)
+        code, out, err = invoke(capsys, *self.CASES[sampler], "--n", "1000")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: out of memory (Unable to allocate 7.28 TiB")
+        assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["certify-ap", "experiment"])
+def test_threads_flag_is_gone(capsys, command):
+    code, _, err = invoke(capsys, command, "--threads", "2")
+    assert code == 2
+    assert "unrecognized arguments: --threads" in err

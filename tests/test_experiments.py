@@ -3,6 +3,7 @@ from itertools import product
 
 import pytest
 
+from boolebell import experiments
 from boolebell.experiments import (
     FEASIBILITY_MAX_LENGTH,
     ApCertificate,
@@ -44,20 +45,12 @@ class TestExperimentConfig:
             ExperimentConfig(seed=1, n=99)
         with pytest.raises(ValueError):
             ExperimentConfig(seed=1, n=100, sigma_k=1.5)
-        with pytest.raises(ValueError):
-            ExperimentConfig(seed=1, n=100, threads=0)
 
     def test_dict_round_trip(self):
         cfg = ExperimentConfig(
             seed=7, n=500, sigma_k=3.0, directions=XY_SWEEP[:3], scenario="demo"
         )
         assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
-
-    def test_threads_do_not_affect_identity(self):
-        one = ExperimentConfig(seed=1, n=100, directions=(X_HAT,))
-        four = ExperimentConfig(seed=1, n=100, directions=(X_HAT,), threads=4)
-        assert one == four
-        assert "threads" not in one.to_dict()
 
 
 class TestCertifyAp:
@@ -81,13 +74,15 @@ class TestCertifyAp:
         from boolebell.sampler import PreparedSource, sample_prepared
 
         real_u = random_signs(cfg.n * 12, base.substream(0))
-
-        def source(u_block, alpha, j):
-            src = PreparedSource(X_HAT, real_u[j * cfg.n : (j + 1) * cfg.n])
-            return sample_prepared(src, alpha, base.substream(1 + j))
-
         unrelated = random_signs(cfg.n * 12, base.substream(99))
-        cert = certify_ap(source, unrelated, X_HAT, cfg)
+
+        def source(j, start, count):
+            first = j * cfg.n + start
+            src = PreparedSource(X_HAT, real_u[first : first + count])
+            rng = base.substream(1 + j).after(start)
+            return unrelated[first : first + count], lambda uu, al: sample_prepared(src, al, rng)
+
+        cert = certify_ap(source, X_HAT, cfg)
         assert not cert.passed
         for row in cert.rows:
             if abs(row.target) >= 0.5:
@@ -98,21 +93,13 @@ class TestCertifyAp:
         cfg = ExperimentConfig(seed=1, n=100, directions=(X_HAT,))
         u = random_signs(50, RngStream(0))
         with pytest.raises(LengthMismatch):
-            certify_ap(lambda ub, al, j: ub, u, X_HAT, cfg)
+            certify_ap(lambda j, start, count: (u, lambda ub, al: ub), X_HAT, cfg)
 
     def test_needs_directions(self):
         cfg = ExperimentConfig(seed=1, n=100)
+        u = random_signs(100, RngStream(0))
         with pytest.raises(ValueError):
-            certify_ap(lambda ub, al, j: ub, random_signs(100, RngStream(0)), X_HAT, cfg)
-
-    def test_threads_reproduce_serial_result(self):
-        serial = prepared_ap_experiment(
-            X_HAT, ExperimentConfig(seed=21, n=2000, directions=XY_SWEEP)
-        )
-        pooled = prepared_ap_experiment(
-            X_HAT, ExperimentConfig(seed=21, n=2000, directions=XY_SWEEP, threads=4)
-        )
-        assert serial == pooled
+            certify_ap(lambda j, start, count: (u, lambda ub, al: ub), X_HAT, cfg)
 
     def test_reproducible(self):
         cfg = ExperimentConfig(seed=31, n=1500, directions=XY_SWEEP[:5])
@@ -195,6 +182,41 @@ class TestNoApBp:
         first = no_apbp_experiment(X_HAT, xy_direction(90), model, cfg)
         second = no_apbp_experiment(X_HAT, xy_direction(90), model, cfg)
         assert first == second
+
+
+class TestChunkInvariance:
+    """A block streamed in chunks of any multiple of 4 pairs, or in one
+    chunk, gives the same result bit for bit."""
+
+    N = 10_001  # not a multiple of 4, so prepared blocks start mid counter block
+    CHUNKS = (4, 4096, 65536, 1 << 20)
+
+    def results(self, monkeypatch, run):
+        out = []
+        for chunk in self.CHUNKS:
+            monkeypatch.setattr(experiments, "_CHUNK", chunk)
+            out.append(run())
+        return out
+
+    def assert_invariant(self, monkeypatch, run):
+        first, *rest = self.results(monkeypatch, run)
+        assert all(result == first for result in rest)
+
+    def test_prepared(self, monkeypatch):
+        cfg = ExperimentConfig(seed=61, n=self.N, directions=(X_HAT,) + XY_SWEEP[1:3])
+        self.assert_invariant(monkeypatch, lambda: prepared_ap_experiment(X_HAT, cfg))
+
+    def test_singlet(self, monkeypatch):
+        cfg = ExperimentConfig(seed=62, n=self.N, directions=(-Z_HAT,) + XZ_SWEEP[1:3])
+        self.assert_invariant(monkeypatch, lambda: singlet_ap_experiment(Z_HAT, cfg))
+
+    @pytest.mark.parametrize("name", MODEL_NAMES)
+    def test_lhv_models(self, monkeypatch, name):
+        cfg = ExperimentConfig(seed=63, n=self.N)
+        model = make_lhv_model(name)
+        self.assert_invariant(
+            monkeypatch, lambda: no_apbp_experiment(X_HAT, xy_direction(70), model, cfg)
+        )
 
 
 def oracle_feasibility(a, b, alpha, n, epsilon):

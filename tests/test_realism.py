@@ -171,6 +171,19 @@ class TestHiddenStateResponses:
             assert counterfactual_values(model, lam, d, "A") == SignSequence.from_array(fast)
             assert counterfactual_values(model, hidden, d, "B") == SignSequence.from_array(~fast)
 
+    @pytest.mark.parametrize("name", MODEL_NAMES)
+    def test_block_drawn_in_chunks_equals_whole_block(self, name):
+        model = make_lhv_model(name)
+        block, chunk = 1001, 64  # the block ends in a partial chunk
+        whole = model.draw_lambdas(X_HAT, Z_HAT, block, RngStream(43, 2)).lambdas()
+        rng = RngStream(43, 2)
+        parts = [
+            model.draw_lambdas(X_HAT, Z_HAT, min(chunk, block - start), rng.after(start), block)
+            for start in range(0, block, chunk)
+        ]
+        assert np.array_equal(np.concatenate([p.lambdas() for p in parts]), whole)
+        assert rng.counter == 0
+
     def test_plane_normal_answers_plus_one_everywhere(self):
         model = make_lhv_model("sign-circle").pinned_to_plane(X_HAT, plane_direction(60))
         hidden = model.draw_lambdas(X_HAT, X_HAT, 1000, RngStream(42))

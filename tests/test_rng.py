@@ -73,3 +73,49 @@ def test_invalid_arguments():
         RngStream(0).uniforms(-1)
     with pytest.raises(ValueError):
         RngStream(0).substream(-1)
+
+
+@pytest.mark.parametrize("key", [-1, 2**64 + 5, 2**64])
+def test_keys_outside_64_bits_are_rejected(key):
+    # masking would alias these to 2**64 - 1, 5 and 0
+    with pytest.raises(ValueError):
+        RngStream(key)
+    with pytest.raises(ValueError):
+        RngStream(0, key)
+
+
+@pytest.mark.parametrize("key", [0, 2**64 - 1])
+def test_keys_at_range_ends_draw(key):
+    assert RngStream(key).uniforms(3).shape == (3,)
+    assert RngStream(0, key).uniforms(3).shape == (3,)
+    assert not np.array_equal(RngStream(key, 1).uniforms(3), RngStream(key, 2).uniforms(3))
+
+
+def test_non_integer_keys_are_rejected():
+    with pytest.raises(TypeError):
+        RngStream(5.0)
+
+
+@pytest.mark.parametrize("n", [1, 7, 13, 64])
+def test_after_stands_where_a_draw_leaves_the_stream(n):
+    s = RngStream(8, 2, counter=3)
+    moved = s.after(n)
+    assert s.counter == 3
+    s.uniforms(n)
+    assert moved.counter == s.counter
+    assert np.array_equal(moved.uniforms(9), s.uniforms(9))
+
+
+@pytest.mark.parametrize("draw", [0, 1, 2, 3, 4, 5, 99])
+def test_uniforms_at_reads_any_stretch_of_a_run(draw):
+    s = RngStream(10, 4, counter=2)
+    run = RngStream(10, 4, counter=2).uniforms(120)
+    assert np.array_equal(s.uniforms_at(draw, 17), run[draw : draw + 17])
+    assert s.counter == 2
+
+
+def test_run_read_in_chunks_equals_run_drawn_at_once():
+    start, n = 7, 1001  # starts mid counter block, ends in a partial chunk
+    whole = RngStream(11).uniforms(start + n)[start:]
+    chunks = [RngStream(11).uniforms_at(start + c, min(64, n - c)) for c in range(0, n, 64)]
+    assert np.array_equal(np.concatenate(chunks), whole)
