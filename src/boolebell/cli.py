@@ -216,6 +216,8 @@ def _cmd_witness(args) -> int:
             start, stop, step = (float(part) for part in args.sweep.split(":"))
         except ValueError as exc:
             raise ValueError("--sweep expects START:STOP:STEP in degrees") from exc
+        if not all(map(math.isfinite, (start, stop, step))):
+            raise ValueError("--sweep START, STOP and STEP must be finite")
         if step <= 0:
             raise ValueError("--sweep step must be positive")
         rows = []
@@ -449,12 +451,22 @@ def _cmd_lhv(args) -> int:
     return 0
 
 
-def _load_config_file(path: str | None) -> dict:
+# the config-file keys `certify-ap` reads; `experiment` also reads a, b, model
+_CONFIG_KEYS = ("seed", "n", "sigma_k", "directions", "scenario")
+
+
+def _load_config_file(path: str | None, keys: tuple[str, ...] = _CONFIG_KEYS) -> dict:
     if not path:
         return {}
     data = json.loads(Path(path).read_text())
     if not isinstance(data, dict):
         raise ValueError("config file must hold a JSON object")
+    unknown = sorted(set(data) - set(keys))
+    if unknown:
+        raise ValueError(
+            f"config file has unknown key(s) {', '.join(map(repr, unknown))}; "
+            f"known keys: {', '.join(keys)}"
+        )
     return data
 
 
@@ -530,7 +542,7 @@ def _cmd_certify_ap(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    file_cfg = _load_config_file(args.config)
+    file_cfg = _load_config_file(args.config, (*_CONFIG_KEYS, "a", "b", "model"))
     a_text = args.a if args.a is not None else json.dumps(file_cfg.get("a"))
     b_text = args.b if args.b is not None else json.dumps(file_cfg.get("b"))
     if a_text == "null" or b_text == "null":

@@ -213,11 +213,7 @@ class TriangleLeg:
 
 @dataclass(frozen=True)
 class NoApBpResult:
-    """Everything the two-axis experiment produced.
-
-    Iterating yields (certificate_u, certificate_v, inequality) so the
-    result unpacks as the three headline components.
-    """
+    """Everything the two-axis experiment produced."""
 
     certificate_u: ApCertificate
     certificate_v: ApCertificate
@@ -227,9 +223,6 @@ class NoApBpResult:
     margin_floor: float
     margin_ok: bool
     contradiction_closed: bool
-
-    def __iter__(self) -> Iterator:
-        return iter((self.certificate_u, self.certificate_v, self.inequality))
 
     def to_dict(self) -> dict:
         return {

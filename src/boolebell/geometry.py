@@ -8,12 +8,22 @@ three candidate left-hand sides, one per way of pouring the sequences
 For any two distinct axes some in-plane ``alpha`` pushes the best candidate
 above 1; :func:`geometric_witness` builds that direction in closed form and
 :func:`optimal_witness` maximizes numerically.
+
+The numerical search has no tunables.  Alpha enters the candidates only
+through its cosines with the two axes, which trace an ellipse as alpha turns
+in the plane of the axes, so the search is over one in-plane angle.  It
+evaluates a fixed grid of angles 0.1 degrees apart in one numpy pass (the
+grid's cosines and sines are computed once, on first use), then refines the
+best grid angle with 30 golden-section steps in plain Python floats
+(``math.cos``, ``math.sin``, ``abs``, ``max``).  Both passes call the same
+candidate function, so they perform the same IEEE operations.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache, reduce
 from typing import Callable, Iterable
 
 import numpy as np
@@ -83,8 +93,9 @@ def angle_between(a: UnitVector3, b: UnitVector3) -> float:
     return math.acos(max(-1.0, min(1.0, a.dot(b))))
 
 
-def _candidate_values(p: float, q: float, c: float):
-    # p = a.alpha, q = b.alpha, c = a.b; one value per slot assignment
+def _candidate_values(p, q, c):
+    # p = a.alpha, q = b.alpha, c = a.b; one value per slot assignment.
+    # p and q are floats or numpy arrays of equal shape.
     return (abs(p - q) + c, abs(p - c) + q, abs(c - q) + p)
 
 
@@ -192,68 +203,68 @@ def _plane_frame(a: UnitVector3, b: UnitVector3) -> tuple[np.ndarray, np.ndarray
     return a.as_array(), e, d
 
 
-def _maximize_in_plane(
-    a: UnitVector3,
-    b: UnitVector3,
-    objective: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    grid_step_deg: float,
-    refine_iters: int,
-) -> tuple[float, UnitVector3]:
-    """Grid-plus-golden-section maximum of a function of (a.alpha, b.alpha).
+# The in-plane search: a grid of angles 0.1 degrees apart, then 30
+# golden-section steps within one grid step either side of the best grid
+# angle.
+_GRID_STEP = math.radians(0.1)
+_REFINE_ITERS = 30
 
-    The candidates depend on alpha only through the two cosines, and over
-    the unit sphere that pair ranges over an ellipse traced by the in-plane
-    angle phi, so a one-dimensional search is exhaustive.
+
+@cache
+def _grid() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The grid angles with their cosines and sines, built on first use.
+
+    They never change, so every search shares this one read-only copy.
+    """
+    phi = np.arange(0.0, 2.0 * math.pi, _GRID_STEP)
+    columns = (phi, np.cos(phi), np.sin(phi))
+    for column in columns:
+        column.flags.writeable = False
+    return columns
+
+
+def _maximize_in_plane(
+    a: UnitVector3, b: UnitVector3, candidates: Callable[..., tuple]
+) -> tuple[float, UnitVector3]:
+    """Grid-plus-golden-section maximum of the largest of ``candidates(p, q)``.
+
+    The candidates depend on alpha only through p = a.alpha and q = b.alpha,
+    and over the unit sphere that pair ranges over an ellipse traced by the
+    in-plane angle phi, so a one-dimensional search is exhaustive.  The same
+    ``candidates`` runs on the grid's arrays, reduced with ``np.maximum``,
+    and on the refinement's Python floats, reduced with ``max``, so both do
+    the same IEEE arithmetic on the cosines.
     """
     basis_a, basis_e, d = _plane_frame(a, b)
     s = math.sqrt(max(0.0, 1.0 - d * d))
 
-    def cosines(phi):
-        p = np.cos(phi)
-        q = d * np.cos(phi) + s * np.sin(phi)
-        return p, q
-
-    step = math.radians(grid_step_deg)
-    grid = np.arange(0.0, 2.0 * math.pi, step)
-    values = objective(*cosines(grid))
+    grid, grid_cos, grid_sin = _grid()
+    values = reduce(np.maximum, candidates(grid_cos, d * grid_cos + s * grid_sin))
     k = int(np.argmax(values))  # first maximum on ties
+    grid_phi = float(grid[k])
 
     def scalar(phi: float) -> float:
-        return float(objective(*cosines(np.array([phi])))[0])
+        p = math.cos(phi)
+        return max(candidates(p, d * p + s * math.sin(phi)))
 
-    refined = _golden_max(scalar, grid[k] - step, grid[k] + step, refine_iters)
-    best_phi = refined if scalar(refined) >= values[k] else float(grid[k])
+    refined = _golden_max(scalar, grid_phi - _GRID_STEP, grid_phi + _GRID_STEP, _REFINE_ITERS)
+    best_phi = refined if scalar(refined) >= values[k] else grid_phi
     alpha_arr = math.cos(best_phi) * basis_a + math.sin(best_phi) * basis_e
     return scalar(best_phi), _unit(alpha_arr / np.linalg.norm(alpha_arr))
 
 
-def optimal_witness(
-    a: UnitVector3,
-    b: UnitVector3,
-    *,
-    grid_step_deg: float = 0.1,
-    refine_iters: int = 30,
-) -> WitnessReport:
+def optimal_witness(a: UnitVector3, b: UnitVector3) -> WitnessReport:
     """Numerically maximized witness; at least as strong as the closed form."""
-
-    def objective(p, q):
-        c = a.dot(b)
-        return np.maximum(np.abs(p - q) + c, np.maximum(np.abs(p - c) + q, np.abs(c - q) + p))
-
-    _, alpha = _maximize_in_plane(a, b, objective, grid_step_deg, refine_iters)
+    c = a.dot(b)
+    _, alpha = _maximize_in_plane(a, b, lambda p, q: _candidate_values(p, q, c))
     value, assignment = malus_lhs_all_assignments(a, b, alpha)
     return WitnessReport(
-        alpha=alpha, case_label=_case_label(a.dot(b)), lhs_value=value, assignment=assignment
+        alpha=alpha, case_label=_case_label(c), lhs_value=value, assignment=assignment
     )
 
 
 def assignment_optimum(
-    a: UnitVector3,
-    b: UnitVector3,
-    assignment: str,
-    *,
-    grid_step_deg: float = 0.1,
-    refine_iters: int = 30,
+    a: UnitVector3, b: UnitVector3, assignment: str
 ) -> tuple[float, UnitVector3]:
     """Maximum of a single slot assignment's candidate over the sphere.
 
@@ -262,8 +273,4 @@ def assignment_optimum(
     """
     index = SLOT_ASSIGNMENTS.index(assignment)
     c = a.dot(b)
-
-    def objective(p, q):
-        return _candidate_values(p, q, c)[index]
-
-    return _maximize_in_plane(a, b, objective, grid_step_deg, refine_iters)
+    return _maximize_in_plane(a, b, lambda p, q: (_candidate_values(p, q, c)[index],))

@@ -85,6 +85,18 @@ class TestBasicCommands:
             assert float(x) == 90.0
             assert abs(float(y) - math.sqrt(2)) < 1e-9
 
+    @pytest.mark.parametrize("sweep", ["0.5:inf:1", "nan:10:1", "1:179:nan", "-inf:10:1"])
+    def test_witness_sweep_rejects_non_finite_values(self, capsys, monkeypatch, sweep):
+        # an infinite STOP used to loop for ever: fail instead of computing a row
+        def no_rows(*args):
+            raise AssertionError("--sweep computed a row")
+
+        monkeypatch.setattr("boolebell.cli.optimal_witness", no_rows)
+        code, out, err = invoke(capsys, "witness", f"--sweep={sweep}", "--format", "csv")
+        assert code == 2
+        assert out == ""
+        assert err == "error: --sweep START, STOP and STEP must be finite\n"
+
 
 class TestSamplingCommands:
     def test_simulate_prepared_dump_roundtrip(self, capsys, tmp_path):
@@ -177,6 +189,32 @@ class TestCertifyAndExperiment:
         assert code == 0
         doc = json.loads(out)
         assert doc["seed"] == 99
+
+    @pytest.mark.parametrize("key", ["sigmak", "threads"])
+    @pytest.mark.parametrize("command", ["certify-ap", "experiment"])
+    def test_config_file_unknown_key_exits_two(self, capsys, tmp_path, command, key):
+        # a misspelt key used to run silently on the default instead
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": 1, key: 2.5}))
+        code, out, err = invoke(capsys, *SEEDED_COMMANDS[command], "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: config file has unknown key(s) '{key}'")
+
+    def test_experiment_reads_every_config_key(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "seed": 7, "n": 3000, "sigma_k": 5.0, "directions": [[0, 0, 1]],
+            "scenario": "no-apbp", "a": [1, 0, 0], "b": [0, 1, 0], "model": "sign-sphere",
+        }))
+        code, out, _ = invoke(capsys, "experiment", "--config", str(cfg), "--format", "json")
+        assert code in (0, 1)
+        doc = json.loads(out)
+        assert (doc["seed"], doc["model"], doc["a"], doc["b"]) == (7, "sign-sphere", [1, 0, 0],
+                                                                   [0, 1, 0])
+        cert = doc["detail"]["certificate_u"]
+        assert (cert["n"], cert["sigma_k"]) == (3000, 5.0)
+        assert cert["rows"][-1]["direction"] == [0, 0, 1]
 
     def test_certify_ap_needs_exactly_one_mode(self, capsys):
         code, _, err = invoke(

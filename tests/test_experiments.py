@@ -134,7 +134,7 @@ class TestNoApBp:
         cfg = ExperimentConfig(seed=51, n=100_000)
         model = make_lhv_model("sign-circle")
         result = no_apbp_experiment(X_HAT, xy_direction(90), model, cfg)
-        cert_u, cert_v, report = result
+        cert_u, cert_v, report = result.certificate_u, result.certificate_v, result.inequality
         assert report.target_lhs == pytest.approx(math.sqrt(2), abs=1e-9)
         assert report.empirical_lhs <= 1.0
         assert report.verdict == "contradiction"

@@ -1,9 +1,10 @@
 """Byte-for-byte replay of stored CLI outputs in tests/golden/.
 
 Each case is one CLI call whose output is written with ``--out`` (and, for
-``lhv``, the hidden draws with ``--dump-lambdas``); every file it writes
-must equal the stored copy.  Regenerate the stored files only when an
-output is meant to change, and say which bytes changed and why:
+``lhv``, the hidden draws with ``--dump-lambdas``; for ``witness --sweep``,
+the two plot files with ``--plot``); every file it writes must equal the
+stored copy.  Regenerate the stored files only when an output is meant to
+change, and say which bytes changed and why:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -61,17 +62,34 @@ for _model in ("circle", "sphere"):
         "--beta", "[0.4,1,0.5]", "--n", "500", "--seed", "5", "--format", "json",
     ]
 
-# cases that also write their hidden draws: case name -> dump file name
-DUMPS = {"lhv_circle.json": "lhv_circle_lambdas.csv", "lhv_sphere.json": "lhv_sphere_lambdas.csv"}
+# 599 rows of the closed form against the numerical optimum, 0.5 to 150 degrees
+SWEEP = ["witness", "--sweep", "0.5:150:0.25"]
+for _fmt, _suffix in (("csv", "csv"), ("json", "json"), ("text", "txt")):
+    CASES[f"witness_sweep.{_suffix}"] = [*SWEEP, "--format", _fmt]
+CASES["witness_optimal.json"] = [
+    "witness", "--a", "[0.3,-0.5,0.8]", "--b", "[-0.2,0.9,0.4]", "--optimal", "--format", "json",
+]
+
+# cases that also write side files: case name -> (flag, its path under the
+# output directory, the files it writes there)
+SIDE_FILES = {
+    f"lhv_{_model}.json": ("--dump-lambdas", f"lhv_{_model}_lambdas.csv",
+                           [f"lhv_{_model}_lambdas.csv"])
+    for _model in ("circle", "sphere")
+}
+SIDE_FILES["witness_sweep.csv"] = (
+    "--plot", "witness_sweep", ["witness_sweep_geometric.dat", "witness_sweep_optimal.dat"]
+)
 
 
 def produce(name: str, outdir: Path) -> tuple[int, list[str]]:
     """Run one case with its files written under ``outdir``."""
     files = [name]
     argv = CASES[name] + ["--out", str(outdir / name)]
-    if name in DUMPS:
-        files.append(DUMPS[name])
-        argv += ["--dump-lambdas", str(outdir / DUMPS[name])]
+    if name in SIDE_FILES:
+        flag, target, written = SIDE_FILES[name]
+        argv += [flag, str(outdir / target)]
+        files += written
     return run(argv), files
 
 
@@ -84,7 +102,7 @@ def test_output_matches_golden(name, tmp_path):
 
 
 def test_every_golden_file_has_a_case():
-    produced = set(CASES) | set(DUMPS.values())
+    produced = set(CASES) | {file for *_, written in SIDE_FILES.values() for file in written}
     assert {path.name for path in GOLDEN.iterdir()} == produced
 
 
