@@ -223,6 +223,11 @@ def _cmd_witness(args) -> int:
         rows = []
         theta = start
         while theta <= stop + 1e-9:
+            if theta + step == theta:
+                raise ValueError(
+                    f"--sweep step {step!r} is below the float spacing at {theta!r}, "
+                    "so the sweep cannot advance"
+                )
             t = math.radians(theta)
             a = UnitVector3(1, 0, 0)
             b = UnitVector3(math.cos(t), math.sin(t), 0)

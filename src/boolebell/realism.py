@@ -10,9 +10,13 @@ cosine correlations, and the experiments module quantifies that failure.
 A block's hidden state is kept in angle form, not as an n x 3 array: the
 great-circle law keeps its uniform draws t (lambda at angle 2 pi t in the
 plane frame) and answers sign(d . lambda) by comparing t with an arc of
-half a turn; the sphere law keeps lambda's three coordinates as separate
-columns, computed with one cos and one sin per draw.  The n x 3 lambdas
-are built only on request (:func:`sample_lhv`, ``lhv --dump-lambdas``).
+half a turn.  The sphere law keeps lambda's z and azimuth phi in float64
+and r cos phi, r sin phi in float32 from float32 trig; a response takes
+the sign of a float32 projection and recomputes with the exact float64
+coordinates only the answers within ``_TAU`` of the boundary, so it gives
+the bytes of the exact law with almost no float64 trig.  The n x 3
+lambdas are built, exactly, only on request (:func:`sample_lhv`,
+``lhv --dump-lambdas``).
 
 A block can also be drawn one chunk of pairs at a time: ``draw_lambdas``
 called with the block's stream moved to the chunk's first pair
@@ -99,6 +103,25 @@ class _CircleDraws:
         return np.cos(psi)[:, None] * self.e1 + np.sin(psi)[:, None] * self.e2
 
 
+def _dot(x: np.ndarray, y: np.ndarray, z: np.ndarray, direction: UnitVector3) -> np.ndarray:
+    # d . lambda from coordinate columns, in the one order every exact
+    # answer uses
+    s = x * direction.x
+    s += y * direction.y
+    s += z * direction.z
+    return s
+
+
+def _sphere_xy(z: np.ndarray, phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # the exact float64 x and y of a sphere point from its z and phi
+    r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
+    x = np.cos(phi)
+    x *= r
+    y = np.sin(phi)
+    y *= r
+    return x, y
+
+
 class _VectorDraws:
     """Hidden unit vectors held as three coordinate columns."""
 
@@ -113,16 +136,68 @@ class _VectorDraws:
         return len(self.z)
 
     def nonnegative(self, direction: UnitVector3) -> np.ndarray:
-        s = self.x * direction.x
-        s += self.y * direction.y
-        s += self.z * direction.z
-        return s >= 0.0
+        return _dot(self.x, self.y, self.z, direction) >= 0.0
 
     def lambdas(self) -> np.ndarray:
         return np.column_stack((self.x, self.y, self.z))
 
 
-HiddenDraws = _CircleDraws | _VectorDraws
+# Half-width of the band around d . lambda = 0 that the float32 filter
+# leaves to the exact expression.  The filter's error is about 5e-7 at
+# most (3.5e-7 measured over 5e7 answers), and a uniform-sphere
+# projection falls in the band with probability _TAU, so about one
+# answer in 1e5 is recomputed.
+_TAU = 1e-5
+
+
+class _SphereDraws:
+    """Uniform-sphere hidden state: exact (z, phi) plus a float32 filter.
+
+    lambda = (r cos phi, r sin phi, z) with r = sqrt(1 - z^2).  z and phi
+    are kept in float64; xf and yf are r cos phi and r sin phi in float32,
+    from float32 trig, so the state takes 24 B per pair.  A response takes
+    the sign of xf dx + yf dy + z dz summed in float32 and recomputes every
+    answer whose sum is within ``_TAU`` of 0 from z and phi with the exact
+    float64 expression; the answers are therefore those of the exact
+    coordinates that ``lambdas`` returns.
+    """
+
+    __slots__ = ("z", "phi", "xf", "yf")
+
+    def __init__(self, z: np.ndarray, phi: np.ndarray):
+        self.z = z
+        self.phi = phi
+        # r from 1 - z^2 taken in float64: in float32 its rounding near the
+        # poles would put up to 2e-4 into r
+        r = np.subtract(1.0, z * z, out=np.empty(len(z), np.float32), casting="same_kind")
+        np.sqrt(r, out=r)
+        self.xf = phi.astype(np.float32)
+        self.yf = np.sin(self.xf)
+        np.cos(self.xf, out=self.xf)
+        self.xf *= r
+        self.yf *= r
+
+    def __len__(self) -> int:
+        return len(self.z)
+
+    def nonnegative(self, direction: UnitVector3) -> np.ndarray:
+        s = self.xf * np.float32(direction.x)
+        s += self.yf * np.float32(direction.y)
+        t = self.z.astype(np.float32)
+        t *= np.float32(direction.z)
+        s += t
+        signs = s >= 0.0
+        near = np.flatnonzero(np.abs(s, out=t) < _TAU)
+        if near.size:
+            z = self.z[near]
+            signs[near] = _dot(*_sphere_xy(z, self.phi[near]), z, direction) >= 0.0
+        return signs
+
+    def lambdas(self) -> np.ndarray:
+        return np.column_stack((*_sphere_xy(self.z, self.phi), self.z))
+
+
+HiddenDraws = _CircleDraws | _SphereDraws | _VectorDraws
 
 
 def _sign_response(hidden: HiddenDraws, direction: UnitVector3) -> np.ndarray:
@@ -155,18 +230,16 @@ def _circle_points(frame: tuple[np.ndarray, np.ndarray], n: int, rng: RngStream)
     return _CircleDraws(rng.uniforms(n), frame[0], frame[1])
 
 
-def _sphere_points(n: int, rng: RngStream, block: int | None = None) -> _VectorDraws:
+def _sphere_points(n: int, rng: RngStream, block: int | None = None) -> _SphereDraws:
     # z takes a block's first run of draws and phi the run after it, so a
     # chunk of a larger block finds its phi one whole-block z run ahead
     phi_rng = rng if block is None else rng.after(block)
-    z = 2.0 * rng.uniforms(n) - 1.0
-    phi = 2.0 * math.pi * phi_rng.uniforms(n)
-    r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-    x = np.cos(phi)
-    x *= r
-    y = np.sin(phi, out=phi)
-    y *= r
-    return _VectorDraws(x, y, z)
+    z = rng.uniforms(n)
+    z *= 2.0
+    z -= 1.0
+    phi = phi_rng.uniforms(n)
+    phi *= 2.0 * math.pi
+    return _SphereDraws(z, phi)
 
 
 @dataclass(frozen=True)

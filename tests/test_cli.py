@@ -97,6 +97,33 @@ class TestBasicCommands:
         assert out == ""
         assert err == "error: --sweep START, STOP and STEP must be finite\n"
 
+    @pytest.mark.parametrize(
+        "sweep, theta",
+        [("1e17:2e17:1", "1e+17"), ("9007199254740990:9007199254741000:1", "9007199254740992.0")],
+    )
+    def test_witness_sweep_rejects_a_step_that_stops_advancing(
+        self, capsys, monkeypatch, sweep, theta
+    ):
+        # theta += step stops moving once step is below the float spacing at
+        # theta (2**53 in the second sweep); the row stub fails rather than
+        # loops if the sweep runs on
+        rows = []
+
+        def few_rows(theta_deg, a, b):
+            rows.append(theta_deg)
+            if len(rows) > 5:
+                raise AssertionError("--sweep kept computing rows")
+            return {"theta_deg": theta_deg, "case": "", "lhs_geometric": 0.0, "lhs_optimal": 0.0}
+
+        monkeypatch.setattr("boolebell.cli._witness_row", few_rows)
+        code, out, err = invoke(capsys, "witness", f"--sweep={sweep}", "--format", "csv")
+        assert code == 2
+        assert out == ""
+        assert err == (
+            f"error: --sweep step 1.0 is below the float spacing at {theta}, "
+            "so the sweep cannot advance\n"
+        )
+
 
 class TestSamplingCommands:
     def test_simulate_prepared_dump_roundtrip(self, capsys, tmp_path):

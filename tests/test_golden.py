@@ -56,10 +56,22 @@ CASES["certify_singlet_long.json"] = [
     "certify-ap", "--singlet-beta", "[-0.3,0.5,-0.8]", *LONG_DIRECTIONS, "--n", LONG_N,
     "--seed", "17", "--format", "json",
 ]
+# sphere-law edges: an axis with dx = dy = 0, directions in the x-y plane
+# (dz = 0, one of them axis-aligned) and one generic 3-D direction
+CASES["experiment_sphere_edges.json"] = [
+    "experiment", "--a", "[0,0,1]", "--b", "[0.6,0.8,0]", "--model", "sign-sphere",
+    "--n", LONG_N, "--seed", "18",
+    "--directions", "[[1,0,0],[-0.28,0.96,0],[0.23,-0.71,0.66]]", "--format", "json",
+]
 for _model in ("circle", "sphere"):
     CASES[f"lhv_{_model}.json"] = [
         "lhv", "--model", f"sign-{_model}", "--alpha", "[1,0.2,-0.3]",
         "--beta", "[0.4,1,0.5]", "--n", "500", "--seed", "5", "--format", "json",
+    ]
+for _fmt, _suffix in (("csv", "csv"), ("text", "txt")):
+    CASES[f"lhv_sphere_long.{_suffix}"] = [
+        "lhv", "--model", "sign-sphere", "--alpha", "[0.3,-0.5,0.8]",
+        "--beta", "[-0.2,0.9,0.4]", "--n", LONG_N, "--seed", "19", "--format", _fmt,
     ]
 
 # 599 rows of the closed form against the numerical optimum, 0.5 to 150 degrees

@@ -1,8 +1,10 @@
+import inspect
 import math
 
 import numpy as np
 import pytest
 
+from boolebell import realism
 from boolebell.geometry import UnitVector3
 from boolebell.realism import (
     MODEL_NAMES,
@@ -190,6 +192,98 @@ class TestHiddenStateResponses:
         assert model.response_a(hidden, Z_HAT).all()
         assert model.response_a(hidden, -Z_HAT).all()
         assert not model.response_b(hidden, Z_HAT).any()
+
+
+def exact_nonnegative(z: np.ndarray, phi: np.ndarray, d: UnitVector3) -> np.ndarray:
+    """The exact column expression: x = cos(phi) r, y = sin(phi) r, then
+    s = x dx; s += y dy; s += z dz, with r = sqrt(max(0, 1 - z z))."""
+    r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
+    x = np.cos(phi) * r
+    y = np.sin(phi) * r
+    s = x * d.x
+    s += y * d.y
+    s += z * d.z
+    return s >= 0.0
+
+
+def edge_directions() -> list[UnitVector3]:
+    gen = np.random.default_rng(50)
+    random_dirs = [UnitVector3.from_iterable(gen.normal(size=3)) for _ in range(6)]
+    axes = [UnitVector3(*row) for row in np.vstack((np.eye(3), -np.eye(3)))]
+    in_plane = [plane_direction(t) for t in (37.5, 135, 301.2)]
+    return random_dirs + axes + in_plane + [UnitVector3(0.6, 0.0, 0.8)]
+
+
+class TestSphereFilter:
+    """The float32 filter of the sphere law against the exact float64 law."""
+
+    def test_float32_trig_error_is_well_inside_the_band(self):
+        # the filter's error budget assumes float32 cos and sin of phi,
+        # rounded to float32, within _TAU / 8 of the float64 values; a numpy
+        # build with poorer float32 trig must fail here, not flip answers
+        phi = np.linspace(0.0, 2.0 * math.pi, 1 << 22, endpoint=False)
+        phi32 = phi.astype(np.float32)
+        for f in (np.cos, np.sin):
+            error = np.max(np.abs(f(phi32).astype(np.float64) - f(phi)))
+            assert error <= realism._TAU / 8, f.__name__
+
+    @pytest.mark.parametrize("d", edge_directions(), ids=str)
+    def test_near_boundary_states_give_the_exact_answers(self, d):
+        # points with d . lambda = eps for eps from 1e-6 down to 0, both
+        # signs, at random azimuths about d, then states whose exact sum is
+        # +0.0 or -0.0: the poles, the equator and phi on the axes
+        gen = np.random.default_rng(51)
+        dv = d.as_array()
+        eps = np.concatenate([[0.0], np.logspace(-6, -17, 23)])
+        eps = np.repeat(np.concatenate([eps, -eps]), 40)
+        w = gen.normal(size=(eps.size, 3))
+        w -= (w @ dv)[:, None] * dv
+        w /= np.linalg.norm(w, axis=1)[:, None]
+        lam = eps[:, None] * dv + np.sqrt(1.0 - eps * eps)[:, None] * w
+        z = lam[:, 2].copy()
+        phi = np.arctan2(lam[:, 1], lam[:, 0]) % (2.0 * math.pi)
+        corners = [(zc, pc) for zc in (1.0, -1.0, 0.0, -0.0)
+                   for pc in (0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi, 1.0)]
+        z = np.concatenate([z, [zc for zc, _ in corners]])
+        phi = np.concatenate([phi, [pc for _, pc in corners]])
+        hidden = realism._SphereDraws(z, phi)
+        exact = exact_nonnegative(z, phi, d)
+        assert np.array_equal(realism._sign_response(hidden, d), exact)
+        assert np.array_equal(realism._mirrored_sign_response(hidden, d), ~exact)
+        r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
+        assert np.array_equal(hidden.lambdas(), np.column_stack((np.cos(phi) * r, np.sin(phi) * r, z)))
+
+    def test_million_draws_chunked_match_the_whole_block_exactly(self):
+        model = make_lhv_model("sign-sphere")
+        block, chunk = 1_000_000, 1 << 16
+        whole = model.draw_lambdas(X_HAT, Z_HAT, block, RngStream(52))
+        rng = RngStream(52)
+        parts = [
+            model.draw_lambdas(X_HAT, Z_HAT, min(chunk, block - start), rng.after(start), block)
+            for start in range(0, block, chunk)
+        ]
+        z, phi = whole.z, whole.phi
+        in_band = 0
+        for d in edge_directions():
+            exact = exact_nonnegative(z, phi, d)
+            chunked = np.concatenate([model.response_a(part, d) for part in parts])
+            assert np.count_nonzero(chunked != exact) == 0, d
+            assert np.count_nonzero(model.response_a(whole, d) != exact) == 0, d
+            s = np.column_stack((whole.xf, whole.yf, z.astype(np.float32))) @ d.as_array()
+            in_band += np.count_nonzero(np.abs(s) < realism._TAU)
+        # about 1e-5 of the 1.6e7 answers fall back: the exact path ran
+        assert in_band > 0
+
+
+class TestTracerHooks:
+    """The per-layer benchmark traces these functions by name."""
+
+    def test_traced_functions_exist_with_their_signatures(self):
+        for name in ("_sphere_points", "_sign_response", "_circle_points"):
+            assert callable(getattr(realism, name, None)), name
+        assert list(inspect.signature(realism._sphere_points).parameters) == [
+            "n", "rng", "block",
+        ]
 
 
 class TestModelFactory:
