@@ -21,19 +21,19 @@ from .sequences import (
 from .geometry import (
     SLOT_ASSIGNMENTS,
     ColinearAxes,
+    InvalidProbability,
     UnitVector3,
     WitnessReport,
     angle_between,
     assignment_optimum,
+    clamp_unit_dot,
     geometric_witness,
     malus_lhs_all_assignments,
     optimal_witness,
 )
 from .rng import RngStream
 from .sampler import (
-    InvalidProbability,
     PreparedSource,
-    clamp_unit_dot,
     random_signs,
     sample_prepared,
     sample_singlet,

@@ -2,9 +2,11 @@
 
 Subcommands map one-to-one onto library operations; every run is
 reproducible from its flags (outputs embed the seed and a config hash and
-contain no timestamps).  Exit codes: 0 success/pass, 1 statistical verdict
-failure (the expected outcome when a demo asserts the impossible),
-2 usage or input error.
+contain no timestamps).  Each handler returns one :class:`Report`, and
+:func:`_render` writes it in the chosen format, so all commands share one
+output path.  Exit codes: 0 success/pass, 1 statistical verdict failure
+(the expected outcome when a demo asserts the impossible), 2 usage or
+input error.
 """
 
 from __future__ import annotations
@@ -16,9 +18,8 @@ import io
 import json
 import math
 import sys
+from dataclasses import dataclass, replace
 from pathlib import Path
-
-import numpy as np
 
 from . import __version__
 from .experiments import (
@@ -29,6 +30,8 @@ from .experiments import (
 )
 from .geometry import (
     UnitVector3,
+    angle_between,
+    clamp_unit_dot,
     geometric_witness,
     optimal_witness,
 )
@@ -44,6 +47,7 @@ from .sequences import (
 
 FORMATS = ("text", "csv", "json")
 SEED_LIMIT = 1 << 64  # the rng keys on 64 bits; larger or negative seeds would alias
+SWEEP_MAX_ROWS = 1_000_000  # a sweep holds its rows in memory until it renders them
 
 
 def _seed(value) -> int:
@@ -57,14 +61,20 @@ def _seed(value) -> int:
     return seed
 
 
-def _parse_vector(text: str) -> UnitVector3:
-    try:
-        triple = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"expected a JSON vector like [1,0,0], got {text!r}") from exc
+def _parse_vector(value) -> UnitVector3:
+    """A direction from flag text like "[1,0,0]", or a config file's list."""
+    triple = value
+    if isinstance(value, str):
+        try:
+            triple = json.loads(value)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"expected a JSON vector like [1,0,0], got {value!r}") from exc
     if not isinstance(triple, list) or len(triple) != 3:
-        raise ValueError(f"expected three components, got {text!r}")
-    return UnitVector3.from_iterable(triple)
+        raise ValueError(f"expected three components, got {value!r}")
+    try:
+        return UnitVector3.from_iterable(triple)
+    except TypeError as exc:  # null, a list or an object as a component
+        raise ValueError(f"expected three numbers, got {value!r}") from exc
 
 
 def _parse_sequence(text: str) -> SignSequence:
@@ -73,16 +83,39 @@ def _parse_sequence(text: str) -> SignSequence:
     return SignSequence.from_text(text)
 
 
-def _vector_cell(v: UnitVector3) -> str:
-    return json.dumps(v.as_list())
+def _write(path: str | None, text: str) -> None:
+    """Write a side file (a dump or plot data) if its flag was given."""
+    if path:
+        Path(path).write_text(text)
 
 
-def _json_default(obj):
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    raise TypeError(f"not JSON-serializable: {type(obj)}")
+# --- the one output path ---------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Report:
+    """One command's result, in the shape every output format reads.
+
+    ``fields`` holds a one-row result in csv column order; ``json_keys`` and
+    ``text_keys`` pick and order the fields for json and text where those
+    differ.  A row-wise result also gives ``table`` (the csv header and
+    rows) and ``lines`` (the text), which then replace ``fields`` in those
+    formats.  ``code`` is the exit code.
+    """
+
+    command: str
+    seed: int
+    config: dict
+    fields: dict
+    json_keys: tuple[str, ...] | None = None
+    text_keys: tuple[str, ...] | None = None
+    table: tuple[list[str], list[dict]] | None = None
+    lines: list[str] | None = None
+    code: int = 0
+
+
+def _json_default(obj: UnitVector3) -> list[float]:
+    return obj.as_list()  # the one value type in a report that JSON lacks
 
 
 def _config_hash(payload: dict) -> str:
@@ -90,7 +123,46 @@ def _config_hash(payload: dict) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
 
-def _emit(text: str, out: str | None) -> None:
+def _cell(value):
+    # a csv cell: directions at full precision as a JSON list
+    return json.dumps(value.as_list()) if isinstance(value, UnitVector3) else value
+
+
+def _shown(value) -> str:
+    # a text value: floats and direction components to six decimals
+    if isinstance(value, float):
+        return f"{value:.6f}"
+    if isinstance(value, UnitVector3):
+        return "[" + ", ".join(f"{c:.6f}" for c in value.as_list()) + "]"
+    return str(value)
+
+
+def _csv_text(header: list[str], rows) -> str:
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buffer.getvalue()
+
+
+def _render(report: Report, fmt: str, out: str | None) -> None:
+    fields = report.fields
+    if fmt == "json":
+        doc = {
+            "command": report.command,
+            "version": __version__,
+            "seed": report.seed,
+            "config_hash": _config_hash(report.config),
+            **{key: fields[key] for key in report.json_keys or fields},
+        }
+        text = json.dumps(doc, sort_keys=True, indent=2, default=_json_default)
+    elif fmt == "csv":
+        header, rows = report.table or (list(fields), [fields])
+        text = _csv_text(header, ([_cell(row[key]) for key in header] for row in rows))
+    elif report.lines is not None:
+        text = "\n".join(report.lines)
+    else:
+        text = ", ".join(f"{key}={_shown(fields[key])}" for key in report.text_keys or fields)
     if not text.endswith("\n"):
         text += "\n"
     if out:
@@ -99,104 +171,35 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _emit_csv(fieldnames: list[str], rows: list[dict], out: str | None) -> None:
-    buffer = io.StringIO()
-    writer = csv.DictWriter(buffer, fieldnames=fieldnames, lineterminator="\n")
-    writer.writeheader()
-    writer.writerows(rows)
-    _emit(buffer.getvalue(), out)
-
-
-def _emit_json(command: str, seed: int, config: dict, payload: dict, out: str | None) -> None:
-    doc = {
-        "command": command,
-        "version": __version__,
-        "seed": seed,
-        "config_hash": _config_hash(config),
-        **payload,
-    }
-    _emit(json.dumps(doc, sort_keys=True, indent=2, default=_json_default), out)
-
-
-def _emit_text(pairs: list[tuple[str, object]], out: str | None) -> None:
-    def shown(value):
-        if isinstance(value, float):
-            return f"{value:.6f}"
-        if isinstance(value, UnitVector3):
-            return "[" + ", ".join(f"{c:.6f}" for c in value.as_list()) + "]"
-        return str(value)
-
-    _emit(", ".join(f"{key}={shown(value)}" for key, value in pairs), out)
-
-
-def _dump_sequence(seq: SignSequence, path: str) -> None:
-    Path(path).write_text(seq.to_text() + "\n")
-
-
-def _add_io_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--out", help="write output to this path instead of stdout")
-    parser.add_argument(
-        "--format", choices=FORMATS, default="text", help="output format (default text)"
-    )
-
-
 # --- subcommand handlers -------------------------------------------------
 
 
-def _cmd_correlate(args) -> int:
-    f = _parse_sequence(args.f)
-    g = _parse_sequence(args.g)
+def _cmd_correlate(args) -> Report:
+    f, g = _parse_sequence(args.f), _parse_sequence(args.g)
     est = correlation(f, g)
-    config = {"f": f.to_text(), "g": g.to_text()}
-    if args.format == "csv":
-        _emit_csv(
-            ["n", "value", "stderr"],
-            [{"n": est.n, "value": est.value, "stderr": est.stderr}],
-            args.out,
-        )
-    elif args.format == "json":
-        _emit_json(
-            "correlate",
-            args.seed,
-            config,
-            {"n": est.n, "value": est.value, "stderr": est.stderr},
-            args.out,
-        )
-    else:
-        _emit_text([("n", est.n), ("value", est.value), ("stderr", est.stderr)], args.out)
-    return 0
+    return Report(
+        "correlate", args.seed, {"f": f.to_text(), "g": g.to_text()},
+        {"n": est.n, "value": est.value, "stderr": est.stderr},
+    )
 
 
-def _cmd_check_boole(args) -> int:
+def _cmd_check_boole(args) -> Report:
     f, g, h = (_parse_sequence(s) for s in (args.f, args.g, args.h))
     lhs = boole_bell_lhs(f, g, h)
     verdict = "PASS" if lhs <= 1.0 else "FAIL"
-    config = {"f": f.to_text(), "g": g.to_text(), "h": h.to_text()}
-    if args.format == "csv":
-        _emit_csv(
-            ["lhs", "bound", "verdict"],
-            [{"lhs": lhs, "bound": 1.0, "verdict": verdict}],
-            args.out,
-        )
-    elif args.format == "json":
-        _emit_json(
-            "check-boole", args.seed, config, {"lhs": lhs, "bound": 1.0, "verdict": verdict}, args.out
-        )
-    else:
-        _emit_text([("lhs", lhs), ("verdict", verdict)], args.out)
-    return 0 if verdict == "PASS" else 1
+    return Report(
+        "check-boole", args.seed, {"f": f.to_text(), "g": g.to_text(), "h": h.to_text()},
+        {"lhs": lhs, "bound": 1.0, "verdict": verdict},
+        text_keys=("lhs", "verdict"), code=0 if verdict == "PASS" else 1,
+    )
 
 
-def _cmd_bruteforce(args) -> int:
+def _cmd_bruteforce(args) -> Report:
     value = brute_force_max_lhs(args.n)
-    config = {"n": args.n}
-    if args.format == "csv":
-        _emit_csv(["n", "max_lhs"], [{"n": args.n, "max_lhs": value}], args.out)
-    elif args.format == "json":
-        _emit_json("bruteforce", args.seed, config, {"n": args.n, "max_lhs": value}, args.out)
-    else:
-        _emit_text([("max_lhs", value)], args.out)
-    return 0 if value == 1.0 else 1
+    return Report(
+        "bruteforce", args.seed, {"n": args.n}, {"n": args.n, "max_lhs": value},
+        text_keys=("max_lhs",), code=0 if value == 1.0 else 1,
+    )
 
 
 def _witness_row(theta_deg: float, a: UnitVector3, b: UnitVector3) -> dict:
@@ -210,250 +213,132 @@ def _witness_row(theta_deg: float, a: UnitVector3, b: UnitVector3) -> dict:
     }
 
 
-def _cmd_witness(args) -> int:
-    if args.sweep:
-        try:
-            start, stop, step = (float(part) for part in args.sweep.split(":"))
-        except ValueError as exc:
-            raise ValueError("--sweep expects START:STOP:STEP in degrees") from exc
-        if not all(map(math.isfinite, (start, stop, step))):
-            raise ValueError("--sweep START, STOP and STEP must be finite")
-        if step <= 0:
-            raise ValueError("--sweep step must be positive")
-        rows = []
-        theta = start
-        while theta <= stop + 1e-9:
-            if theta + step == theta:
-                raise ValueError(
-                    f"--sweep step {step!r} is below the float spacing at {theta!r}, "
-                    "so the sweep cannot advance"
-                )
-            t = math.radians(theta)
-            a = UnitVector3(1, 0, 0)
-            b = UnitVector3(math.cos(t), math.sin(t), 0)
-            rows.append(_witness_row(theta, a, b))
-            theta += step
-        if args.plot:
-            for series in ("geometric", "optimal"):
-                lines = "\n".join(f"{r['theta_deg']} {r['lhs_' + series]}" for r in rows)
-                Path(f"{args.plot}_{series}.dat").write_text(lines + "\n")
-        config = {"sweep": args.sweep}
-        if args.format == "json":
-            _emit_json("witness", args.seed, config, {"rows": rows}, args.out)
-        elif args.format == "csv":
-            _emit_csv(["theta_deg", "case", "lhs_geometric", "lhs_optimal"], rows, args.out)
-        else:
-            _emit(
-                "\n".join(
-                    f"theta_deg={r['theta_deg']:.1f}, case={r['case']}, "
-                    f"lhs_geometric={r['lhs_geometric']:.6f}, lhs_optimal={r['lhs_optimal']:.6f}"
-                    for r in rows
-                ),
-                args.out,
+def _witness_sweep(args) -> Report:
+    try:
+        start, stop, step = (float(part) for part in args.sweep.split(":"))
+    except ValueError as exc:
+        raise ValueError("--sweep expects START:STOP:STEP in degrees") from exc
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise ValueError("--sweep START, STOP and STEP must be finite")
+    if step <= 0:
+        raise ValueError("--sweep step must be positive")
+    # a step that cannot advance START at all is reported as such below
+    if start + step != start and (stop - start) / step >= SWEEP_MAX_ROWS:
+        raise ValueError(f"--sweep {args.sweep} would compute more than {SWEEP_MAX_ROWS} rows")
+    rows = []
+    theta = start
+    while theta <= stop + 1e-9:
+        if theta + step == theta:
+            raise ValueError(
+                f"--sweep step {step!r} is below the float spacing at {theta!r}, "
+                "so the sweep cannot advance"
             )
-        return 0
+        t = math.radians(theta)
+        b = UnitVector3(math.cos(t), math.sin(t), 0)
+        rows.append(_witness_row(theta, UnitVector3(1, 0, 0), b))
+        theta += step
+    if args.plot:
+        for series in ("geometric", "optimal"):
+            lines = "\n".join(f"{r['theta_deg']} {r['lhs_' + series]}" for r in rows)
+            _write(f"{args.plot}_{series}.dat", lines + "\n")
+    return Report(
+        "witness", args.seed, {"sweep": args.sweep}, {"rows": rows},
+        table=(["theta_deg", "case", "lhs_geometric", "lhs_optimal"], rows),
+        lines=[
+            f"theta_deg={r['theta_deg']:.1f}, case={r['case']}, "
+            f"lhs_geometric={r['lhs_geometric']:.6f}, lhs_optimal={r['lhs_optimal']:.6f}"
+            for r in rows
+        ],
+    )
 
+
+def _cmd_witness(args) -> Report:
+    if args.sweep:
+        return _witness_sweep(args)
     if args.a is None or args.b is None:
         raise ValueError("witness needs --a and --b (or --sweep)")
     a, b = _parse_vector(args.a), _parse_vector(args.b)
-    report = (
-        optimal_witness(a, b)
-        if args.optimal
-        else geometric_witness(a, b, orthogonal_to=args.orthogonal_to)
-    )
-    theta_deg = math.degrees(math.acos(max(-1.0, min(1.0, a.dot(b)))))
-    config = {"a": a.as_list(), "b": b.as_list(), "optimal": bool(args.optimal)}
-    payload = {
-        "theta_deg": theta_deg,
-        "case": report.case_label,
-        "lhs": report.lhs_value,
-        "assignment": report.assignment,
-        "alpha": report.alpha.as_list(),
-    }
-    if args.format == "json":
-        _emit_json("witness", args.seed, config, payload, args.out)
-    elif args.format == "csv":
-        row = dict(payload, alpha=_vector_cell(report.alpha))
-        _emit_csv(["theta_deg", "case", "lhs", "assignment", "alpha"], [row], args.out)
+    if args.optimal:
+        witness = optimal_witness(a, b)
     else:
-        _emit_text(
-            [
-                ("case", report.case_label),
-                ("lhs", report.lhs_value),
-                ("assignment", report.assignment),
-                ("theta_deg", theta_deg),
-                ("alpha", report.alpha),
-            ],
-            args.out,
-        )
-    return 0
+        witness = geometric_witness(a, b, orthogonal_to=args.orthogonal_to)
+    fields = {
+        "theta_deg": math.degrees(angle_between(a, b)),
+        "case": witness.case_label,
+        "lhs": witness.lhs_value,
+        "assignment": witness.assignment,
+        "alpha": witness.alpha,
+    }
+    return Report(
+        "witness", args.seed, {"a": a, "b": b, "optimal": bool(args.optimal)}, fields,
+        text_keys=("case", "lhs", "assignment", "theta_deg", "alpha"),
+    )
 
 
-def _cmd_simulate_prepared(args) -> int:
-    axis = _parse_vector(args.axis)
-    alpha = _parse_vector(args.alpha)
+def _cmd_simulate_prepared(args) -> Report:
+    axis, alpha = _parse_vector(args.axis), _parse_vector(args.alpha)
     base = RngStream(args.seed)
     u = random_signs(args.n, base.substream(0))
     x = sample_prepared(PreparedSource(axis, u), alpha, base.substream(1))
-    if args.dump_u:
-        _dump_sequence(u, args.dump_u)
-    if args.dump_x:
-        _dump_sequence(x, args.dump_x)
+    _write(args.dump_u, u.to_text() + "\n")
+    _write(args.dump_x, x.to_text() + "\n")
     est = correlation(u, x)
-    target = max(-1.0, min(1.0, axis.dot(alpha)))
-    config = {"axis": axis.as_list(), "alpha": alpha.as_list(), "n": args.n, "seed": args.seed}
-    if args.format == "csv":
-        _emit_csv(
-            ["axis", "alpha", "n", "seed", "target", "estimate", "stderr"],
-            [
-                {
-                    "axis": _vector_cell(axis),
-                    "alpha": _vector_cell(alpha),
-                    "n": args.n,
-                    "seed": args.seed,
-                    "target": target,
-                    "estimate": est.value,
-                    "stderr": est.stderr,
-                }
-            ],
-            args.out,
-        )
-    elif args.format == "json":
-        _emit_json(
-            "simulate-prepared",
-            args.seed,
-            config,
-            {"n": args.n, "target": target, "estimate": est.value, "stderr": est.stderr},
-            args.out,
-        )
-    else:
-        _emit_text(
-            [
-                ("n", args.n),
-                ("seed", args.seed),
-                ("target", target),
-                ("estimate", est.value),
-                ("stderr", est.stderr),
-            ],
-            args.out,
-        )
-    return 0
+    config = {"axis": axis, "alpha": alpha, "n": args.n, "seed": args.seed}
+    return Report(
+        "simulate-prepared", args.seed, config,
+        dict(config, target=clamp_unit_dot(axis.dot(alpha)), estimate=est.value,
+             stderr=est.stderr),
+        json_keys=("n", "target", "estimate", "stderr"),
+        text_keys=("n", "seed", "target", "estimate", "stderr"),
+    )
 
 
-def _cmd_simulate_singlet(args) -> int:
-    alpha = _parse_vector(args.alpha)
-    beta = _parse_vector(args.beta)
-    a_seq, b_seq = sample_singlet(alpha, beta, args.n, RngStream(args.seed))
-    if args.dump_a:
-        _dump_sequence(a_seq, args.dump_a)
-    if args.dump_b:
-        _dump_sequence(b_seq, args.dump_b)
+def _pair_report(command: str, args, lead: dict, alpha, beta, a_seq, b_seq, last: dict
+                 ) -> Report:
+    """The correlation of two wings measured along alpha and beta, as
+    simulate-singlet and lhv report it: ``lead`` fields come first, then
+    the directions, n, correlation and stderr, then ``last`` and the seed.
+    """
     est = correlation(a_seq, b_seq)
-    target = -max(-1.0, min(1.0, alpha.dot(beta)))
-    config = {"alpha": alpha.as_list(), "beta": beta.as_list(), "n": args.n, "seed": args.seed}
-    if args.format == "csv":
-        _emit_csv(
-            ["direction_alpha", "direction_beta", "n", "correlation", "stderr", "target", "seed"],
-            [
-                {
-                    "direction_alpha": _vector_cell(alpha),
-                    "direction_beta": _vector_cell(beta),
-                    "n": args.n,
-                    "correlation": est.value,
-                    "stderr": est.stderr,
-                    "target": target,
-                    "seed": args.seed,
-                }
-            ],
-            args.out,
-        )
-    elif args.format == "json":
-        _emit_json(
-            "simulate-singlet",
-            args.seed,
-            config,
-            {"n": args.n, "correlation": est.value, "stderr": est.stderr, "target": target},
-            args.out,
-        )
-    else:
-        _emit_text(
-            [
-                ("n", args.n),
-                ("seed", args.seed),
-                ("correlation", est.value),
-                ("stderr", est.stderr),
-                ("target", target),
-            ],
-            args.out,
-        )
-    return 0
+    fields = {
+        **lead,
+        "direction_alpha": alpha,
+        "direction_beta": beta,
+        "n": args.n,
+        "correlation": est.value,
+        "stderr": est.stderr,
+        **last,
+        "seed": args.seed,
+    }
+    config = {**lead, "alpha": alpha, "beta": beta, "n": args.n, "seed": args.seed}
+    return Report(
+        command, args.seed, config, fields,
+        json_keys=(*lead, "n", "correlation", "stderr", *last),
+        text_keys=(*lead, "n", "seed", "correlation", "stderr", *last),
+    )
 
 
-def _cmd_lhv(args) -> int:
-    alpha = _parse_vector(args.alpha)
-    beta = _parse_vector(args.beta)
+def _cmd_simulate_singlet(args) -> Report:
+    alpha, beta = _parse_vector(args.alpha), _parse_vector(args.beta)
+    a_seq, b_seq = sample_singlet(alpha, beta, args.n, RngStream(args.seed))
+    _write(args.dump_a, a_seq.to_text() + "\n")
+    _write(args.dump_b, b_seq.to_text() + "\n")
+    target = -clamp_unit_dot(alpha.dot(beta))
+    return _pair_report(
+        "simulate-singlet", args, {}, alpha, beta, a_seq, b_seq, {"target": target}
+    )
+
+
+def _cmd_lhv(args) -> Report:
+    alpha, beta = _parse_vector(args.alpha), _parse_vector(args.beta)
     model = make_lhv_model(args.model)
     a_seq, b_seq, lambdas = sample_lhv(model, alpha, beta, args.n, RngStream(args.seed))
     if args.dump_lambdas:
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(["lambda_x", "lambda_y", "lambda_z"])
-        writer.writerows(lambdas.tolist())
-        Path(args.dump_lambdas).write_text(buffer.getvalue())
-    est = correlation(a_seq, b_seq)
-    theta = math.acos(max(-1.0, min(1.0, alpha.dot(beta))))
-    closed = sign_model_correlation(theta)
-    config = {
-        "model": args.model,
-        "alpha": alpha.as_list(),
-        "beta": beta.as_list(),
-        "n": args.n,
-        "seed": args.seed,
-    }
-    if args.format == "csv":
-        _emit_csv(
-            ["model", "direction_alpha", "direction_beta", "n", "correlation", "stderr", "closed_form", "seed"],
-            [
-                {
-                    "model": args.model,
-                    "direction_alpha": _vector_cell(alpha),
-                    "direction_beta": _vector_cell(beta),
-                    "n": args.n,
-                    "correlation": est.value,
-                    "stderr": est.stderr,
-                    "closed_form": closed,
-                    "seed": args.seed,
-                }
-            ],
-            args.out,
-        )
-    elif args.format == "json":
-        _emit_json(
-            "lhv",
-            args.seed,
-            config,
-            {
-                "model": args.model,
-                "n": args.n,
-                "correlation": est.value,
-                "stderr": est.stderr,
-                "closed_form": closed,
-            },
-            args.out,
-        )
-    else:
-        _emit_text(
-            [
-                ("model", args.model),
-                ("n", args.n),
-                ("seed", args.seed),
-                ("correlation", est.value),
-                ("stderr", est.stderr),
-                ("closed_form", closed),
-            ],
-            args.out,
-        )
-    return 0
+        _write(args.dump_lambdas, _csv_text(["lambda_x", "lambda_y", "lambda_z"], lambdas.tolist()))
+    closed_form = sign_model_correlation(angle_between(alpha, beta))
+    return _pair_report(
+        "lhv", args, {"model": args.model}, alpha, beta, a_seq, b_seq, {"closed_form": closed_form}
+    )
 
 
 # the config-file keys `certify-ap` reads; `experiment` also reads a, b, model
@@ -475,151 +360,129 @@ def _load_config_file(path: str | None, keys: tuple[str, ...] = _CONFIG_KEYS) ->
     return data
 
 
+def _config_value(file_cfg: dict, key: str, default, *kinds: type):
+    """A config file's value for ``key``, refused unless it is one of ``kinds``."""
+    value = file_cfg.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        names = " or ".join(kind.__name__ for kind in kinds)
+        raise ValueError(f"config file key {key!r} must be {names}, got {value!r}")
+    return value
+
+
 def _build_config(args, file_cfg: dict, default_scenario: str) -> ExperimentConfig:
-    directions = []
+    """The run's config; a flag that is given wins over the file's key."""
     if args.directions is not None:
-        parsed = json.loads(args.directions)
-        if not isinstance(parsed, list):
-            raise ValueError("--directions expects a JSON list of vectors")
-        directions = [UnitVector3.from_iterable(v) for v in parsed]
-    elif "directions" in file_cfg:
-        directions = [UnitVector3.from_iterable(v) for v in file_cfg["directions"]]
+        directions = json.loads(args.directions)
+    else:
+        directions = file_cfg.get("directions", [])
+    if not isinstance(directions, list):
+        raise ValueError("--directions expects a JSON list of vectors")
     return ExperimentConfig(
         seed=args.seed if args.seed is not None else _seed(file_cfg.get("seed", 0)),
-        n=args.n if args.n is not None else int(file_cfg.get("n", 100_000)),
+        n=args.n if args.n is not None else _config_value(file_cfg, "n", 100_000, int),
         sigma_k=args.sigma_k
         if args.sigma_k is not None
-        else float(file_cfg.get("sigma_k", 4.0)),
-        directions=tuple(directions),
-        scenario=str(file_cfg.get("scenario", default_scenario)),
+        else float(_config_value(file_cfg, "sigma_k", 4.0, int, float)),
+        directions=tuple(map(_parse_vector, directions)),
+        scenario=_config_value(file_cfg, "scenario", default_scenario, str),
     )
-
-
-def _certificate_rows(cert, which: str) -> list[dict]:
-    return [
-        {
-            "section": f"certificate_{which}",
-            "label": "",
-            "direction": _vector_cell(row.direction),
-            "target": row.target,
-            "estimate": row.estimate,
-            "stderr": row.stderr,
-            "gap": abs(row.estimate - row.target),
-            "pass": row.passed,
-        }
-        for row in cert.rows
-    ]
 
 
 _REPORT_FIELDS = ["section", "label", "direction", "target", "estimate", "stderr", "gap", "pass"]
 
 
-def _cmd_certify_ap(args) -> int:
+def _certificate_rows(cert, which: str) -> list[dict]:
+    return [
+        dict(row.to_dict(), section=f"certificate_{which}", label="", direction=row.direction,
+             gap=abs(row.estimate - row.target))
+        for row in cert.rows
+    ]
+
+
+def _yes_no(flag: bool) -> str:
+    return "yes" if flag else "no"
+
+
+def _cmd_certify_ap(args) -> Report:
     file_cfg = _load_config_file(args.config)
     if (args.axis is None) == (args.singlet_beta is None):
         raise ValueError("choose exactly one of --axis (prepared) or --singlet-beta")
-    cfg = _build_config(
-        args, file_cfg, "prepared-ap" if args.axis else "singlet-ap"
-    )
+    cfg = _build_config(args, file_cfg, "prepared-ap" if args.axis else "singlet-ap")
     if not cfg.directions:
         raise ValueError("no certification directions given (flag or config file)")
     if args.axis:
-        axis = _parse_vector(args.axis)
-        cert = prepared_ap_experiment(axis, cfg)
+        cert = prepared_ap_experiment(_parse_vector(args.axis), cfg)
     else:
-        beta = _parse_vector(args.singlet_beta)
-        cert = singlet_ap_experiment(beta, cfg)
-    config = dict(cfg.to_dict(), mode=cfg.scenario)
-    if args.format == "json":
-        _emit_json("certify-ap", cfg.seed, config, {"certificate": cert.to_dict()}, args.out)
-    elif args.format == "csv":
-        _emit_csv(_REPORT_FIELDS, _certificate_rows(cert, "u"), args.out)
-    else:
-        lines = [
-            f"direction={_vector_cell(row.direction)}, target={row.target:.6f}, "
-            f"estimate={row.estimate:.6f}, stderr={row.stderr:.6f}, "
-            f"pass={'yes' if row.passed else 'no'}"
-            for row in cert.rows
-        ]
-        lines.append(f"verdict={'PASS' if cert.passed else 'FAIL'}")
-        _emit("\n".join(lines), args.out)
-    return 0 if cert.passed else 1
+        cert = singlet_ap_experiment(_parse_vector(args.singlet_beta), cfg)
+    lines = [
+        f"direction={_cell(row.direction)}, target={row.target:.6f}, "
+        f"estimate={row.estimate:.6f}, stderr={row.stderr:.6f}, pass={_yes_no(row.passed)}"
+        for row in cert.rows
+    ]
+    lines.append(f"verdict={'PASS' if cert.passed else 'FAIL'}")
+    return Report(
+        "certify-ap", cfg.seed, dict(cfg.to_dict(), mode=cfg.scenario),
+        {"certificate": cert.to_dict()},
+        table=(_REPORT_FIELDS, _certificate_rows(cert, "u")), lines=lines,
+        code=0 if cert.passed else 1,
+    )
 
 
-def _cmd_experiment(args) -> int:
+def _cmd_experiment(args) -> Report:
     file_cfg = _load_config_file(args.config, (*_CONFIG_KEYS, "a", "b", "model"))
-    a_text = args.a if args.a is not None else json.dumps(file_cfg.get("a"))
-    b_text = args.b if args.b is not None else json.dumps(file_cfg.get("b"))
-    if a_text == "null" or b_text == "null":
+    a_value = args.a if args.a is not None else file_cfg.get("a")
+    b_value = args.b if args.b is not None else file_cfg.get("b")
+    if a_value is None or b_value is None:
         raise ValueError("experiment needs --a and --b (flags or config file)")
-    a, b = _parse_vector(a_text), _parse_vector(b_text)
+    a, b = _parse_vector(a_value), _parse_vector(b_value)
     model_name = args.model if args.model is not None else file_cfg.get("model", "sign-circle")
     cfg = _build_config(args, file_cfg, "no-apbp")
     result = no_apbp_experiment(a, b, make_lhv_model(model_name), cfg)
 
-    config = dict(cfg.to_dict(), a=a.as_list(), b=b.as_list(), model=model_name)
-    report = result.inequality
+    inequality = result.inequality
+    cert_u, cert_v = result.certificate_u, result.certificate_v
     summary = {
         "scenario": cfg.scenario,
         "model": model_name,
-        "a": a.as_list(),
-        "b": b.as_list(),
-        "witness_alpha": report.alpha.as_list(),
-        "case": report.case_label,
-        "assignment": report.assignment,
-        "target_lhs": report.target_lhs,
-        "empirical_lhs": report.empirical_lhs,
-        "gaps": list(report.gaps),
-        "verdict": report.verdict,
-        "certificate_u_pass": result.certificate_u.passed,
-        "certificate_v_pass": result.certificate_v.passed,
+        "a": a,
+        "b": b,
+        "witness_alpha": inequality.alpha,
+        "case": inequality.case_label,
+        "assignment": inequality.assignment,
+        "target_lhs": inequality.target_lhs,
+        "empirical_lhs": inequality.empirical_lhs,
+        "gaps": list(inequality.gaps),
+        "verdict": inequality.verdict,
+        "certificate_u_pass": cert_u.passed,
+        "certificate_v_pass": cert_v.passed,
         "failing_margin": result.failing_margin,
         "margin_floor": result.margin_floor,
         "margin_ok": result.margin_ok,
         "contradiction_closed": result.contradiction_closed,
     }
+    rows = [
+        dict(leg.to_dict(), section="triangle", direction="", **{"pass": ""})
+        for leg in result.triangle
+    ]
+    rows += _certificate_rows(cert_u, "u") + _certificate_rows(cert_v, "v")
+    lines = [
+        f"case={inequality.case_label}, assignment={inequality.assignment}, "
+        f"target_lhs={inequality.target_lhs:.6f}, empirical_lhs={inequality.empirical_lhs:.6f}",
+        f"gaps={', '.join(f'{g:.6f}' for g in inequality.gaps)}",
+        f"certificate_u_pass={_yes_no(cert_u.passed)}, "
+        f"certificate_v_pass={_yes_no(cert_v.passed)}",
+        f"failing_margin={result.failing_margin:.6f}, margin_floor={result.margin_floor:.6f}, "
+        f"contradiction_closed={_yes_no(result.contradiction_closed)}",
+    ]
+    report = Report(
+        "experiment", cfg.seed, dict(cfg.to_dict(), a=a, b=b, model=model_name),
+        dict(summary, detail=result.to_dict()),
+        table=(_REPORT_FIELDS, rows), lines=lines,
+        code=0 if (cert_u.passed and cert_v.passed) else 1,
+    )
     if args.summary:
-        _emit_json("experiment", cfg.seed, config, summary, args.summary)
-
-    if args.format == "json":
-        _emit_json(
-            "experiment", cfg.seed, config, dict(summary, detail=result.to_dict()), args.out
-        )
-    elif args.format == "csv":
-        rows = [
-            {
-                "section": "triangle",
-                "label": leg.label,
-                "direction": "",
-                "target": leg.target,
-                "estimate": leg.estimate,
-                "stderr": leg.stderr,
-                "gap": leg.gap,
-                "pass": "",
-            }
-            for leg in result.triangle
-        ]
-        rows += _certificate_rows(result.certificate_u, "u")
-        rows += _certificate_rows(result.certificate_v, "v")
-        _emit_csv(_REPORT_FIELDS, rows, args.out)
-    else:
-        passed_u = "yes" if result.certificate_u.passed else "no"
-        passed_v = "yes" if result.certificate_v.passed else "no"
-        _emit(
-            "\n".join(
-                [
-                    f"case={report.case_label}, assignment={report.assignment}, "
-                    f"target_lhs={report.target_lhs:.6f}, empirical_lhs={report.empirical_lhs:.6f}",
-                    f"gaps={', '.join(f'{g:.6f}' for g in report.gaps)}",
-                    f"certificate_u_pass={passed_u}, certificate_v_pass={passed_v}",
-                    f"failing_margin={result.failing_margin:.6f}, "
-                    f"margin_floor={result.margin_floor:.6f}, "
-                    f"contradiction_closed={'yes' if result.contradiction_closed else 'no'}",
-                ]
-            ),
-            args.out,
-        )
-    return 0 if (result.certificate_u.passed and result.certificate_v.passed) else 1
+        _render(replace(report, json_keys=tuple(summary)), "json", args.summary)
+    return report
 
 
 # --- parser ----------------------------------------------------------------
@@ -634,95 +497,83 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"boolebell {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("correlate", help="correlation of two sign sequences")
+    def command(name: str, handler, about: str, seed: int | None = 0) -> argparse.ArgumentParser:
+        # seed None: the config file's seed, or 0, applies unless --seed is given
+        p = sub.add_parser(name, help=about)
+        p.set_defaults(handler=handler, seed=seed)
+        return p
+
+    p = command("correlate", _cmd_correlate, "correlation of two sign sequences")
     p.add_argument("--f", required=True, help="sign sequence, e.g. '+--+' (or @file)")
     p.add_argument("--g", required=True, help="sign sequence (or @file)")
-    p.add_argument("--seed", type=_seed, default=0)
-    _add_io_flags(p)
-    p.set_defaults(handler=_cmd_correlate)
 
-    p = sub.add_parser("check-boole", help="evaluate the three-sequence bound")
+    p = command("check-boole", _cmd_check_boole, "evaluate the three-sequence bound")
     p.add_argument("--f", required=True)
     p.add_argument("--g", required=True)
     p.add_argument("--h", required=True)
-    p.add_argument("--seed", type=_seed, default=0)
-    _add_io_flags(p)
-    p.set_defaults(handler=_cmd_check_boole)
 
-    p = sub.add_parser("bruteforce", help="exhaustive maximum of the bound at length n")
+    p = command("bruteforce", _cmd_bruteforce, "exhaustive maximum of the bound at length n")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=_seed, default=0)
-    _add_io_flags(p)
-    p.set_defaults(handler=_cmd_bruteforce)
 
-    p = sub.add_parser("witness", help="violation witness directions and values")
+    p = command("witness", _cmd_witness, "violation witness directions and values")
     p.add_argument("--a", help="first axis as JSON vector")
     p.add_argument("--b", help="second axis as JSON vector")
     p.add_argument("--optimal", action="store_true", help="numerically maximized witness")
     p.add_argument("--orthogonal-to", choices=("a", "b"), default="a")
     p.add_argument("--sweep", help="angle sweep START:STOP:STEP in degrees")
     p.add_argument("--plot", help="prefix for two-column plot data files")
-    p.add_argument("--seed", type=_seed, default=0)
-    _add_io_flags(p)
-    p.set_defaults(handler=_cmd_witness)
 
-    p = sub.add_parser("simulate-prepared", help="measure an axis-prepared stream")
+    p = command("simulate-prepared", _cmd_simulate_prepared, "measure an axis-prepared stream")
     p.add_argument("--axis", required=True, help="preparation axis as JSON vector")
     p.add_argument("--alpha", required=True, help="measurement direction as JSON vector")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--dump-u", help="write preparation signs to this path")
     p.add_argument("--dump-x", help="write measured signs to this path")
-    _add_io_flags(p)
-    p.set_defaults(handler=_cmd_simulate_prepared)
 
-    p = sub.add_parser("simulate-singlet", help="measure singlet pairs")
+    p = command("simulate-singlet", _cmd_simulate_singlet, "measure singlet pairs")
     p.add_argument("--alpha", required=True)
     p.add_argument("--beta", required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--dump-a", help="write near-wing signs to this path")
     p.add_argument("--dump-b", help="write far-wing signs to this path")
-    _add_io_flags(p)
-    p.set_defaults(handler=_cmd_simulate_singlet)
 
-    p = sub.add_parser("lhv", help="sample a local deterministic model")
+    p = command("lhv", _cmd_lhv, "sample a local deterministic model")
     p.add_argument("--model", choices=MODEL_NAMES, default="sign-circle")
     p.add_argument("--alpha", required=True)
     p.add_argument("--beta", required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--dump-lambdas", help="write hidden draws as CSV to this path")
-    _add_io_flags(p)
-    p.set_defaults(handler=_cmd_lhv)
 
-    p = sub.add_parser("certify-ap", help="certify axis-prepared behavior")
+    p = command("certify-ap", _cmd_certify_ap, "certify axis-prepared behavior", seed=None)
     p.add_argument("--axis", help="prepared mode: the true preparation axis")
     p.add_argument("--singlet-beta", help="singlet mode: far-wing direction")
-    p.add_argument("--directions", help="JSON list of measurement directions")
-    p.add_argument("--config", help="JSON config file mirroring the experiment config")
-    p.add_argument("--n", type=int)
-    p.add_argument("--seed", type=_seed)
-    p.add_argument("--sigma-k", type=float)
-    _add_io_flags(p)
-    p.set_defaults(handler=_cmd_certify_ap)
+    _add_run_flags(p, "JSON list of measurement directions")
 
-    p = sub.add_parser(
-        "experiment", help="two-axis certification of a local model (the contradiction demo)"
+    p = command(
+        "experiment", _cmd_experiment,
+        "two-axis certification of a local model (the contradiction demo)", seed=None,
     )
     p.add_argument("--a", help="first claimed axis")
     p.add_argument("--b", help="second claimed axis")
     p.add_argument("--model", choices=MODEL_NAMES)
-    p.add_argument("--directions", help="JSON list of extra certification directions")
-    p.add_argument("--config", help="JSON config file")
-    p.add_argument("--n", type=int)
-    p.add_argument("--seed", type=_seed)
-    p.add_argument("--sigma-k", type=float)
+    _add_run_flags(p, "JSON list of extra certification directions")
     p.add_argument("--summary", help="also write a JSON summary to this path")
-    _add_io_flags(p)
-    p.set_defaults(handler=_cmd_experiment)
 
+    for p in sub.choices.values():
+        p.add_argument("--seed", type=_seed)
+        p.add_argument("--out", help="write output to this path instead of stdout")
+        p.add_argument(
+            "--format", choices=FORMATS, default="text", help="output format (default text)"
+        )
     return parser
+
+
+def _add_run_flags(p: argparse.ArgumentParser, directions_help: str) -> None:
+    # the flags certify-ap and experiment share; each overrides a config-file key
+    p.add_argument("--directions", help=directions_help)
+    p.add_argument("--config", help="JSON config file; a flag overrides its key")
+    p.add_argument("--n", type=int)
+    p.add_argument("--sigma-k", type=float)
 
 
 def run(argv: list[str] | None = None) -> int:
@@ -732,8 +583,10 @@ def run(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.handler(args)
-    except (ValueError, OSError, argparse.ArgumentTypeError) as exc:
+        report = args.handler(args)
+        _render(report, args.format, args.out)
+        return report.code
+    except (ValueError, OverflowError, OSError, argparse.ArgumentTypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:

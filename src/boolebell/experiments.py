@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import Callable, Iterator
 
-from .geometry import UnitVector3, geometric_witness
+from .geometry import UnitVector3, clamp_unit_dot, geometric_witness
 from .realism import (
     LhvModel,
     choose_direction,
@@ -33,7 +33,7 @@ from .realism import (
     measure,
 )
 from .rng import RngStream
-from .sampler import PreparedSource, clamp_unit_dot, random_signs, sample_prepared, sample_singlet_partner
+from .sampler import PreparedSource, random_signs, sample_prepared, sample_singlet_partner
 from .sequences import (
     CorrelationEstimate,
     EmptySequence,
@@ -90,6 +90,8 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.n < 100:
             raise ValueError("n must be at least 100 per direction")
+        if not math.isfinite(self.sigma_k):
+            raise ValueError(f"sigma_k must be finite, got {self.sigma_k}")
         if self.sigma_k < 2:
             raise ValueError("sigma_k below 2 would fail sound sources routinely")
         object.__setattr__(self, "directions", tuple(self.directions))
@@ -102,18 +104,6 @@ class ExperimentConfig:
             "directions": [d.as_list() for d in self.directions],
             "scenario": self.scenario,
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ExperimentConfig":
-        return cls(
-            seed=int(data["seed"]),
-            n=int(data["n"]),
-            sigma_k=float(data.get("sigma_k", 4.0)),
-            directions=tuple(
-                UnitVector3.from_iterable(d) for d in data.get("directions", [])
-            ),
-            scenario=str(data.get("scenario", "")),
-        )
 
 
 @dataclass(frozen=True)

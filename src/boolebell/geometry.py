@@ -32,7 +32,9 @@ __all__ = [
     "UnitVector3",
     "WitnessReport",
     "ColinearAxes",
+    "InvalidProbability",
     "SLOT_ASSIGNMENTS",
+    "clamp_unit_dot",
     "angle_between",
     "malus_lhs_all_assignments",
     "geometric_witness",
@@ -43,6 +45,24 @@ __all__ = [
 
 class ColinearAxes(ValueError):
     """The witness construction needs two genuinely distinct axes."""
+
+
+class InvalidProbability(ValueError):
+    """A correlation target left [-1, 1] by more than the tolerance."""
+
+
+_DOT_TOL = 1e-9
+
+
+def clamp_unit_dot(value: float) -> float:
+    """Snap a cosine to [-1, 1]; reject genuine excursions.
+
+    Unit-vector dot products can exceed 1 by rounding dust; this is the one
+    place that clamps them.
+    """
+    if abs(value) > 1.0 + _DOT_TOL:
+        raise InvalidProbability(f"|{value}| > 1 is not a unit-vector cosine")
+    return max(-1.0, min(1.0, value))
 
 
 COLINEAR_TOL = 1e-9
@@ -90,18 +110,13 @@ class UnitVector3:
 
 def angle_between(a: UnitVector3, b: UnitVector3) -> float:
     """Angle in [0, pi]; the cosine is clamped against |dot| = 1 + eps."""
-    return math.acos(max(-1.0, min(1.0, a.dot(b))))
+    return math.acos(clamp_unit_dot(a.dot(b)))
 
 
 def _candidate_values(p, q, c):
     # p = a.alpha, q = b.alpha, c = a.b; one value per slot assignment.
     # p and q are floats or numpy arrays of equal shape.
     return (abs(p - q) + c, abs(p - c) + q, abs(c - q) + p)
-
-
-def _clamped_cosine(value: float) -> float:
-    # unit-vector dot products can exceed 1 by rounding dust
-    return max(-1.0, min(1.0, value))
 
 
 def malus_lhs_all_assignments(
@@ -113,7 +128,7 @@ def malus_lhs_all_assignments(
     :data:`SLOT_ASSIGNMENTS` order.
     """
     values = _candidate_values(
-        _clamped_cosine(a.dot(alpha)), _clamped_cosine(b.dot(alpha)), _clamped_cosine(a.dot(b))
+        clamp_unit_dot(a.dot(alpha)), clamp_unit_dot(b.dot(alpha)), clamp_unit_dot(a.dot(b))
     )
     best = max(range(3), key=lambda i: (values[i], -i))
     return values[best], SLOT_ASSIGNMENTS[best]

@@ -88,10 +88,6 @@ class RngStream:
         skip = draw % _DRAWS_PER_BLOCK
         return self.after(draw - skip).uniforms(skip + n)[skip:]
 
-    def signs(self, n: int) -> np.ndarray:
-        """n fair +1/-1 draws as int8."""
-        return np.where(self.uniforms(n) < 0.5, 1, -1).astype(np.int8)
-
     def substream(self, index: int) -> "RngStream":
         """Derived stream i: deterministic, distinct for distinct indices."""
         if index < 0:

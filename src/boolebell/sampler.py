@@ -18,33 +18,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import UnitVector3
+from .geometry import UnitVector3, clamp_unit_dot
 from .rng import RngStream
 from .sequences import SignSequence
 
 __all__ = [
-    "InvalidProbability",
     "PreparedSource",
     "random_signs",
     "sample_prepared",
     "sample_singlet",
     "sample_singlet_partner",
-    "clamp_unit_dot",
 ]
-
-
-class InvalidProbability(ValueError):
-    """A correlation target left [-1, 1] by more than the tolerance."""
-
-
-_DOT_TOL = 1e-9
-
-
-def clamp_unit_dot(value: float) -> float:
-    """Snap a cosine to [-1, 1]; reject genuine excursions."""
-    if abs(value) > 1.0 + _DOT_TOL:
-        raise InvalidProbability(f"|{value}| > 1 is not a unit-vector cosine")
-    return max(-1.0, min(1.0, value))
 
 
 @dataclass(frozen=True)
@@ -84,14 +68,14 @@ def sample_singlet(
 ) -> tuple[SignSequence, SignSequence]:
     """One singlet run of n pairs measured along (alpha, beta).
 
-    A is a fair coin per pair; B disagrees with A with probability
-    (1 + alpha.beta)/2, reproducing the joint law exactly.
+    A is a fair coin per pair (:func:`random_signs`); B then disagrees with
+    A with probability (1 + alpha.beta)/2 (:func:`sample_singlet_partner`),
+    reproducing the joint law exactly.
     """
     if n < 1:
         raise ValueError("need at least one pair")
-    a_signs = rng.uniforms(n) < 0.5
-    a_arr = np.where(a_signs, np.int8(1), np.int8(-1))
-    return SignSequence.from_array(a_arr), _conditional_partner(a_arr, alpha.dot(beta), n, rng)
+    a_seq = random_signs(n, rng)
+    return a_seq, sample_singlet_partner(a_seq, alpha, beta, rng)
 
 
 def sample_singlet_partner(
@@ -107,14 +91,7 @@ def sample_singlet_partner(
     (1 + fixed_direction.other_direction)/2.  Sampling A then B this way,
     or B then A, realizes the same joint law.
     """
-    arr = fixed.to_array()
-    c = fixed_direction.dot(other_direction)
-    return _conditional_partner(arr, c, fixed.length, rng)
-
-
-def _conditional_partner(
-    known: np.ndarray, cosine: float, n: int, rng: RngStream
-) -> SignSequence:
-    c = clamp_unit_dot(cosine)
-    flip = rng.uniforms(n) < 0.5 * (1.0 + c)
+    c = clamp_unit_dot(fixed_direction.dot(other_direction))
+    known = fixed.to_array()
+    flip = rng.uniforms(fixed.length) < 0.5 * (1.0 + c)
     return SignSequence.from_array(np.where(flip, -known, known))

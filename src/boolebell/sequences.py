@@ -79,19 +79,6 @@ class SignSequence:
     # -- constructors ---------------------------------------------------
 
     @classmethod
-    def from_signs(cls, signs: Iterable[int]) -> "SignSequence":
-        """Build from an iterable of +1/-1 integers."""
-        bits = 0
-        n = 0
-        for s in signs:
-            if s == 1:
-                bits |= 1 << n
-            elif s != -1:
-                raise ValueError(f"sign entries must be +1 or -1, got {s!r}")
-            n += 1
-        return cls(n, bits)
-
-    @classmethod
     def from_text(cls, text: str) -> "SignSequence":
         """Parse a '+'/'-' string; the unicode minus is accepted too."""
         bits = 0

@@ -125,6 +125,18 @@ class TestBasicCommands:
         )
 
 
+    def test_witness_sweep_rows_are_bounded(self, capsys, monkeypatch):
+        # 1e12 rows would not fit in memory: refuse before computing one
+        def no_rows(*args):
+            raise AssertionError("--sweep computed a row")
+
+        monkeypatch.setattr("boolebell.cli._witness_row", no_rows)
+        code, out, err = invoke(capsys, "witness", "--sweep", "0:1e9:1e-3", "--format", "csv")
+        assert code == 2
+        assert out == ""
+        assert err == "error: --sweep 0:1e9:1e-3 would compute more than 1000000 rows\n"
+
+
 class TestSamplingCommands:
     def test_simulate_prepared_dump_roundtrip(self, capsys, tmp_path):
         u_path, x_path = tmp_path / "u.txt", tmp_path / "x.txt"
@@ -277,6 +289,63 @@ class TestCertifyAndExperiment:
         sections = {r["section"] for r in rows}
         assert sections == {"triangle", "certificate_u", "certificate_v"}
         assert sum(r["section"] == "triangle" for r in rows) == 3
+
+
+BAD_CONFIG_VALUES = {
+    "n-null": {"n": None},
+    "n-float": {"n": 5000.5},
+    "directions-flat": {"directions": [1, 2, 3]},
+    "directions-null-component": {"directions": [[1, 2, None]]},
+    "directions-not-a-list": {"directions": 5},
+    "sigma_k-list": {"sigma_k": [4]},
+    "sigma_k-beyond-float": {"sigma_k": 10**400},
+    "sigma_k-string": {"sigma_k": "4"},
+    "scenario-number": {"scenario": 3},
+}
+
+
+class TestBadInputExitsTwo:
+    """Malformed vectors and config values exit 2 with a message, never a
+    traceback (exit 1 is kept for a failed verdict)."""
+
+    def test_vector_with_a_null_component(self, capsys):
+        code, out, err = invoke(capsys, "witness", "--a", "[1,2,null]", "--b", "[0,1,0]")
+        assert (code, out) == (2, "")
+        assert err == "error: expected three numbers, got '[1,2,null]'\n"
+
+    def test_directions_flag_that_is_one_vector(self, capsys):
+        code, out, err = invoke(
+            capsys, "certify-ap", "--axis", "[1,0,0]", "--directions", "[1,2,3]"
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: expected three components, got 1\n"
+
+    @pytest.mark.parametrize("name", sorted(BAD_CONFIG_VALUES))
+    @pytest.mark.parametrize(
+        "argv",
+        [["certify-ap", "--axis", "[0,0,1]"], ["experiment", "--a", "[1,0,0]", "--b", "[0,1,0]"]],
+        ids=["certify-ap", "experiment"],
+    )
+    def test_config_file_value_of_the_wrong_type(self, capsys, tmp_path, argv, name):
+        # every other key is valid, and no flag overrides the bad one
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": 100, "directions": [[0, 0, 1]], **BAD_CONFIG_VALUES[name]}))
+        code, out, err = invoke(capsys, *argv, "--config", str(cfg))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("command", ["certify-ap", "experiment"])
+    def test_non_finite_sigma_k(self, capsys, tmp_path, command, value):
+        # NaN wrote invalid JSON and failed every row; inf passed every row
+        code, out, err = invoke(capsys, *SEEDED_COMMANDS[command], "--sigma-k", value)
+        assert (code, out) == (2, "")
+        assert err == f"error: sigma_k must be finite, got {value}\n"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"sigma_k": float(value)}))
+        code, out, err = invoke(capsys, *SEEDED_COMMANDS[command], "--config", str(cfg))
+        assert (code, out) == (2, "")
+        assert err == f"error: sigma_k must be finite, got {value}\n"
 
 
 class TestContractDetails:

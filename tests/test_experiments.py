@@ -45,12 +45,10 @@ class TestExperimentConfig:
             ExperimentConfig(seed=1, n=99)
         with pytest.raises(ValueError):
             ExperimentConfig(seed=1, n=100, sigma_k=1.5)
-
-    def test_dict_round_trip(self):
-        cfg = ExperimentConfig(
-            seed=7, n=500, sigma_k=3.0, directions=XY_SWEEP[:3], scenario="demo"
-        )
-        assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
+        # NaN failed every non-dust row and infinity passed every row
+        for sigma_k in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="sigma_k must be finite"):
+                ExperimentConfig(seed=1, n=100, sigma_k=sigma_k)
 
 
 class TestCertifyAp:

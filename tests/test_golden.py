@@ -1,19 +1,20 @@
 """Byte-for-byte replay of stored CLI outputs in tests/golden/.
 
-Each case is one CLI call whose output is written with ``--out`` (and, for
-``lhv``, the hidden draws with ``--dump-lambdas``; for ``witness --sweep``,
-the two plot files with ``--plot``); every file it writes must equal the
-stored copy.  Regenerate the stored files only when an output is meant to
-change, and say which bytes changed and why:
+Each case is one CLI call whose output is written with ``--out``, plus any
+side files it is asked for (``--dump-*``, ``--plot``, ``--summary``); every
+file it writes must equal the stored copy.  Every subcommand has a case in
+each output format.  Regenerate the stored files only when an output is
+meant to change, and say which bytes changed and why:
 
     PYTHONPATH=src python tests/test_golden.py
 """
 
+import argparse
 from pathlib import Path
 
 import pytest
 
-from boolebell.cli import run
+from boolebell.cli import FORMATS, build_parser, run
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -82,15 +83,70 @@ CASES["witness_optimal.json"] = [
     "witness", "--a", "[0.3,-0.5,0.8]", "--b", "[-0.2,0.9,0.4]", "--optimal", "--format", "json",
 ]
 
-# cases that also write side files: case name -> (flag, its path under the
-# output directory, the files it writes there)
+# one case per format for the exact-layer and simulate commands; sign
+# sequences are passed as --flag=SIGNS, since one may start with "-"
+SEQUENCES = {"--f": "+--++-+-+", "--g": "++-+--++-", "--h": "-+++-+--+"}
+SUFFIX = {"csv": "csv", "json": "json", "text": "txt"}
+for _fmt, _suffix in SUFFIX.items():
+    CASES[f"correlate.{_suffix}"] = [
+        "correlate", "--f", SEQUENCES["--f"], "--g", SEQUENCES["--g"], "--seed", "3",
+        "--format", _fmt,
+    ]
+    CASES[f"check_boole.{_suffix}"] = [
+        "check-boole", *(f"{flag}={signs}" for flag, signs in SEQUENCES.items()),
+        "--format", _fmt,
+    ]
+    CASES[f"bruteforce.{_suffix}"] = ["bruteforce", "--n", "6", "--format", _fmt]
+    CASES[f"simulate_prepared.{_suffix}"] = [
+        "simulate-prepared", "--axis", "[0.3,-0.5,0.8]", "--alpha", "[0.1,0.2,0.97]",
+        "--n", "500", "--seed", "21", "--format", _fmt,
+    ]
+    CASES[f"simulate_singlet.{_suffix}"] = [
+        "simulate-singlet", "--alpha", "[0.3,-0.5,0.8]", "--beta", "[-0.2,0.9,0.4]",
+        "--n", "500", "--seed", "22", "--format", _fmt,
+    ]
+# a single witness for the obtuse AXES pair, and for an acute pair built orthogonal to b
+ACUTE = ["--a", "[1,0,0]", "--b", "[0.6,0.7,0.2]", "--orthogonal-to", "b"]
+for _fmt in ("csv", "text"):
+    _suffix = SUFFIX[_fmt]
+    CASES[f"witness_obtuse.{_suffix}"] = ["witness", *AXES, "--format", _fmt]
+    CASES[f"witness_acute_orthogonal_b.{_suffix}"] = ["witness", *ACUTE, "--format", _fmt]
+    CASES[f"lhv_circle_long.{_suffix}"] = [
+        "lhv", "--model", "sign-circle", "--alpha", "[0.3,-0.5,0.8]",
+        "--beta", "[-0.2,0.9,0.4]", "--n", LONG_N, "--seed", "23", "--format", _fmt,
+    ]
+    CASES[f"certify_prepared.{_suffix}"] = [
+        "certify-ap", "--axis", "[0.3,-0.5,0.8]", *LONG_DIRECTIONS, "--n", "5000",
+        "--seed", "24", "--format", _fmt,
+    ]
+    CASES[f"certify_singlet.{_suffix}"] = [
+        "certify-ap", "--singlet-beta", "[-0.3,0.5,-0.8]", *LONG_DIRECTIONS, "--n", "5000",
+        "--seed", "25", "--format", _fmt,
+    ]
+CASES["experiment_circle_k2.txt"] = _experiment("sign-circle", 26, EXTRA, "text")
+
+# cases that also write side files: case name -> ((flag, its path under the
+# output directory), ...), and the files they write there
 SIDE_FILES = {
-    f"lhv_{_model}.json": ("--dump-lambdas", f"lhv_{_model}_lambdas.csv",
+    f"lhv_{_model}.json": ((("--dump-lambdas", f"lhv_{_model}_lambdas.csv"),),
                            [f"lhv_{_model}_lambdas.csv"])
     for _model in ("circle", "sphere")
 }
 SIDE_FILES["witness_sweep.csv"] = (
-    "--plot", "witness_sweep", ["witness_sweep_geometric.dat", "witness_sweep_optimal.dat"]
+    (("--plot", "witness_sweep"),),
+    ["witness_sweep_geometric.dat", "witness_sweep_optimal.dat"],
+)
+SIDE_FILES["simulate_prepared.json"] = (
+    (("--dump-u", "simulate_prepared_u.txt"), ("--dump-x", "simulate_prepared_x.txt")),
+    ["simulate_prepared_u.txt", "simulate_prepared_x.txt"],
+)
+SIDE_FILES["simulate_singlet.json"] = (
+    (("--dump-a", "simulate_singlet_a.txt"), ("--dump-b", "simulate_singlet_b.txt")),
+    ["simulate_singlet_a.txt", "simulate_singlet_b.txt"],
+)
+SIDE_FILES["experiment_circle_k2.txt"] = (
+    (("--summary", "experiment_circle_k2_summary.json"),),
+    ["experiment_circle_k2_summary.json"],
 )
 
 
@@ -99,8 +155,9 @@ def produce(name: str, outdir: Path) -> tuple[int, list[str]]:
     files = [name]
     argv = CASES[name] + ["--out", str(outdir / name)]
     if name in SIDE_FILES:
-        flag, target, written = SIDE_FILES[name]
-        argv += [flag, str(outdir / target)]
+        flags, written = SIDE_FILES[name]
+        for flag, target in flags:
+            argv += [flag, str(outdir / target)]
         files += written
     return run(argv), files
 
@@ -111,6 +168,20 @@ def test_output_matches_golden(name, tmp_path):
     assert code == (1 if name.startswith("experiment") else 0)
     for file in files:
         assert (tmp_path / file).read_bytes() == (GOLDEN / file).read_bytes(), file
+
+
+def _command_and_format(argv: list[str]) -> tuple[str, str]:
+    fmt = argv[argv.index("--format") + 1] if "--format" in argv else "text"
+    return argv[0], fmt
+
+
+def test_every_command_has_a_case_in_every_format():
+    subparsers = next(
+        action for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    wanted = {(command, fmt) for command in subparsers.choices for fmt in FORMATS}
+    assert wanted - {_command_and_format(argv) for argv in CASES.values()} == set()
 
 
 def test_every_golden_file_has_a_case():

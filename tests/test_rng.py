@@ -2,13 +2,15 @@ import numpy as np
 import pytest
 
 from boolebell.rng import RngStream
+from boolebell.sampler import random_signs
 
 
 def test_same_state_replays_identically():
     a = RngStream(1234, 7)
     b = RngStream(1234, 7)
     assert np.array_equal(a.uniforms(100), b.uniforms(100))
-    assert np.array_equal(a.signs(33), b.signs(33))
+    assert random_signs(33, a) == random_signs(33, b)
+    assert a.counter == b.counter
 
 
 def test_counter_resumes_mid_stream():
@@ -61,7 +63,7 @@ def test_uniform_range_and_spread():
 
 
 def test_signs_are_balanced():
-    s = RngStream(6).signs(100_000)
+    s = random_signs(100_000, RngStream(6)).to_array()
     assert set(np.unique(s)) == {-1, 1}
     assert abs(s.mean()) < 0.02
 

@@ -3,12 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from boolebell.geometry import UnitVector3
+from boolebell.geometry import InvalidProbability, UnitVector3, clamp_unit_dot
 from boolebell.rng import RngStream
 from boolebell.sampler import (
-    InvalidProbability,
     PreparedSource,
-    clamp_unit_dot,
     random_signs,
     sample_prepared,
     sample_singlet,

@@ -63,13 +63,6 @@ class TestSignSequence:
         with pytest.raises(ValueError):
             SignSequence.from_text("+-x")
 
-    def test_from_signs_matches_from_text(self):
-        assert SignSequence.from_signs([1, -1, -1, 1]) == SignSequence.from_text("+--+")
-
-    def test_from_signs_rejects_non_signs(self):
-        with pytest.raises(ValueError):
-            SignSequence.from_signs([1, 0, -1])
-
     def test_array_round_trip(self):
         values = RNG.integers(0, 2, size=1000) * 2 - 1
         s = SignSequence.from_array(values)
