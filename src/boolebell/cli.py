@@ -50,10 +50,10 @@ SEED_LIMIT = 1 << 64  # the rng keys on 64 bits; larger or negative seeds would 
 SWEEP_MAX_ROWS = 1_000_000  # a sweep holds its rows in memory until it renders them
 
 
-def _seed(value) -> int:
-    """A seed in [0, 2**64), from a flag or a config file."""
-    text = str(value)  # a config file's 5.5 or true must not pass as 5 or 1
-    if not text.removeprefix("-").isdigit():
+def _seed(value, from_file: bool = False) -> int:
+    """A seed in [0, 2**64), from a flag's text or a config file's integer."""
+    text = str(value)  # a config file's 5.5, true or "5" must not pass as 5 or 1
+    if not text.removeprefix("-").isdigit() or from_file and isinstance(value, str):
         raise argparse.ArgumentTypeError(f"seed must be an integer, got {value!r}")
     seed = int(text)
     if not 0 <= seed < SEED_LIMIT:
@@ -378,7 +378,7 @@ def _build_config(args, file_cfg: dict, default_scenario: str) -> ExperimentConf
     if not isinstance(directions, list):
         raise ValueError("--directions expects a JSON list of vectors")
     return ExperimentConfig(
-        seed=args.seed if args.seed is not None else _seed(file_cfg.get("seed", 0)),
+        seed=args.seed if args.seed is not None else _seed(file_cfg.get("seed", 0), from_file=True),
         n=args.n if args.n is not None else _config_value(file_cfg, "n", 100_000, int),
         sigma_k=args.sigma_k
         if args.sigma_k is not None

@@ -61,7 +61,7 @@ __all__ = [
 ]
 
 # Pairs per chunk.  A multiple of 4, so every chunk starts on a Philox
-# counter block; a chunk's float arrays take 512 KiB each.
+# counter block; a chunk's 64-bit draw arrays take 512 KiB each.
 _CHUNK = 1 << 16
 
 # measures committed signs along a chosen direction: (u, alpha) -> x
@@ -293,7 +293,7 @@ def prepared_ap_experiment(a: UnitVector3, cfg: ExperimentConfig) -> ApCertifica
     signs = base.substream(0)
 
     def source(j: int, start: int, count: int) -> tuple[SignSequence, Sampler]:
-        u = SignSequence.from_array(signs.uniforms_at(j * cfg.n + start, count) < 0.5)
+        u = SignSequence.from_array(signs.words_at(j * cfg.n + start, count) < 2**63)
         rng = base.substream(1 + j).after(start)
         return u, lambda uu, alpha: sample_prepared(PreparedSource(a, uu), alpha, rng)
 

@@ -8,7 +8,10 @@ Philox emits four 64-bit words per counter block, so consumption rounds
 up to whole blocks.  Any stretch of a run can therefore be read on its
 own, from a computed counter (Salmon et al., "Parallel random numbers: as
 easy as 1, 2, 3", SC'11): experiments stream their blocks chunk by chunk
-this way and still draw the values a whole-block draw would.
+this way and still draw the values a whole-block draw would.  A stream
+reads as doubles or as the raw 64-bit words behind them: the double of
+word w is exactly (w >> 11) * 2**-53, so a sampler can decide each
+``uniform < p`` on w with an integer comparison, bit for bit.
 """
 
 from __future__ import annotations
@@ -20,8 +23,7 @@ from numpy.random import Generator, Philox
 
 __all__ = ["RngStream"]
 
-_KEY_LIMIT = 1 << 64
-_MASK64 = _KEY_LIMIT - 1
+_MASK64 = (1 << 64) - 1
 _DRAWS_PER_BLOCK = 4  # 64-bit outputs per Philox counter increment
 
 
@@ -33,10 +35,13 @@ def _splitmix64(x: int) -> int:
     return x ^ (x >> 31)
 
 
-def _key(name: str, value) -> int:
+def _key(name: str, value, bits: int = 64) -> int:
+    """An integer in [0, 2**bits); a larger one would alias a smaller one."""
+    if isinstance(value, bool):  # operator.index would take True as 1
+        raise TypeError(f"{name} must be an integer, got {value!r}")
     key = operator.index(value)
-    if not 0 <= key < _KEY_LIMIT:
-        raise ValueError(f"{name} must be in [0, 2**64), got {key}")
+    if not 0 <= key < 1 << bits:
+        raise ValueError(f"{name} must be in [0, 2**{bits}), got {key}")
     return key
 
 
@@ -50,25 +55,27 @@ class RngStream:
     __slots__ = ("seed", "stream_id", "counter")
 
     def __init__(self, seed: int, stream_id: int = 0, counter: int = 0):
-        if counter < 0:
-            raise ValueError("counter must be non-negative")
         self.seed = _key("seed", seed)
         self.stream_id = _key("stream_id", stream_id)
-        self.counter = counter
+        self.counter = _key("counter", counter, 256)  # Philox's counter wraps at 2**256
 
-    def _generator(self) -> Generator:
+    def _draw(self, n: int) -> Philox:
+        """A Philox standing at the counter, which moves past the n draws."""
+        if n < 0:
+            raise ValueError("cannot draw a negative number of values")
         bg = Philox(key=np.array([self.seed, self.stream_id], dtype=np.uint64))
         if self.counter:
             bg.advance(self.counter)
-        return Generator(bg)
+        self.counter += -(-n // _DRAWS_PER_BLOCK)
+        return bg
 
     def uniforms(self, n: int) -> np.ndarray:
         """n doubles in [0, 1); advances the counter by ceil(n/4) blocks."""
-        if n < 0:
-            raise ValueError("cannot draw a negative number of values")
-        values = self._generator().random(n)
-        self.counter += -(-n // _DRAWS_PER_BLOCK)
-        return values
+        return Generator(self._draw(n)).random(n)
+
+    def words(self, n: int) -> np.ndarray:
+        """The n raw uint64 words behind :meth:`uniforms`, with the same advance."""
+        return self._draw(n).random_raw(n)
 
     def after(self, n: int) -> "RngStream":
         """A copy standing where this stream will after drawing n values.
@@ -79,14 +86,14 @@ class RngStream:
         """
         return RngStream(self.seed, self.stream_id, self.counter + -(-n // _DRAWS_PER_BLOCK))
 
-    def uniforms_at(self, draw: int, n: int) -> np.ndarray:
-        """Values draw .. draw + n - 1 of this stream; its counter does not move.
+    def words_at(self, draw: int, n: int) -> np.ndarray:
+        """Words draw .. draw + n - 1 of this stream; its counter does not move.
 
         Reads from counter block draw // 4 and drops the first draw % 4
-        values, so a run read in chunks equals the run drawn at once.
+        words, so a run read in chunks equals the run drawn at once.
         """
         skip = draw % _DRAWS_PER_BLOCK
-        return self.after(draw - skip).uniforms(skip + n)[skip:]
+        return self.after(draw - skip).words(skip + n)[skip:]
 
     def substream(self, index: int) -> "RngStream":
         """Derived stream i: deterministic, distinct for distinct indices."""

@@ -7,13 +7,15 @@ spin-1/2 cosine law.  A singlet pair measured along (alpha, beta) follows
 the joint law P(A=s, B=t) = (1 - s t (alpha.beta))/4: unbiased marginals,
 E[AB] = -alpha.beta, and perfect anticorrelation at alpha = beta.
 
-Every sampler consumes one uniform draw per outcome from an
+Every sampler consumes one 64-bit word per outcome from an
 :class:`~boolebell.rng.RngStream`, so runs are reproducible from
-(seed, stream_id, counter) alone.
+(seed, stream_id, counter) alone.  An outcome of probability p is decided
+as ``uniform < p`` exactly, by an integer threshold on the word.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,11 +46,24 @@ class PreparedSource:
     u: SignSequence
 
 
+_ONE = 1 << 53  # the word w stands for the double (w >> 11) / 2**53
+
+
+def _below(words: np.ndarray, p: float) -> np.ndarray:
+    """The bools ``uniform < p`` of the words' doubles, bit for bit.
+
+    m * 2**-53 < p exactly when the integer m = w >> 11 is below the exact
+    k = ceil(p * 2**53), i.e. when w < k << 11.
+    """
+    k = math.ceil(p * _ONE)
+    return words < (max(k, 0) << 11) if k < _ONE else np.ones(words.shape, dtype=bool)
+
+
 def random_signs(n: int, rng: RngStream) -> SignSequence:
     """n fair independent signs."""
     if n < 1:
         raise ValueError("need at least one sign")
-    return SignSequence.from_array(rng.uniforms(n) < 0.5)
+    return SignSequence.from_array(rng.words(n) < 2**63)
 
 
 def sample_prepared(src: PreparedSource, alpha: UnitVector3, rng: RngStream) -> SignSequence:
@@ -58,9 +73,9 @@ def sample_prepared(src: PreparedSource, alpha: UnitVector3, rng: RngStream) -> 
     (1 + u_i (a.alpha))/2; at alpha = axis this collapses to x = u exactly.
     """
     c = clamp_unit_dot(src.axis.dot(alpha))
-    u = src.u.to_array().astype(np.float64)
-    p_plus = 0.5 * (1.0 + u * c)
-    return SignSequence.from_array(rng.uniforms(src.u.length) < p_plus)
+    w = rng.words(src.u.length)
+    plus, minus = (SignSequence.from_array(_below(w, 0.5 * (1.0 + s))).bits for s in (c, -c))
+    return SignSequence(src.u.length, (src.u.bits & plus) | (~src.u.bits & minus))
 
 
 def sample_singlet(
@@ -92,6 +107,5 @@ def sample_singlet_partner(
     or B then A, realizes the same joint law.
     """
     c = clamp_unit_dot(fixed_direction.dot(other_direction))
-    known = fixed.to_array()
-    flip = rng.uniforms(fixed.length) < 0.5 * (1.0 + c)
-    return SignSequence.from_array(np.where(flip, -known, known))
+    flip = SignSequence.from_array(_below(rng.words(fixed.length), 0.5 * (1.0 + c)))
+    return SignSequence(fixed.length, fixed.bits ^ flip.bits)

@@ -441,7 +441,7 @@ class TestSeedRange:
             assert code in (0, 1)
             assert json.loads(out)["seed"] == seed
 
-    @pytest.mark.parametrize("seed", [5.5, 5.0, True, "x", None])
+    @pytest.mark.parametrize("seed", [5.5, 5.0, True, "x", None, "5"])
     def test_config_file_seed_must_be_an_integer(self, capsys, tmp_path, seed):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"seed": seed}))
@@ -472,6 +472,28 @@ class TestOutOfMemory:
         assert out == ""
         assert err.startswith("error: out of memory (Unable to allocate 7.28 TiB")
         assert "Traceback" not in err
+
+
+def _float_draw(*args, **kwargs):
+    raise AssertionError("a sampler drew floats; it should decide on raw words")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["certify-ap", "--axis", "[0,0,1]", "--directions", "[[1,0,0]]", "--n", "1001"],
+        ["certify-ap", "--singlet-beta", "[0,0,1]", "--directions", "[[1,0,0]]",
+         "--n", "1001"],
+        SEEDED_COMMANDS["simulate-prepared"],
+        SEEDED_COMMANDS["simulate-singlet"],
+    ],
+    ids=["certify-prepared", "certify-singlet", "simulate-prepared", "simulate-singlet"],
+)
+def test_quantum_samplers_draw_no_floats(capsys, monkeypatch, argv):
+    monkeypatch.setattr("boolebell.rng.RngStream.uniforms", _float_draw)
+    code, out, err = invoke(capsys, *argv)
+    assert code in (0, 1), err
+    assert out
 
 
 @pytest.mark.parametrize("command", ["certify-ap", "experiment"])

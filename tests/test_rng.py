@@ -93,9 +93,12 @@ def test_keys_at_range_ends_draw(key):
     assert not np.array_equal(RngStream(key, 1).uniforms(3), RngStream(key, 2).uniforms(3))
 
 
-def test_non_integer_keys_are_rejected():
+@pytest.mark.parametrize("key", [5.0, True])
+def test_non_integer_keys_are_rejected(key):
     with pytest.raises(TypeError):
-        RngStream(5.0)
+        RngStream(key)
+    with pytest.raises(TypeError):
+        RngStream(0, key)
 
 
 @pytest.mark.parametrize("n", [1, 7, 13, 64])
@@ -109,15 +112,49 @@ def test_after_stands_where_a_draw_leaves_the_stream(n):
 
 
 @pytest.mark.parametrize("draw", [0, 1, 2, 3, 4, 5, 99])
-def test_uniforms_at_reads_any_stretch_of_a_run(draw):
+def test_words_at_reads_any_stretch_of_a_run(draw):
     s = RngStream(10, 4, counter=2)
-    run = RngStream(10, 4, counter=2).uniforms(120)
-    assert np.array_equal(s.uniforms_at(draw, 17), run[draw : draw + 17])
+    run = RngStream(10, 4, counter=2).words(120)
+    assert np.array_equal(s.words_at(draw, 17), run[draw : draw + 17])
     assert s.counter == 2
 
 
 def test_run_read_in_chunks_equals_run_drawn_at_once():
     start, n = 7, 1001  # starts mid counter block, ends in a partial chunk
-    whole = RngStream(11).uniforms(start + n)[start:]
-    chunks = [RngStream(11).uniforms_at(start + c, min(64, n - c)) for c in range(0, n, 64)]
+    whole = RngStream(11).words(start + n)[start:]
+    chunks = [RngStream(11).words_at(start + c, min(64, n - c)) for c in range(0, n, 64)]
     assert np.array_equal(np.concatenate(chunks), whole)
+
+
+@pytest.mark.parametrize("n", [1, 4, 7, 1000])
+def test_uniforms_are_the_words_top_53_bits(n):
+    # numpy's Philox double is (w >> 11) * 2**-53, which the samplers rely on
+    s, t = RngStream(12, 3, counter=5), RngStream(12, 3, counter=5)
+    words = s.words(n)
+    assert words.dtype == np.uint64
+    assert np.array_equal((words >> 11) * 2**-53, t.uniforms(n))
+    assert s.counter == t.counter == 5 + -(-n // 4)
+
+
+@pytest.mark.parametrize("counter", [2**256, 2**256 + 3, -1])
+def test_counters_outside_256_bits_are_rejected(counter):
+    # Philox's counter wraps at 2**256: 2**256 + 3 would alias counter 3
+    with pytest.raises(ValueError):
+        RngStream(1, 0, counter)
+
+
+@pytest.mark.parametrize("counter", [True, False, 3.0, "3", None])
+def test_non_integer_counters_are_rejected(counter):
+    with pytest.raises(TypeError):
+        RngStream(1, 0, counter)
+
+
+def test_counter_at_its_top_end_draws():
+    top = RngStream(1, 0, 2**256 - 1)
+    assert top.words(4).shape == (4,)
+    assert not np.array_equal(RngStream(1, 0, 2**256 - 1).words(4), RngStream(1, 0, 0).words(4))
+
+
+def test_after_cannot_step_past_the_counter_limit():
+    with pytest.raises(ValueError):
+        RngStream(1, 0, 2**256 - 1).after(8)

@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from boolebell.geometry import InvalidProbability, UnitVector3, clamp_unit_dot
 from boolebell.rng import RngStream
 from boolebell.sampler import (
     PreparedSource,
+    _below,
     random_signs,
     sample_prepared,
     sample_singlet,
@@ -142,3 +145,75 @@ class TestClamp:
             clamp_unit_dot(1.1)
         with pytest.raises(InvalidProbability):
             clamp_unit_dot(-1.000001)
+
+
+# own-axis cosines a.a of unit vectors: float dust below 1 (the clamp
+# takes dust above 1 to 1.0), as [1,1,0] gives 1 - 2**-52
+DUSTY_C = [1 - 2**-53, 1 - 2**-52, 1 - 3 * 2**-53, 1 - 2**-51]
+AXIS_PAIRS = [
+    ((1, 1, 0), (1, 1, 0)),  # dusty own axis
+    ((1, 0, 0), (1, 0, 0)),
+    ((1, 0, 0), (-1, 0, 0)),
+    ((1, 0, 0), (0, 1, 0)),
+    ((1, 0, 0), (1, 1, 0)),
+    ((0.3, 0.4, 0.5), (0.1, -0.9, 0.2)),
+]
+THRESHOLDS = [0.0, 5e-324, 2**-53, 0.5, 1 - 2**-53, 1.0] + [
+    0.5 * (1.0 + s * c) for c in DUSTY_C for s in (1.0, -1.0)
+]
+
+
+def uniform_below(words: np.ndarray, p: float) -> np.ndarray:
+    """The rule the samplers must reproduce: numpy's Philox double < p."""
+    return ((words >> 11) * 2**-53) < p
+
+
+class TestIntegerThreshold:
+    def test_dusty_cosines_are_own_axis_dust(self):
+        own = UnitVector3(1, 1, 0)
+        assert clamp_unit_dot(own.dot(own)) in DUSTY_C
+        assert 0 < min(THRESHOLDS[6:]) < 2**-50
+
+    @pytest.mark.parametrize("p", THRESHOLDS)
+    def test_matches_the_uniform_rule_at_the_threshold(self, p):
+        edge = math.ceil(p * 2**53) << 11
+        words = np.array(
+            [w for w in (edge - 1, edge, edge + 2047, 0, 2**64 - 1) if 0 <= w < 2**64],
+            dtype=np.uint64,
+        )
+        assert np.array_equal(_below(words, p), uniform_below(words, p))
+
+    @given(
+        st.floats(-0.5, 1.5, allow_nan=False),
+        st.integers(0, 2**64 - 1),
+        st.integers(-4096, 4096),
+    )
+    def test_matches_the_uniform_rule(self, p, word, offset):
+        # a random word, and one near the threshold, where a slip would show
+        near = (max(math.ceil(p * 2**53), 0) << 11) + offset
+        w = np.array([word] + [near] * (0 <= near < 2**64), dtype=np.uint64)
+        assert np.array_equal(_below(w, p), uniform_below(w, p))
+
+    @pytest.mark.parametrize("axis, alpha", AXIS_PAIRS)
+    def test_prepared_sample_is_the_uniform_rule(self, axis, alpha):
+        # the float formula the sampler used to evaluate, on the same stream
+        axis, alpha = UnitVector3(*axis), UnitVector3(*alpha)
+        c = clamp_unit_dot(axis.dot(alpha))
+        u = random_signs(1001, RngStream(30))
+        x = sample_prepared(PreparedSource(axis, u), alpha, RngStream(31, 2, counter=3))
+        p_plus = 0.5 * (1.0 + u.to_array().astype(np.float64) * c)
+        assert x == SignSequence.from_array(RngStream(31, 2, counter=3).uniforms(1001) < p_plus)
+
+    @pytest.mark.parametrize("fixed, other", AXIS_PAIRS)
+    def test_singlet_partner_is_the_uniform_rule(self, fixed, other):
+        fixed, other = UnitVector3(*fixed), UnitVector3(*other)
+        c = clamp_unit_dot(fixed.dot(other))
+        a = random_signs(1001, RngStream(32))
+        b = sample_singlet_partner(a, fixed, other, RngStream(33))
+        flip = RngStream(33).uniforms(1001) < 0.5 * (1.0 + c)
+        assert b == SignSequence.from_array(np.where(flip, -a.to_array(), a.to_array()))
+
+    def test_fair_signs_are_the_uniform_rule(self):
+        assert random_signs(1001, RngStream(34)) == SignSequence.from_array(
+            RngStream(34).uniforms(1001) < 0.5
+        )
