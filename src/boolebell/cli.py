@@ -71,10 +71,10 @@ def _parse_vector(value) -> UnitVector3:
             raise ValueError(f"expected a JSON vector like [1,0,0], got {value!r}") from exc
     if not isinstance(triple, list) or len(triple) != 3:
         raise ValueError(f"expected three components, got {value!r}")
-    try:
-        return UnitVector3.from_iterable(triple)
-    except TypeError as exc:  # null, a list or an object as a component
-        raise ValueError(f"expected three numbers, got {value!r}") from exc
+    for c in triple:  # float() would take "1" and True, and bool is an int
+        if isinstance(c, bool) or not isinstance(c, (int, float)):
+            raise ValueError(f"expected three numbers, got {value!r}")
+    return UnitVector3.from_iterable(triple)
 
 
 def _parse_sequence(text: str) -> SignSequence:
@@ -222,6 +222,8 @@ def _witness_sweep(args) -> Report:
         raise ValueError("--sweep START, STOP and STEP must be finite")
     if step <= 0:
         raise ValueError("--sweep step must be positive")
+    if start > stop + 1e-9:  # the row loop's own condition
+        raise ValueError(f"--sweep {args.sweep} computes no row: START is above STOP")
     # a step that cannot advance START at all is reported as such below
     if start + step != start and (stop - start) / step >= SWEEP_MAX_ROWS:
         raise ValueError(f"--sweep {args.sweep} would compute more than {SWEEP_MAX_ROWS} rows")
@@ -394,7 +396,7 @@ _REPORT_FIELDS = ["section", "label", "direction", "target", "estimate", "stderr
 def _certificate_rows(cert, which: str) -> list[dict]:
     return [
         dict(row.to_dict(), section=f"certificate_{which}", label="", direction=row.direction,
-             gap=abs(row.estimate - row.target))
+             gap=row.gap)
         for row in cert.rows
     ]
 

@@ -116,6 +116,10 @@ class ApRow:
     stderr: float
     passed: bool
 
+    @property
+    def gap(self) -> float:
+        return abs(self.estimate - self.target)
+
     def to_dict(self) -> dict:
         return {
             "direction": self.direction.as_list(),
@@ -332,22 +336,21 @@ def no_apbp_experiment(
     least one of the two certificates failing by
     (target_lhs - 1)/3 - sigma_k * stderr or more.
 
-    Extra cfg.directions are certified too; the built-in circle law is
-    pinned to the (a, b) plane so one stream has one hidden-variable law.
+    Extra cfg.directions are certified too; every chunk is drawn with (a, b),
+    so the circle law keeps one plane and one stream one hidden-variable law.
     """
     witness = geometric_witness(a, b)
-    pinned = model.pinned_to_plane(a, b)
     base = RngStream(cfg.seed)
 
     # the witness block: the three pair sums of x, u, v, one chunk at a time
     hidden_rng = base.substream(0)
     sums = {"ux": 0, "vx": 0, "uv": 0}
     for start, count in _chunks(cfg.n):
-        hidden = pinned.draw_lambdas(witness.alpha, -a, count, hidden_rng.after(start), cfg.n)
+        hidden = model.draw_lambdas(a, b, count, hidden_rng.after(start), cfg.n)
         chunk = {
-            "x": SignSequence.from_array(pinned.response_a(hidden, witness.alpha)),
-            "u": SignSequence.from_array(pinned.response_b(hidden, -a)),
-            "v": counterfactual_values(pinned, hidden, -b, "B"),
+            "x": SignSequence.from_array(model.response_a(hidden, witness.alpha)),
+            "u": SignSequence.from_array(model.response_b(hidden, -a)),
+            "v": counterfactual_values(model, hidden, -b, "B"),
         }
         for pair in sums:
             sums[pair] += correlation(chunk[pair[0]], chunk[pair[1]]).sum_products
@@ -383,25 +386,21 @@ def no_apbp_experiment(
     cert_dirs = (a, b, witness.alpha) + tuple(cfg.directions)
     cert_cfg = replace(cfg, directions=cert_dirs)
     k = len(cert_dirs)
-    cert_u = _lhv_certificate(pinned, -a, a, cert_cfg, base, offset=1)
-    cert_v = _lhv_certificate(pinned, -b, b, cert_cfg, base, offset=1 + k)
+    cert_u = _lhv_certificate(model, (a, b), a, cert_cfg, base, offset=1)
+    cert_v = _lhv_certificate(model, (a, b), b, cert_cfg, base, offset=1 + k)
 
     failing = cert_u.failing_rows() + cert_v.failing_rows()
     lift = (witness.lhs_value - 1.0) / 3.0
-
-    def gap(row: ApRow) -> float:
-        return abs(row.estimate - row.target)
-
     # the largest gap; on ties the last failing row
-    worst = max(reversed(failing), key=gap, default=None)
-    margin_ok = any(gap(row) >= lift - cfg.sigma_k * row.stderr for row in failing)
+    worst = max(reversed(failing), key=lambda row: row.gap, default=None)
+    margin_ok = any(row.gap >= lift - cfg.sigma_k * row.stderr for row in failing)
 
     return NoApBpResult(
         certificate_u=cert_u,
         certificate_v=cert_v,
         inequality=inequality,
         triangle=triangle,
-        failing_margin=0.0 if worst is None else gap(worst),
+        failing_margin=0.0 if worst is None else worst.gap,
         margin_floor=lift if worst is None else lift - cfg.sigma_k * worst.stderr,
         margin_ok=margin_ok,
         contradiction_closed=(
@@ -412,7 +411,7 @@ def no_apbp_experiment(
 
 def _lhv_certificate(
     model: LhvModel,
-    wing_direction: UnitVector3,
+    plane: tuple[UnitVector3, UnitVector3],
     axis_claimed: UnitVector3,
     cfg: ExperimentConfig,
     base: RngStream,
@@ -420,17 +419,17 @@ def _lhv_certificate(
 ) -> ApCertificate:
     """Certify the model's near wing against ``axis_claimed``.
 
-    Block j's pairs come from substream offset + j.  For each chunk the
-    committed u holds the far wing's values along ``wing_direction``; the
-    chunk's hidden draws happen before its direction is chosen, and the
-    near wing then answers from the same draws, so the protocol ordering
-    inside certify_ap is honest.
+    Block j's pairs come from substream offset + j and are drawn with the
+    pair ``plane``.  For each chunk the committed u holds the far wing's
+    values along -axis_claimed; the chunk's hidden draws happen before its
+    direction is chosen, and the near wing then answers from the same draws,
+    so the protocol ordering inside certify_ap is honest.
     """
 
     def source(j: int, start: int, count: int) -> tuple[SignSequence, Sampler]:
         rng = base.substream(offset + j).after(start)
-        hidden = model.draw_lambdas(wing_direction, wing_direction, count, rng, cfg.n)
-        u = SignSequence.from_array(model.response_b(hidden, wing_direction))
+        hidden = model.draw_lambdas(*plane, count, rng, cfg.n)
+        u = SignSequence.from_array(model.response_b(hidden, -axis_claimed))
         return u, lambda uu, alpha: SignSequence.from_array(model.response_a(hidden, alpha))
 
     return certify_ap(source, axis_claimed, cfg)

@@ -32,7 +32,7 @@ by measuring.  Out-of-order use raises :class:`OrderingViolation`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -205,10 +205,6 @@ def _sign_response(hidden: HiddenDraws, direction: UnitVector3) -> np.ndarray:
     return hidden.nonnegative(direction)
 
 
-def _mirrored_sign_response(hidden: HiddenDraws, direction: UnitVector3) -> np.ndarray:
-    return ~_sign_response(hidden, direction)
-
-
 def _orthonormal_to(e1: np.ndarray) -> np.ndarray:
     # deterministic perpendicular: Gram-Schmidt against the least-aligned axis
     pivot = np.zeros(3)
@@ -255,33 +251,34 @@ class LhvModel:
     state of n pairs in its compact form (see the module docstring); ``len``
     of it is the number of pairs.  With ``block`` given, the n pairs are
     the chunk of a block of ``block`` pairs that starts where ``rng`` stands.
-    ``response_a``/``response_b`` take (hidden state, own direction) only
-    and return a bool array, True for +1, so a wing's values cannot depend
-    on the far setting; that is the locality property the tests check by
-    permuting the far direction.
+    The circle law draws on the plane of its (alpha, beta), so one stream
+    keeps one law by passing the same pair.  ``response_a``/``response_b``
+    take (hidden state, own direction) only and return a bool array, True
+    for +1, so a wing's values cannot depend on the far setting; that is the
+    locality property the tests check by permuting the far direction.
     """
 
     name: str
-    hidden_variable_law: str
-    draw_lambdas: Callable[..., HiddenDraws]
-    response_a: Callable[[HiddenDraws, UnitVector3], np.ndarray]
-    response_b: Callable[[HiddenDraws, UnitVector3], np.ndarray]
 
-    def pinned_to_plane(self, a: UnitVector3, b: UnitVector3) -> "LhvModel":
-        """Fix the circle law to the (a, b) plane for a whole experiment.
+    def __post_init__(self) -> None:
+        if self.name not in MODEL_NAMES:
+            raise ValueError(f"unknown model {self.name!r}; choose from {MODEL_NAMES}")
 
-        A single particle stream should have one hidden-variable law, not
-        one per measurement pair; experiments pin the circle to the plane
-        of the claimed axes.  The sphere law is unaffected.
-        """
-        if self.hidden_variable_law != "great-circle":
-            return self
-        frame = _circle_frame(a, b)
+    @property
+    def hidden_variable_law(self) -> str:
+        return "great-circle" if self.name == "sign-circle" else "uniform-sphere"
 
-        def draw(alpha, beta, n, rng, block=None, _frame=frame):
-            return _circle_points(_frame, n, rng)
+    def draw_lambdas(self, alpha: UnitVector3, beta: UnitVector3, n: int, rng: RngStream,
+                     block: int | None = None) -> HiddenDraws:
+        if self.name == "sign-circle":
+            return _circle_points(_circle_frame(alpha, beta), n, rng)
+        return _sphere_points(n, rng, block)
 
-        return replace(self, draw_lambdas=draw)
+    def response_a(self, hidden: HiddenDraws, direction: UnitVector3) -> np.ndarray:
+        return _sign_response(hidden, direction)
+
+    def response_b(self, hidden: HiddenDraws, direction: UnitVector3) -> np.ndarray:
+        return ~_sign_response(hidden, direction)
 
 
 def make_lhv_model(name: str) -> LhvModel:
@@ -292,27 +289,7 @@ def make_lhv_model(name: str) -> LhvModel:
     queried directions vs uniform sphere).  Either way the pair correlation
     at angle theta is -1 + 2 theta/pi.
     """
-    if name == "sign-circle":
-
-        def draw(alpha, beta, n, rng, block=None):
-            return _circle_points(_circle_frame(alpha, beta), n, rng)
-
-        law = "great-circle"
-    elif name == "sign-sphere":
-
-        def draw(alpha, beta, n, rng, block=None):
-            return _sphere_points(n, rng, block)
-
-        law = "uniform-sphere"
-    else:
-        raise ValueError(f"unknown model {name!r}; choose from {MODEL_NAMES}")
-    return LhvModel(
-        name=name,
-        hidden_variable_law=law,
-        draw_lambdas=draw,
-        response_a=_sign_response,
-        response_b=_mirrored_sign_response,
-    )
+    return LhvModel(name)
 
 
 def sign_model_correlation(theta: float) -> float:

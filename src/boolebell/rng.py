@@ -84,6 +84,8 @@ class RngStream:
         the copy's values are exactly values n, n + 1, ... of this stream.
         This stream does not move.
         """
+        if n < 0:
+            raise ValueError("cannot draw a negative number of values")
         return RngStream(self.seed, self.stream_id, self.counter + -(-n // _DRAWS_PER_BLOCK))
 
     def words_at(self, draw: int, n: int) -> np.ndarray:
@@ -97,8 +99,7 @@ class RngStream:
 
     def substream(self, index: int) -> "RngStream":
         """Derived stream i: deterministic, distinct for distinct indices."""
-        if index < 0:
-            raise ValueError("substream index must be non-negative")
+        index = _key("substream index", index)
         child = _splitmix64((self.stream_id * 0x9E3779B97F4A7C15 + index + 1) & _MASK64)
         return RngStream(self.seed, child)
 

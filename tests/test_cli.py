@@ -136,6 +136,19 @@ class TestBasicCommands:
         assert out == ""
         assert err == "error: --sweep 0:1e9:1e-3 would compute more than 1000000 rows\n"
 
+    @pytest.mark.parametrize("sweep", ["10:5:1", "90:89.999999:1", "-1:-2:0.5"])
+    def test_witness_sweep_that_computes_no_row_exits_two(self, capsys, sweep):
+        # START above STOP + 1e-9 printed a blank line and exited 0
+        code, out, err = invoke(capsys, "witness", f"--sweep={sweep}")
+        assert (code, out) == (2, "")
+        assert err == f"error: --sweep {sweep} computes no row: START is above STOP\n"
+
+    def test_witness_sweep_of_one_row_within_the_tolerance(self, capsys):
+        # STOP + 1e-9 still admits START, so this is one row, not an empty sweep
+        code, out, _ = invoke(capsys, "witness", "--sweep", "90.0000000005:90:1", "--format", "csv")
+        assert code == 0
+        assert len(out.splitlines()) == 2
+
 
 class TestSamplingCommands:
     def test_simulate_prepared_dump_roundtrip(self, capsys, tmp_path):
@@ -319,6 +332,22 @@ class TestBadInputExitsTwo:
         )
         assert (code, out) == (2, "")
         assert err == "error: expected three components, got 1\n"
+
+    @pytest.mark.parametrize("vector", ['["1", true, 0]', '[1, 0, "0"]', "[true, false, false]"])
+    def test_vector_with_a_string_or_bool_component(self, capsys, tmp_path, vector):
+        # float() took "1" and True, so '["1", true, 0]' ran as [1, 1, 0]
+        code, out, err = invoke(capsys, "witness", "--a", vector, "--b", "[0,1,0]")
+        assert (code, out) == (2, "")
+        assert err == f"error: expected three numbers, got {vector!r}\n"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"a": json.loads(vector), "b": [0, 1, 0], "n": 100}))
+        code, out, err = invoke(capsys, "experiment", "--config", str(cfg))
+        assert (code, out) == (2, "")
+        assert err == f"error: expected three numbers, got {json.loads(vector)!r}\n"
+        cfg.write_text(json.dumps({"n": 100, "directions": [json.loads(vector)]}))
+        code, out, err = invoke(capsys, "certify-ap", "--axis", "[0,0,1]", "--config", str(cfg))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: expected three numbers, got ")
 
     @pytest.mark.parametrize("name", sorted(BAD_CONFIG_VALUES))
     @pytest.mark.parametrize(

@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import math
 
@@ -9,6 +10,7 @@ from boolebell.geometry import UnitVector3
 from boolebell.realism import (
     MODEL_NAMES,
     CommitmentToken,
+    LhvModel,
     MissingHiddenState,
     OrderingViolation,
     choose_direction,
@@ -153,8 +155,8 @@ class TestHiddenStateResponses:
 
     @pytest.mark.parametrize("name", MODEL_NAMES)
     def test_compact_state_matches_materialized_lambdas(self, name):
-        # pinned to the x-y plane, so z is the circle's exact plane normal
-        model = make_lhv_model(name).pinned_to_plane(X_HAT, plane_direction(60))
+        # drawn on the x-y plane, so z is the circle's exact plane normal
+        model = make_lhv_model(name)
         hidden = model.draw_lambdas(X_HAT, plane_direction(60), self.N, RngStream(40))
         _, _, lam = sample_lhv(model, X_HAT, plane_direction(60), self.N, RngStream(40))
         assert len(hidden) == self.N
@@ -187,8 +189,8 @@ class TestHiddenStateResponses:
         assert rng.counter == 0
 
     def test_plane_normal_answers_plus_one_everywhere(self):
-        model = make_lhv_model("sign-circle").pinned_to_plane(X_HAT, plane_direction(60))
-        hidden = model.draw_lambdas(X_HAT, X_HAT, 1000, RngStream(42))
+        model = make_lhv_model("sign-circle")
+        hidden = model.draw_lambdas(X_HAT, plane_direction(60), 1000, RngStream(42))
         assert model.response_a(hidden, Z_HAT).all()
         assert model.response_a(hidden, -Z_HAT).all()
         assert not model.response_b(hidden, Z_HAT).any()
@@ -249,7 +251,7 @@ class TestSphereFilter:
         hidden = realism._SphereDraws(z, phi)
         exact = exact_nonnegative(z, phi, d)
         assert np.array_equal(realism._sign_response(hidden, d), exact)
-        assert np.array_equal(realism._mirrored_sign_response(hidden, d), ~exact)
+        assert np.array_equal(make_lhv_model("sign-sphere").response_b(hidden, d), ~exact)
         r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
         assert np.array_equal(hidden.lambdas(), np.column_stack((np.cos(phi) * r, np.sin(phi) * r, z)))
 
@@ -279,26 +281,56 @@ class TestTracerHooks:
     """The per-layer benchmark traces these functions by name."""
 
     def test_traced_functions_exist_with_their_signatures(self):
-        for name in ("_sphere_points", "_sign_response", "_circle_points"):
-            assert callable(getattr(realism, name, None)), name
-        assert list(inspect.signature(realism._sphere_points).parameters) == [
-            "n", "rng", "block",
-        ]
+        # the tracer reads a[1] of _circle_points and len(a[0]) of _sign_response
+        layouts = {
+            "_sphere_points": ["n", "rng", "block"],
+            "_circle_points": ["frame", "n", "rng"],
+            "_sign_response": ["hidden", "direction"],
+        }
+        for name, params in layouts.items():
+            assert list(inspect.signature(getattr(realism, name)).parameters) == params, name
+
+    @pytest.mark.parametrize("name", MODEL_NAMES)
+    def test_responses_reach_the_module_sign_response_at_call_time(self, name, monkeypatch):
+        # the tracer swaps realism._sign_response for a wrapper, so both wings
+        # and counterfactual queries must look it up when they answer
+        model = make_lhv_model(name)
+        hidden = model.draw_lambdas(X_HAT, Z_HAT, 100, RngStream(44))
+        calls = []
+        original = realism._sign_response
+
+        def counted(hidden, direction):
+            calls.append(len(hidden))
+            return original(hidden, direction)
+
+        monkeypatch.setattr(realism, "_sign_response", counted)
+        expected = original(hidden, X_HAT)
+        assert np.array_equal(model.response_a(hidden, X_HAT), expected)
+        assert np.array_equal(model.response_b(hidden, X_HAT), ~expected)
+        counterfactual_values(model, hidden, Z_HAT, "B")
+        assert calls == [100, 100, 100]
 
 
 class TestModelFactory:
-    def test_unknown_name_rejected(self):
-        with pytest.raises(ValueError):
-            make_lhv_model("sign-cube")
+    @pytest.mark.parametrize("build", [make_lhv_model, LhvModel], ids=["factory", "record"])
+    def test_unknown_name_rejected(self, build):
+        with pytest.raises(ValueError, match="unknown model 'sign-cube'"):
+            build("sign-cube")
 
-    def test_pinned_circle_stays_in_plane(self):
-        model = make_lhv_model("sign-circle").pinned_to_plane(X_HAT, plane_direction(60))
-        _, _, lam = sample_lhv(model, Z_HAT, Z_HAT, 500, RngStream(30))
-        assert np.max(np.abs(lam[:, 2])) <= 1e-12
+    def test_model_is_a_record_of_its_name(self):
+        assert [f.name for f in dataclasses.fields(LhvModel)] == ["name"]
+        assert make_lhv_model("sign-circle") == LhvModel("sign-circle")
+        assert LhvModel("sign-circle").hidden_variable_law == "great-circle"
+        assert LhvModel("sign-sphere").hidden_variable_law == "uniform-sphere"
 
-    def test_pinning_the_sphere_is_a_no_op(self):
-        model = make_lhv_model("sign-sphere")
-        assert model.pinned_to_plane(X_HAT, Z_HAT) is model
+    @pytest.mark.parametrize(
+        "alpha, beta", [(X_HAT, plane_direction(60)), (UnitVector3(1, 2, 3), UnitVector3(0, -1, 2))]
+    )
+    def test_circle_draws_lie_in_the_plane_of_alpha_beta(self, alpha, beta):
+        model = make_lhv_model("sign-circle")
+        _, _, lam = sample_lhv(model, alpha, beta, 500, RngStream(30))
+        normal = np.cross(alpha.as_array(), beta.as_array())
+        assert np.max(np.abs(lam @ (normal / np.linalg.norm(normal)))) <= 1e-12
 
 
 class TestCommitmentProtocol:

@@ -158,3 +158,29 @@ def test_counter_at_its_top_end_draws():
 def test_after_cannot_step_past_the_counter_limit():
     with pytest.raises(ValueError):
         RngStream(1, 0, 2**256 - 1).after(8)
+
+
+@pytest.mark.parametrize("index", [-1, 2**64, 2**64 + 5])
+def test_substream_indices_outside_64_bits_are_rejected(index):
+    # the id mix masks to 64 bits, so 2**64 + 5 drew the words of index 5
+    with pytest.raises(ValueError):
+        RngStream(1).substream(index)
+
+
+@pytest.mark.parametrize("index", [True, False, 5.0])
+def test_non_integer_substream_indices_are_rejected(index):
+    # True drew the words of index 1
+    with pytest.raises(TypeError):
+        RngStream(1).substream(index)
+
+
+def test_substream_index_at_its_top_end_draws():
+    top = RngStream(1).substream(2**64 - 1)
+    assert not np.array_equal(top.words(4), RngStream(1).substream(0).words(4))
+
+
+@pytest.mark.parametrize("n", [-1, -4, -8])
+def test_after_rejects_a_negative_draw_count(n):
+    # after(-8) stood at counter 3 of a stream at counter 5
+    with pytest.raises(ValueError):
+        RngStream(1, 0, 5).after(n)
