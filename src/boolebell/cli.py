@@ -13,37 +13,24 @@ from __future__ import annotations
 
 import argparse
 import csv
-import hashlib
 import io
 import json
 import math
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import __version__
-from .experiments import (
-    ExperimentConfig,
-    no_apbp_experiment,
-    prepared_ap_experiment,
-    singlet_ap_experiment,
-)
+# every command parses or renders a direction, so geometry loads here; each
+# handler imports the other layers it calls, so a command loads only those
+from . import MODEL_NAMES, __version__
 from .geometry import (
-    UnitVector3,
-    angle_between,
-    clamp_unit_dot,
-    geometric_witness,
-    optimal_witness,
+    ColinearAxes, UnitVector3, angle_between, clamp_unit_dot, geometric_witness, optimal_witness,
 )
-from .realism import MODEL_NAMES, make_lhv_model, sample_lhv, sign_model_correlation
-from .rng import RngStream
-from .sampler import PreparedSource, random_signs, sample_prepared, sample_singlet
-from .sequences import (
-    SignSequence,
-    boole_bell_lhs,
-    brute_force_max_lhs,
-    correlation,
-)
+
+if TYPE_CHECKING:
+    from .experiments import ExperimentConfig
+    from .sequences import SignSequence
 
 FORMATS = ("text", "csv", "json")
 SEED_LIMIT = 1 << 64  # the rng keys on 64 bits; larger or negative seeds would alias
@@ -78,6 +65,7 @@ def _parse_vector(value) -> UnitVector3:
 
 
 def _parse_sequence(text: str) -> SignSequence:
+    from .sequences import SignSequence
     if text.startswith("@"):
         text = Path(text[1:]).read_text()
     return SignSequence.from_text(text)
@@ -119,6 +107,7 @@ def _json_default(obj: UnitVector3) -> list[float]:
 
 
 def _config_hash(payload: dict) -> str:
+    import hashlib  # loads OpenSSL, which only --format json needs
     canonical = json.dumps(payload, sort_keys=True, default=_json_default)
     return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
@@ -175,6 +164,7 @@ def _render(report: Report, fmt: str, out: str | None) -> None:
 
 
 def _cmd_correlate(args) -> Report:
+    from .sequences import correlation
     f, g = _parse_sequence(args.f), _parse_sequence(args.g)
     est = correlation(f, g)
     return Report(
@@ -184,6 +174,7 @@ def _cmd_correlate(args) -> Report:
 
 
 def _cmd_check_boole(args) -> Report:
+    from .sequences import boole_bell_lhs
     f, g, h = (_parse_sequence(s) for s in (args.f, args.g, args.h))
     lhs = boole_bell_lhs(f, g, h)
     verdict = "PASS" if lhs <= 1.0 else "FAIL"
@@ -195,6 +186,7 @@ def _cmd_check_boole(args) -> Report:
 
 
 def _cmd_bruteforce(args) -> Report:
+    from .sequences import brute_force_max_lhs
     value = brute_force_max_lhs(args.n)
     return Report(
         "bruteforce", args.seed, {"n": args.n}, {"n": args.n, "max_lhs": value},
@@ -237,7 +229,10 @@ def _witness_sweep(args) -> Report:
             )
         t = math.radians(theta)
         b = UnitVector3(math.cos(t), math.sin(t), 0)
-        rows.append(_witness_row(theta, UnitVector3(1, 0, 0), b))
+        try:
+            rows.append(_witness_row(theta, UnitVector3(1, 0, 0), b))
+        except ColinearAxes as exc:  # the user gave no axes; name the row instead
+            raise ValueError(f"--sweep row at {theta} degrees: {exc}") from exc
         theta += step
     if args.plot:
         for series in ("geometric", "optimal"):
@@ -278,6 +273,9 @@ def _cmd_witness(args) -> Report:
 
 
 def _cmd_simulate_prepared(args) -> Report:
+    from .rng import RngStream
+    from .sampler import PreparedSource, random_signs, sample_prepared
+    from .sequences import correlation
     axis, alpha = _parse_vector(args.axis), _parse_vector(args.alpha)
     base = RngStream(args.seed)
     u = random_signs(args.n, base.substream(0))
@@ -301,6 +299,7 @@ def _pair_report(command: str, args, lead: dict, alpha, beta, a_seq, b_seq, last
     simulate-singlet and lhv report it: ``lead`` fields come first, then
     the directions, n, correlation and stderr, then ``last`` and the seed.
     """
+    from .sequences import correlation
     est = correlation(a_seq, b_seq)
     fields = {
         **lead,
@@ -321,6 +320,8 @@ def _pair_report(command: str, args, lead: dict, alpha, beta, a_seq, b_seq, last
 
 
 def _cmd_simulate_singlet(args) -> Report:
+    from .rng import RngStream
+    from .sampler import sample_singlet
     alpha, beta = _parse_vector(args.alpha), _parse_vector(args.beta)
     a_seq, b_seq = sample_singlet(alpha, beta, args.n, RngStream(args.seed))
     _write(args.dump_a, a_seq.to_text() + "\n")
@@ -332,6 +333,8 @@ def _cmd_simulate_singlet(args) -> Report:
 
 
 def _cmd_lhv(args) -> Report:
+    from .realism import make_lhv_model, sample_lhv, sign_model_correlation
+    from .rng import RngStream
     alpha, beta = _parse_vector(args.alpha), _parse_vector(args.beta)
     model = make_lhv_model(args.model)
     a_seq, b_seq, lambdas = sample_lhv(model, alpha, beta, args.n, RngStream(args.seed))
@@ -373,6 +376,7 @@ def _config_value(file_cfg: dict, key: str, default, *kinds: type):
 
 def _build_config(args, file_cfg: dict, default_scenario: str) -> ExperimentConfig:
     """The run's config; a flag that is given wins over the file's key."""
+    from .experiments import ExperimentConfig
     if args.directions is not None:
         directions = json.loads(args.directions)
     else:
@@ -406,6 +410,7 @@ def _yes_no(flag: bool) -> str:
 
 
 def _cmd_certify_ap(args) -> Report:
+    from .experiments import prepared_ap_experiment, singlet_ap_experiment
     file_cfg = _load_config_file(args.config)
     if (args.axis is None) == (args.singlet_beta is None):
         raise ValueError("choose exactly one of --axis (prepared) or --singlet-beta")
@@ -431,6 +436,8 @@ def _cmd_certify_ap(args) -> Report:
 
 
 def _cmd_experiment(args) -> Report:
+    from .experiments import no_apbp_experiment
+    from .realism import make_lhv_model
     file_cfg = _load_config_file(args.config, (*_CONFIG_KEYS, "a", "b", "model"))
     a_value = args.a if args.a is not None else file_cfg.get("a")
     b_value = args.b if args.b is not None else file_cfg.get("b")

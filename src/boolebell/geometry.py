@@ -83,12 +83,19 @@ class UnitVector3:
     z: float
 
     def __post_init__(self) -> None:
-        norm = math.sqrt(self.x * self.x + self.y * self.y + self.z * self.z)
+        x, y, z = self.x, self.y, self.z
+        norm = math.sqrt(x * x + y * y + z * z)
+        if norm in (0.0, math.inf) and all(map(math.isfinite, (x, y, z))):
+            # the squares under- or overflowed; scaling by the largest
+            # |component| first (a zero vector stays zero) keeps them in range
+            scale = max(abs(x), abs(y), abs(z)) or 1.0
+            x, y, z = x / scale, y / scale, z / scale
+            norm = math.sqrt(x * x + y * y + z * z)
         if not math.isfinite(norm) or norm == 0.0:
             raise ValueError("direction must be a finite non-zero vector")
-        object.__setattr__(self, "x", self.x / norm)
-        object.__setattr__(self, "y", self.y / norm)
-        object.__setattr__(self, "z", self.z / norm)
+        object.__setattr__(self, "x", x / norm)
+        object.__setattr__(self, "y", y / norm)
+        object.__setattr__(self, "z", z / norm)
 
     @classmethod
     def from_iterable(cls, xyz: Iterable[float]) -> "UnitVector3":

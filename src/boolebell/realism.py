@@ -37,6 +37,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import MODEL_NAMES  # defined in the package, where the CLI parser reads it
 from .geometry import UnitVector3
 from .rng import RngStream
 from .sequences import SignSequence
@@ -55,8 +56,6 @@ __all__ = [
     "choose_direction",
     "measure",
 ]
-
-MODEL_NAMES = ("sign-circle", "sign-sphere")
 
 
 class MissingHiddenState(ValueError):

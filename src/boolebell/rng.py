@@ -2,7 +2,7 @@
 
 Streams are keyed by (seed, stream_id) and advance a block counter, so a
 stream can be reconstructed from three integers anywhere in a run and
-replays identically regardless of thread scheduling or platform.  Each
+replays identically on any platform and in any order of reads.  Each
 draw call builds a fresh Philox generator jumped to the current counter;
 Philox emits four 64-bit words per counter block, so consumption rounds
 up to whole blocks.  Any stretch of a run can therefore be read on its

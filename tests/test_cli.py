@@ -143,6 +143,25 @@ class TestBasicCommands:
         assert (code, out) == (2, "")
         assert err == f"error: --sweep {sweep} computes no row: START is above STOP\n"
 
+    @pytest.mark.parametrize("sweep, theta", [("0:180:1", "0.0"), ("1:180:1", "180.0")])
+    def test_witness_sweep_through_colinear_axes_names_the_row(
+        self, capsys, tmp_path, sweep, theta
+    ):
+        prefix = tmp_path / "sweep"
+        code, out, err = invoke(capsys, "witness", "--sweep", sweep, "--plot", str(prefix))
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: --sweep row at {theta} degrees: axes are colinear; "
+            "no witness direction exists\n"
+        )
+        assert list(tmp_path.iterdir()) == []
+
+    def test_witness_of_axes_whose_squares_leave_the_float_range(self, capsys):
+        wide = invoke(capsys, "witness", "--a", "[1e200,1e200,0]", "--b", "[0,1e-200,0]")
+        plain = invoke(capsys, "witness", "--a", "[1,1,0]", "--b", "[0,1,0]")
+        assert wide == plain
+        assert plain[0] == 0
+
     def test_witness_sweep_of_one_row_within_the_tolerance(self, capsys):
         # STOP + 1e-9 still admits START, so this is one row, not an empty sweep
         code, out, _ = invoke(capsys, "witness", "--sweep", "90.0000000005:90:1", "--format", "csv")
@@ -492,10 +511,12 @@ class TestOutOfMemory:
         "sample_singlet": ["simulate-singlet", "--alpha", "[0,0,1]", "--beta", "[1,0,0]"],
         "sample_lhv": ["lhv", "--alpha", "[0,0,1]", "--beta", "[1,0,0]"],
     }
+    # the module that defines each sampler; the handlers import it from there
+    MODULES = {"sample_prepared": "sampler", "sample_singlet": "sampler", "sample_lhv": "realism"}
 
     @pytest.mark.parametrize("sampler", sorted(CASES))
     def test_memory_error_exits_two(self, capsys, monkeypatch, sampler):
-        monkeypatch.setattr(f"boolebell.cli.{sampler}", _out_of_memory)
+        monkeypatch.setattr(f"boolebell.{self.MODULES[sampler]}.{sampler}", _out_of_memory)
         code, out, err = invoke(capsys, *self.CASES[sampler], "--n", "1000")
         assert code == 2
         assert out == ""

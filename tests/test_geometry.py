@@ -54,6 +54,21 @@ class TestUnitVector3:
         with pytest.raises(ValueError):
             UnitVector3(math.nan, 1, 0)
 
+    @pytest.mark.parametrize("xyz", [(0, 0, 0), (math.inf, 0, 0), (math.nan, 1, 0),
+                                     (-math.inf, math.inf, 0), (1e300, math.nan, 0)])
+    def test_rejection_message(self, xyz):
+        with pytest.raises(ValueError, match="^direction must be a finite non-zero vector$"):
+            UnitVector3(*xyz)
+
+    @pytest.mark.parametrize("xyz, plain", [
+        ((1e200, 1e200, 0), (1, 1, 0)),  # the squares overflow
+        ((1e-200, 0, 0), (1, 0, 0)),  # the square underflows
+        ((0, -5e-324, 0), (0, -1, 0)),  # the smallest subnormal
+        ((1.7e308, 1.7e308, -1.7e308), (1, 1, -1)),
+    ])
+    def test_rescales_when_the_squares_leave_the_float_range(self, xyz, plain):
+        assert UnitVector3(*xyz) == UnitVector3(*plain)
+
     def test_negation(self):
         v = UnitVector3(1, 2, 2)
         assert (-v).as_list() == pytest.approx([-x for x in v.as_list()])

@@ -1,12 +1,18 @@
-"""Property tests of the exact layer: sequences, correlation sums and the bound."""
+"""Property tests of the exact layer: sequences, correlation sums and the
+bound; and of the one float step every direction passes through, the
+normalization of ``UnitVector3``."""
+
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from boolebell.geometry import UnitVector3  # noqa: E402
 from boolebell.sequences import (  # noqa: E402
     SignSequence,
     boole_bell_lhs_exact,
@@ -92,3 +98,36 @@ def test_chunked_products_sums_add_up(data):
     assert chunked(f, g) == int(np.dot(f.to_array().astype(np.int64), g.to_array()))
     sums = (chunked(f, g), chunked(f, h), chunked(g, h))
     assert boole_bell_lhs_from_sums(*sums, f.length) == boole_bell_lhs_exact(f, g, h)
+
+
+def _plain_unit(x, y, z):
+    """The normalization without rescaling; None where it finds no norm."""
+    norm = math.sqrt(x * x + y * y + z * z)
+    if not math.isfinite(norm) or norm == 0.0:
+        return None
+    return [x / norm, y / norm, z / norm]
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@given(finite, finite, finite)
+@example(1e200, 1e200, 0.0)
+@example(1e-200, 0.0, 0.0)
+@example(5e-324, -0.0, 5e-324)
+@example(1.7e308, -1.7e308, 1.7e308)
+@example(1e-170, 1e170, 0.0)
+def test_unit_vector_of_every_finite_non_zero_triple(x, y, z):
+    if x == y == z == 0.0:
+        with pytest.raises(ValueError, match="finite non-zero vector"):
+            UnitVector3(x, y, z)
+        return
+    unit = UnitVector3(x, y, z).as_list()
+    plain = _plain_unit(x, y, z)
+    if plain is not None:  # what the plain expression accepts keeps its bits
+        assert list(map(float.hex, unit)) == list(map(float.hex, plain))
+    # against the exact direction: each squared component and its sign
+    squares = [Fraction(c) ** 2 for c in (x, y, z)]
+    for c, u, square in zip((x, y, z), unit, squares):
+        assert abs(u * u - float(square / sum(squares))) <= 1e-15
+        assert u == 0.0 or math.copysign(1.0, u) == math.copysign(1.0, c)
