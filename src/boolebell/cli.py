@@ -61,7 +61,10 @@ def _parse_vector(value) -> UnitVector3:
     for c in triple:  # float() would take "1" and True, and bool is an int
         if isinstance(c, bool) or not isinstance(c, (int, float)):
             raise ValueError(f"expected three numbers, got {value!r}")
-    return UnitVector3.from_iterable(triple)
+    try:
+        return UnitVector3.from_iterable(triple)
+    except OverflowError as exc:  # an integer beyond the float range
+        raise ValueError(f"expected numbers within the float range, got {value!r}") from exc
 
 
 def _parse_sequence(text: str) -> SignSequence:
@@ -242,7 +245,7 @@ def _witness_sweep(args) -> Report:
         "witness", args.seed, {"sweep": args.sweep}, {"rows": rows},
         table=(["theta_deg", "case", "lhs_geometric", "lhs_optimal"], rows),
         lines=[
-            f"theta_deg={r['theta_deg']:.1f}, case={r['case']}, "
+            f"theta_deg={r['theta_deg']!r}, case={r['case']}, "
             f"lhs_geometric={r['lhs_geometric']:.6f}, lhs_optimal={r['lhs_optimal']:.6f}"
             for r in rows
         ],
@@ -527,7 +530,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("witness", _cmd_witness, "violation witness directions and values")
     p.add_argument("--a", help="first axis as JSON vector")
     p.add_argument("--b", help="second axis as JSON vector")
-    p.add_argument("--optimal", action="store_true", help="numerically maximized witness")
+    p.add_argument("--optimal", action="store_true", help="exactly maximized witness")
     p.add_argument("--orthogonal-to", choices=("a", "b"), default="a")
     p.add_argument("--sweep", help="angle sweep START:STOP:STEP in degrees")
     p.add_argument("--plot", help="prefix for two-column plot data files")

@@ -33,7 +33,9 @@ from .realism import (
     measure,
 )
 from .rng import RngStream
-from .sampler import PreparedSource, random_signs, sample_prepared, sample_singlet_partner
+from .sampler import (
+    PreparedSource, fair_signs, random_signs, sample_prepared, sample_singlet_partner,
+)
 from .sequences import (
     CorrelationEstimate,
     EmptySequence,
@@ -297,7 +299,7 @@ def prepared_ap_experiment(a: UnitVector3, cfg: ExperimentConfig) -> ApCertifica
     signs = base.substream(0)
 
     def source(j: int, start: int, count: int) -> tuple[SignSequence, Sampler]:
-        u = SignSequence.from_array(signs.words_at(j * cfg.n + start, count) < 2**63)
+        u = fair_signs(signs.words_at(j * cfg.n + start, count))
         rng = base.substream(1 + j).after(start)
         return u, lambda uu, alpha: sample_prepared(PreparedSource(a, uu), alpha, rng)
 

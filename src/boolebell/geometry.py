@@ -7,23 +7,22 @@ three candidate left-hand sides, one per way of pouring the sequences
 (x measured along alpha, u along a, v along b) into the slots (f, g, h).
 For any two distinct axes some in-plane ``alpha`` pushes the best candidate
 above 1; :func:`geometric_witness` builds that direction in closed form and
-:func:`optimal_witness` maximizes numerically.
+:func:`optimal_witness` finds the best one.
 
-The numerical search has no tunables.  Alpha enters the candidates only
-through its cosines with the two axes, which trace an ellipse as alpha turns
-in the plane of the axes, so the search is over one in-plane angle.  It
-evaluates a fixed grid of angles 0.1 degrees apart in one numpy pass (the
-grid's cosines and sines are computed once, on first use), then refines the
-best grid angle with 30 golden-section steps in plain Python floats
-(``math.cos``, ``math.sin``, ``abs``, ``max``).  Both passes call the same
-candidate function, so they perform the same IEEE operations.
+The best direction has a closed form too, so nothing is searched.  Alpha
+enters each candidate only through p = a.alpha and q = b.alpha, as |L| + M
+with L and M affine in p and q.  That is the larger of M + L and M - L, two
+linear forms in alpha, so every candidate peaks at alpha along a - b, b - a
+or a + b, and the best value over the sphere is
+max(a.b + ||a - b||, ||a + b|| - a.b).  The optimizers evaluate the
+candidates at those three directions and keep the largest.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-from functools import cache, reduce
 from typing import Callable, Iterable
 
 import numpy as np
@@ -84,13 +83,15 @@ class UnitVector3:
 
     def __post_init__(self) -> None:
         x, y, z = self.x, self.y, self.z
-        norm = math.sqrt(x * x + y * y + z * z)
-        if norm in (0.0, math.inf) and all(map(math.isfinite, (x, y, z))):
-            # the squares under- or overflowed; scaling by the largest
-            # |component| first (a zero vector stays zero) keeps them in range
+        squared = x * x + y * y + z * z
+        if not sys.float_info.min <= squared < math.inf and all(map(math.isfinite, (x, y, z))):
+            # the squares under- or overflowed, or their sum is subnormal and
+            # lost bits; scaling by the largest |component| first (a zero
+            # vector stays zero) keeps them in range
             scale = max(abs(x), abs(y), abs(z)) or 1.0
             x, y, z = x / scale, y / scale, z / scale
-            norm = math.sqrt(x * x + y * y + z * z)
+            squared = x * x + y * y + z * z
+        norm = math.sqrt(squared)
         if not math.isfinite(norm) or norm == 0.0:
             raise ValueError("direction must be a finite non-zero vector")
         object.__setattr__(self, "x", x / norm)
@@ -197,91 +198,30 @@ def geometric_witness(
     return WitnessReport(alpha=alpha, case_label=label, lhs_value=value, assignment=assignment)
 
 
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+def _best_direction(a: UnitVector3, b: UnitVector3, evaluate: Callable[..., tuple]) -> tuple:
+    """``(*evaluate(alpha), alpha)`` with the largest first item, over alpha
+    along a - b, b - a and a + b; ties go to the first in that order.
 
-
-def _golden_max(f: Callable[[float], float], lo: float, hi: float, iters: int) -> float:
-    """Golden-section maximizer; ties shrink toward the left (first) peak."""
-    c = hi - _INV_PHI * (hi - lo)
-    d = lo + _INV_PHI * (hi - lo)
-    fc, fd = f(c), f(d)
-    for _ in range(iters):
-        if fc >= fd:
-            hi, d, fd = d, c, fc
-            c = hi - _INV_PHI * (hi - lo)
-            fc = f(c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + _INV_PHI * (hi - lo)
-            fd = f(d)
-    return 0.5 * (lo + hi)
-
-
-def _plane_frame(a: UnitVector3, b: UnitVector3) -> tuple[np.ndarray, np.ndarray, float]:
-    """Orthonormal frame (a, e) of the plane spanned by the axes."""
-    d = _check_distinct(a, b)
-    e = b.as_array() - d * a.as_array()
-    e /= np.linalg.norm(e)
-    return a.as_array(), e, d
-
-
-# The in-plane search: a grid of angles 0.1 degrees apart, then 30
-# golden-section steps within one grid step either side of the best grid
-# angle.
-_GRID_STEP = math.radians(0.1)
-_REFINE_ITERS = 30
-
-
-@cache
-def _grid() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The grid angles with their cosines and sines, built on first use.
-
-    They never change, so every search shares this one read-only copy.
+    Every candidate is the larger of two linear forms (+-a +- b).alpha plus a
+    constant, each largest along its own vector, and a + b only enters with
+    a plus sign (``(a + b).alpha - a.b`` in "uxv" and "vux").
     """
-    phi = np.arange(0.0, 2.0 * math.pi, _GRID_STEP)
-    columns = (phi, np.cos(phi), np.sin(phi))
-    for column in columns:
-        column.flags.writeable = False
-    return columns
-
-
-def _maximize_in_plane(
-    a: UnitVector3, b: UnitVector3, candidates: Callable[..., tuple]
-) -> tuple[float, UnitVector3]:
-    """Grid-plus-golden-section maximum of the largest of ``candidates(p, q)``.
-
-    The candidates depend on alpha only through p = a.alpha and q = b.alpha,
-    and over the unit sphere that pair ranges over an ellipse traced by the
-    in-plane angle phi, so a one-dimensional search is exhaustive.  The same
-    ``candidates`` runs on the grid's arrays, reduced with ``np.maximum``,
-    and on the refinement's Python floats, reduced with ``max``, so both do
-    the same IEEE arithmetic on the cosines.
-    """
-    basis_a, basis_e, d = _plane_frame(a, b)
-    s = math.sqrt(max(0.0, 1.0 - d * d))
-
-    grid, grid_cos, grid_sin = _grid()
-    values = reduce(np.maximum, candidates(grid_cos, d * grid_cos + s * grid_sin))
-    k = int(np.argmax(values))  # first maximum on ties
-    grid_phi = float(grid[k])
-
-    def scalar(phi: float) -> float:
-        p = math.cos(phi)
-        return max(candidates(p, d * p + s * math.sin(phi)))
-
-    refined = _golden_max(scalar, grid_phi - _GRID_STEP, grid_phi + _GRID_STEP, _REFINE_ITERS)
-    best_phi = refined if scalar(refined) >= values[k] else grid_phi
-    alpha_arr = math.cos(best_phi) * basis_a + math.sin(best_phi) * basis_e
-    return scalar(best_phi), _unit(alpha_arr / np.linalg.norm(alpha_arr))
+    _check_distinct(a, b)
+    directions = (
+        UnitVector3(a.x - b.x, a.y - b.y, a.z - b.z),
+        UnitVector3(b.x - a.x, b.y - a.y, b.z - a.z),
+        UnitVector3(a.x + b.x, a.y + b.y, a.z + b.z),
+    )
+    return max(((*evaluate(alpha), alpha) for alpha in directions), key=lambda best: best[0])
 
 
 def optimal_witness(a: UnitVector3, b: UnitVector3) -> WitnessReport:
-    """Numerically maximized witness; at least as strong as the closed form."""
-    c = a.dot(b)
-    _, alpha = _maximize_in_plane(a, b, lambda p, q: _candidate_values(p, q, c))
-    value, assignment = malus_lhs_all_assignments(a, b, alpha)
+    """Exactly maximized witness: max(a.b + ||a - b||, ||a + b|| - a.b)."""
+    value, assignment, alpha = _best_direction(
+        a, b, lambda alpha: malus_lhs_all_assignments(a, b, alpha)
+    )
     return WitnessReport(
-        alpha=alpha, case_label=_case_label(c), lhs_value=value, assignment=assignment
+        alpha=alpha, case_label=_case_label(a.dot(b)), lhs_value=value, assignment=assignment
     )
 
 
@@ -290,9 +230,11 @@ def assignment_optimum(
 ) -> tuple[float, UnitVector3]:
     """Maximum of a single slot assignment's candidate over the sphere.
 
-    For "xuv" the optimum has the closed form a.b + ||a - b|| at
-    alpha = (a - b)/||a - b||, which the grid search must reproduce.
+    "xuv" peaks at a.b + ||a - b|| along a - b; "uxv" and "vux" reach the
+    larger of that (along b - a and a - b) and ||a + b|| - a.b (along a + b).
     """
     index = SLOT_ASSIGNMENTS.index(assignment)
     c = a.dot(b)
-    return _maximize_in_plane(a, b, lambda p, q: (_candidate_values(p, q, c)[index],))
+    return _best_direction(
+        a, b, lambda alpha: (_candidate_values(a.dot(alpha), b.dot(alpha), c)[index],)
+    )

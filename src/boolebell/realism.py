@@ -213,11 +213,11 @@ def _orthonormal_to(e1: np.ndarray) -> np.ndarray:
 
 
 def _circle_frame(alpha: UnitVector3, beta: UnitVector3) -> tuple[np.ndarray, np.ndarray]:
-    # Not merged with geometry._plane_frame, which takes its cosine from
-    # UnitVector3.dot: the numpy product e1 @ b here differs from it in the
-    # last bit for 34% of 2e5 random pairs, and the frames for 27%
-    # (e2 by 5.9e-17 at the lhv_circle golden pair), so a merge would move
-    # recorded circle-law lambdas and outputs.
+    # Not merged with geometry.geometric_witness's unit b - (a.b) a, whose
+    # cosine comes from UnitVector3.dot: the numpy product e1 @ b here differs
+    # from it in the last bit for 34% of 2e5 random pairs, and e2 from that
+    # direction for 49% (by 1.1e-16 at the lhv_circle golden pair), so a
+    # merge would move recorded circle-law lambdas and outputs.
     e1 = alpha.as_array()
     d = float(e1 @ beta.as_array())
     if abs(d) >= 1.0 - 1e-9:

@@ -59,11 +59,16 @@ def _below(words: np.ndarray, p: float) -> np.ndarray:
     return words < (max(k, 0) << 11) if k < _ONE else np.ones(words.shape, dtype=bool)
 
 
+def fair_signs(words: np.ndarray) -> SignSequence:
+    """One fair sign per word: +1 where the word is below 2**63."""
+    return SignSequence.from_array(words < 2**63)
+
+
 def random_signs(n: int, rng: RngStream) -> SignSequence:
     """n fair independent signs."""
     if n < 1:
         raise ValueError("need at least one sign")
-    return SignSequence.from_array(rng.words(n) < 2**63)
+    return fair_signs(rng.words(n))
 
 
 def sample_prepared(src: PreparedSource, alpha: UnitVector3, rng: RngStream) -> SignSequence:

@@ -71,6 +71,15 @@ class TestBasicCommands:
             assert float(r["lhs_optimal"]) >= float(r["lhs_geometric"]) - 1e-12
             assert float(r["lhs_geometric"]) > 1.0
 
+    def test_witness_sweep_text_labels_rows_as_the_csv_does(self, capsys):
+        # one decimal printed theta_deg=10.1 twice for steps below 0.1 degree
+        sweep = ["witness", "--sweep", "10:10.2:0.05"]
+        _, text, _ = invoke(capsys, *sweep)
+        _, table, _ = invoke(capsys, *sweep, "--format", "csv")
+        labels = [line.split(",")[0].removeprefix("theta_deg=") for line in text.splitlines()]
+        assert labels == [r["theta_deg"] for r in csv.DictReader(io.StringIO(table))]
+        assert len(set(labels)) == len(labels) == 5
+
     def test_witness_sweep_plot_files(self, capsys, tmp_path):
         prefix = str(tmp_path / "sweep")
         code, _, _ = invoke(
@@ -367,6 +376,16 @@ class TestBadInputExitsTwo:
         code, out, err = invoke(capsys, "certify-ap", "--axis", "[0,0,1]", "--config", str(cfg))
         assert (code, out) == (2, "")
         assert err.startswith("error: expected three numbers, got ")
+
+    def test_vector_with_an_integer_beyond_the_float_range(self, capsys, tmp_path):
+        vector = f"[{10**400},0,0]"  # float() raised a bare OverflowError
+        message = "error: expected numbers within the float range, got {!r}\n"
+        code, out, err = invoke(capsys, "witness", "--a", vector, "--b", "[0,1,0]")
+        assert (code, out, err) == (2, "", message.format(vector))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"a": [0, 1, 0], "b": json.loads(vector), "n": 100}))
+        code, out, err = invoke(capsys, "experiment", "--config", str(cfg))
+        assert (code, out, err) == (2, "", message.format(json.loads(vector)))
 
     @pytest.mark.parametrize("name", sorted(BAD_CONFIG_VALUES))
     @pytest.mark.parametrize(

@@ -75,7 +75,7 @@ for _fmt, _suffix in (("csv", "csv"), ("text", "txt")):
         "--beta", "[-0.2,0.9,0.4]", "--n", LONG_N, "--seed", "19", "--format", _fmt,
     ]
 
-# 599 rows of the closed form against the numerical optimum, 0.5 to 150 degrees
+# 599 rows of the closed form against the exact optimum, 0.5 to 150 degrees
 SWEEP = ["witness", "--sweep", "0.5:150:0.25"]
 for _fmt, _suffix in (("csv", "csv"), ("json", "json"), ("text", "txt")):
     CASES[f"witness_sweep.{_suffix}"] = [*SWEEP, "--format", _fmt]

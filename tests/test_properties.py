@@ -3,6 +3,7 @@ bound; and of the one float step every direction passes through, the
 normalization of ``UnitVector3``."""
 
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -101,10 +102,12 @@ def test_chunked_products_sums_add_up(data):
 
 
 def _plain_unit(x, y, z):
-    """The normalization without rescaling; None where it finds no norm."""
-    norm = math.sqrt(x * x + y * y + z * z)
-    if not math.isfinite(norm) or norm == 0.0:
+    """The normalization without rescaling; None where its squared norm is
+    not a normal double (zero, subnormal and so short of bits, or inf)."""
+    squared = x * x + y * y + z * z
+    if not sys.float_info.min <= squared < math.inf:
         return None
+    norm = math.sqrt(squared)
     return [x / norm, y / norm, z / norm]
 
 
@@ -117,6 +120,8 @@ finite = st.floats(allow_nan=False, allow_infinity=False)
 @example(5e-324, -0.0, 5e-324)
 @example(1.7e308, -1.7e308, 1.7e308)
 @example(1e-170, 1e170, 0.0)
+@example(0.0, 0.0, 1e-160)  # a subnormal squared norm
+@example(0.0, 0.0, 1.5934629744752245e-158)
 def test_unit_vector_of_every_finite_non_zero_triple(x, y, z):
     if x == y == z == 0.0:
         with pytest.raises(ValueError, match="finite non-zero vector"):
