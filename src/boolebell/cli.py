@@ -48,14 +48,17 @@ def _seed(value, from_file: bool = False) -> int:
     return seed
 
 
+def _json(text: str, source: str):
+    """Parse the JSON text of a flag, vector or file; an error names ``source``."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{source} is not valid JSON: {exc}") from exc
+
+
 def _parse_vector(value) -> UnitVector3:
     """A direction from flag text like "[1,0,0]", or a config file's list."""
-    triple = value
-    if isinstance(value, str):
-        try:
-            triple = json.loads(value)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"expected a JSON vector like [1,0,0], got {value!r}") from exc
+    triple = _json(value, f"vector {value!r}") if isinstance(value, str) else value
     if not isinstance(triple, list) or len(triple) != 3:
         raise ValueError(f"expected three components, got {value!r}")
     for c in triple:  # float() would take "1" and True, and bool is an int
@@ -65,6 +68,8 @@ def _parse_vector(value) -> UnitVector3:
         return UnitVector3.from_iterable(triple)
     except OverflowError as exc:  # an integer beyond the float range
         raise ValueError(f"expected numbers within the float range, got {value!r}") from exc
+    except ValueError as exc:  # a zero, infinite or NaN vector
+        raise ValueError(f"expected a finite non-zero vector, got {value!r}") from exc
 
 
 def _parse_sequence(text: str) -> SignSequence:
@@ -356,7 +361,7 @@ _CONFIG_KEYS = ("seed", "n", "sigma_k", "directions", "scenario")
 def _load_config_file(path: str | None, keys: tuple[str, ...] = _CONFIG_KEYS) -> dict:
     if not path:
         return {}
-    data = json.loads(Path(path).read_text())
+    data = _json(Path(path).read_text(), f"config file {path}")
     if not isinstance(data, dict):
         raise ValueError("config file must hold a JSON object")
     unknown = sorted(set(data) - set(keys))
@@ -381,7 +386,7 @@ def _build_config(args, file_cfg: dict, default_scenario: str) -> ExperimentConf
     """The run's config; a flag that is given wins over the file's key."""
     from .experiments import ExperimentConfig
     if args.directions is not None:
-        directions = json.loads(args.directions)
+        directions = _json(args.directions, "--directions")
     else:
         directions = file_cfg.get("directions", [])
     if not isinstance(directions, list):

@@ -16,15 +16,19 @@ direction and reduced to integer products sums, which add up exactly
 across chunks; then it is dropped.  Memory therefore stays at a few chunks
 whatever n is, and the results are the ones a whole-block run would give,
 bit for bit, for any chunk size that is a multiple of 4.
+
+The config and result records turn into dicts by one rule,
+:meth:`_Record.to_dict`, which writes each dataclass field under its name,
+so a field reaches the JSON output when it is declared.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Callable, Iterator
 
-from .geometry import UnitVector3, clamp_unit_dot, geometric_witness
+from .geometry import UnitVector3, clamp_unit_dot, cosine_targets, geometric_witness
 from .realism import (
     LhvModel,
     choose_direction,
@@ -79,8 +83,31 @@ def _chunks(n: int) -> Iterator[tuple[int, int]]:
         yield start, min(_CHUNK, n - start)
 
 
+def _plain(value):
+    """A record field as JSON holds it: records as dicts, tuples and
+    directions as lists."""
+    if isinstance(value, _Record):
+        return value.to_dict()
+    if isinstance(value, tuple):
+        return [_plain(item) for item in value]
+    if isinstance(value, UnitVector3):
+        return value.as_list()
+    return value
+
+
+class _Record:
+    """A dataclass whose ``to_dict`` writes every field under its name,
+    ``passed`` under "pass"."""
+
+    def to_dict(self) -> dict:
+        return {
+            "pass" if f.name == "passed" else f.name: _plain(getattr(self, f.name))
+            for f in fields(self)
+        }
+
+
 @dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(_Record):
     """Run parameters; equality of configs means statistical identity."""
 
     seed: int
@@ -98,18 +125,9 @@ class ExperimentConfig:
             raise ValueError("sigma_k below 2 would fail sound sources routinely")
         object.__setattr__(self, "directions", tuple(self.directions))
 
-    def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "n": self.n,
-            "sigma_k": self.sigma_k,
-            "directions": [d.as_list() for d in self.directions],
-            "scenario": self.scenario,
-        }
-
 
 @dataclass(frozen=True)
-class ApRow:
+class ApRow(_Record):
     """One direction's verdict inside a certificate."""
 
     direction: UnitVector3
@@ -122,18 +140,9 @@ class ApRow:
     def gap(self) -> float:
         return abs(self.estimate - self.target)
 
-    def to_dict(self) -> dict:
-        return {
-            "direction": self.direction.as_list(),
-            "target": self.target,
-            "estimate": self.estimate,
-            "stderr": self.stderr,
-            "pass": self.passed,
-        }
-
 
 @dataclass(frozen=True)
-class ApCertificate:
+class ApCertificate(_Record):
     """Per-direction comparison of <u, x(alpha)> against a.alpha."""
 
     axis_claimed: UnitVector3
@@ -145,18 +154,9 @@ class ApCertificate:
     def failing_rows(self) -> tuple[ApRow, ...]:
         return tuple(row for row in self.rows if not row.passed)
 
-    def to_dict(self) -> dict:
-        return {
-            "axis_claimed": self.axis_claimed.as_list(),
-            "n": self.n,
-            "sigma_k": self.sigma_k,
-            "rows": [row.to_dict() for row in self.rows],
-            "pass": self.passed,
-        }
-
 
 @dataclass(frozen=True)
-class InequalityReport:
+class InequalityReport(_Record):
     """Target vs empirical left-hand side at the witness direction.
 
     ``gaps`` are the three |estimate - target| correlation gaps of the
@@ -172,20 +172,9 @@ class InequalityReport:
     gaps: tuple[float, float, float]
     verdict: str
 
-    def to_dict(self) -> dict:
-        return {
-            "alpha": self.alpha.as_list(),
-            "case_label": self.case_label,
-            "assignment": self.assignment,
-            "target_lhs": self.target_lhs,
-            "empirical_lhs": self.empirical_lhs,
-            "gaps": list(self.gaps),
-            "verdict": self.verdict,
-        }
-
 
 @dataclass(frozen=True)
-class TriangleLeg:
+class TriangleLeg(_Record):
     """One correlation of the witness triple, with its gap to the target."""
 
     label: str
@@ -198,17 +187,11 @@ class TriangleLeg:
         return abs(self.estimate - self.target)
 
     def to_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "target": self.target,
-            "estimate": self.estimate,
-            "stderr": self.stderr,
-            "gap": self.gap,
-        }
+        return dict(super().to_dict(), gap=self.gap)
 
 
 @dataclass(frozen=True)
-class NoApBpResult:
+class NoApBpResult(_Record):
     """Everything the two-axis experiment produced."""
 
     certificate_u: ApCertificate
@@ -219,18 +202,6 @@ class NoApBpResult:
     margin_floor: float
     margin_ok: bool
     contradiction_closed: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "certificate_u": self.certificate_u.to_dict(),
-            "certificate_v": self.certificate_v.to_dict(),
-            "inequality": self.inequality.to_dict(),
-            "triangle": [leg.to_dict() for leg in self.triangle],
-            "failing_margin": self.failing_margin,
-            "margin_floor": self.margin_floor,
-            "margin_ok": self.margin_ok,
-            "contradiction_closed": self.contradiction_closed,
-        }
 
 
 # With stderr 0 the estimate is exactly +-1, and an own-axis target
@@ -360,11 +331,7 @@ def no_apbp_experiment(
     def pair_sum(p: str, q: str) -> int:
         return sums["".join(sorted(p + q))]
 
-    targets = {
-        "ux": clamp_unit_dot(a.dot(witness.alpha)),
-        "vx": clamp_unit_dot(b.dot(witness.alpha)),
-        "uv": clamp_unit_dot(a.dot(b)),
-    }
+    targets = dict(zip(("ux", "vx", "uv"), cosine_targets(a, b, witness.alpha)))
     estimates = {pair: CorrelationEstimate.from_sum(total, cfg.n) for pair, total in sums.items()}
     triangle = tuple(
         TriangleLeg(label=pair, target=targets[pair], estimate=est.value, stderr=est.stderr)
@@ -450,17 +417,6 @@ class FeasibilityResult:
     epsilon: float
     n: int
 
-    def to_dict(self) -> dict:
-        return {
-            "feasible": self.feasible,
-            "witness": None
-            if self.witness is None
-            else [s.to_text() for s in self.witness],
-            "targets": list(self.targets),
-            "epsilon": self.epsilon,
-            "n": self.n,
-        }
-
 
 def feasibility_bruteforce(
     a: UnitVector3,
@@ -480,11 +436,7 @@ def feasibility_bruteforce(
         raise EmptySequence("sequence length must be positive")
     if n > FEASIBILITY_MAX_LENGTH:
         raise LengthTooLarge(f"length {n} exceeds cap {FEASIBILITY_MAX_LENGTH}")
-    targets = (
-        clamp_unit_dot(a.dot(alpha)),
-        clamp_unit_dot(b.dot(alpha)),
-        clamp_unit_dot(a.dot(b)),
-    )
+    targets = cosine_targets(a, b, alpha)
     t_ux, t_vx, t_uv = targets
     size = 1 << n
     corr = [[(n - 2 * (p ^ q).bit_count()) / n for q in range(size)] for p in range(size)]

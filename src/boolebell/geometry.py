@@ -116,6 +116,14 @@ class UnitVector3:
         return UnitVector3(-self.x, -self.y, -self.z)
 
 
+def cosine_targets(
+    a: UnitVector3, b: UnitVector3, alpha: UnitVector3
+) -> tuple[float, float, float]:
+    """The cosine targets (a.alpha, b.alpha, a.b) of the correlations <u,x>,
+    <v,x> and <u,v>, each clamped by :func:`clamp_unit_dot`."""
+    return clamp_unit_dot(a.dot(alpha)), clamp_unit_dot(b.dot(alpha)), clamp_unit_dot(a.dot(b))
+
+
 def angle_between(a: UnitVector3, b: UnitVector3) -> float:
     """Angle in [0, pi]; the cosine is clamped against |dot| = 1 + eps."""
     return math.acos(clamp_unit_dot(a.dot(b)))
@@ -135,9 +143,7 @@ def malus_lhs_all_assignments(
     Returns (max_value, assignment); ties go to the first assignment in
     :data:`SLOT_ASSIGNMENTS` order.
     """
-    values = _candidate_values(
-        clamp_unit_dot(a.dot(alpha)), clamp_unit_dot(b.dot(alpha)), clamp_unit_dot(a.dot(b))
-    )
+    values = _candidate_values(*cosine_targets(a, b, alpha))
     best = max(range(3), key=lambda i: (values[i], -i))
     return values[best], SLOT_ASSIGNMENTS[best]
 

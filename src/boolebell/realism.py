@@ -263,10 +263,6 @@ class LhvModel:
         if self.name not in MODEL_NAMES:
             raise ValueError(f"unknown model {self.name!r}; choose from {MODEL_NAMES}")
 
-    @property
-    def hidden_variable_law(self) -> str:
-        return "great-circle" if self.name == "sign-circle" else "uniform-sphere"
-
     def draw_lambdas(self, alpha: UnitVector3, beta: UnitVector3, n: int, rng: RngStream,
                      block: int | None = None) -> HiddenDraws:
         if self.name == "sign-circle":
@@ -356,10 +352,6 @@ class CommitmentToken:
         self.u = u
         self.alpha: UnitVector3 | None = None
         self._state = _COMMITTED
-
-    @property
-    def state(self) -> str:
-        return self._state
 
 
 def commit(u: SignSequence) -> CommitmentToken:

@@ -104,17 +104,6 @@ class SignSequence:
         packed = np.packbits(arr, bitorder="little").tobytes()
         return cls(arr.size, int.from_bytes(packed, "little"))
 
-    @classmethod
-    def from_bytes(cls, blob: bytes) -> "SignSequence":
-        """Inverse of :meth:`to_bytes`."""
-        if len(blob) < 8:
-            raise ValueError("truncated sign-sequence blob")
-        n = int.from_bytes(blob[:8], "little")
-        words = -(-n // 64)
-        if len(blob) != 8 + 8 * words:
-            raise ValueError("sign-sequence blob has wrong payload size")
-        return cls(n, int.from_bytes(blob[8:], "little"))
-
     # -- views ----------------------------------------------------------
 
     def to_text(self) -> str:
@@ -128,11 +117,6 @@ class SignSequence:
         raw = np.frombuffer(self.bits.to_bytes(nbytes, "little"), dtype=np.uint8)
         ones = np.unpackbits(raw, count=self.length, bitorder="little")
         return (ones.astype(np.int8) * 2) - 1
-
-    def to_bytes(self) -> bytes:
-        """Serialize: 8-byte little-endian length, then packed 64-bit words."""
-        words = -(-self.length // 64)
-        return self.length.to_bytes(8, "little") + self.bits.to_bytes(8 * words, "little")
 
     def __len__(self) -> int:
         return self.length

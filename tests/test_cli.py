@@ -377,15 +377,51 @@ class TestBadInputExitsTwo:
         assert (code, out) == (2, "")
         assert err.startswith("error: expected three numbers, got ")
 
-    def test_vector_with_an_integer_beyond_the_float_range(self, capsys, tmp_path):
-        vector = f"[{10**400},0,0]"  # float() raised a bare OverflowError
-        message = "error: expected numbers within the float range, got {!r}\n"
+    @pytest.mark.parametrize(
+        "vector, message",
+        [
+            # float() raised a bare OverflowError
+            (f"[{10**400},0,0]", "expected numbers within the float range"),
+            # UnitVector3's message named neither the flag nor the vector
+            ("[0,0,0]", "expected a finite non-zero vector"),
+            ("[1e400,0,0]", "expected a finite non-zero vector"),
+            ("[NaN,0,0]", "expected a finite non-zero vector"),
+        ],
+        ids=["huge-integer", "zero", "infinite", "nan"],
+    )
+    def test_vector_that_is_not_a_finite_non_zero_triple(self, capsys, tmp_path, vector, message):
+        message = f"error: {message}, got {{!r}}\n"
         code, out, err = invoke(capsys, "witness", "--a", vector, "--b", "[0,1,0]")
         assert (code, out, err) == (2, "", message.format(vector))
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"a": [0, 1, 0], "b": json.loads(vector), "n": 100}))
         code, out, err = invoke(capsys, "experiment", "--config", str(cfg))
         assert (code, out, err) == (2, "", message.format(json.loads(vector)))
+
+    @pytest.mark.parametrize(
+        "argv, source, detail",
+        [
+            (["certify-ap", "--axis", "[0,0,1]", "--directions", "[[1,0,0]"], "--directions",
+             "Expecting ',' delimiter: line 1 column 9 (char 8)"),
+            (["witness", "--a", "[1,0", "--b", "[0,1,0]"], "vector '[1,0'",
+             "Expecting ',' delimiter: line 1 column 5 (char 4)"),
+        ],
+        ids=["directions", "vector"],
+    )
+    def test_invalid_json_flag_names_the_flag_or_vector(self, capsys, argv, source, detail):
+        code, out, err = invoke(capsys, *argv)
+        assert (code, out, err) == (2, "", f"error: {source} is not valid JSON: {detail}\n")
+
+    @pytest.mark.parametrize("command", ["certify-ap", "experiment"])
+    def test_invalid_json_config_file_names_the_file(self, capsys, tmp_path, command):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"n": 100,')  # truncated
+        code, out, err = invoke(capsys, *SEEDED_COMMANDS[command], "--config", str(cfg))
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: config file {cfg} is not valid JSON: "
+            "Expecting property name enclosed in double quotes: line 1 column 11 (char 10)\n"
+        )
 
     @pytest.mark.parametrize("name", sorted(BAD_CONFIG_VALUES))
     @pytest.mark.parametrize(

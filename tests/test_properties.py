@@ -59,11 +59,6 @@ def test_array_round_trip(seq):
     assert SignSequence.from_array(arr > 0) == seq
 
 
-@given(sequences())
-def test_bytes_round_trip(seq):
-    assert SignSequence.from_bytes(seq.to_bytes()) == seq
-
-
 @given(st.data())
 def test_slices_concatenate_back(data):
     seq = data.draw(sequences())

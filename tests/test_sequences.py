@@ -72,23 +72,6 @@ class TestSignSequence:
         with pytest.raises(ValueError):
             SignSequence.from_array(np.array([1, 2, -1]))
 
-    def test_bytes_round_trip(self):
-        for n in (1, 7, 63, 64, 65, 257):
-            s = random_sequence(n)
-            assert SignSequence.from_bytes(s.to_bytes()) == s
-
-    def test_bytes_layout_is_length_prefixed_words(self):
-        s = SignSequence.from_text("+" * 65)
-        blob = s.to_bytes()
-        assert len(blob) == 8 + 16  # two 64-bit payload words
-        assert int.from_bytes(blob[:8], "little") == 65
-
-    def test_from_bytes_rejects_bad_sizes(self):
-        with pytest.raises(ValueError):
-            SignSequence.from_bytes(b"\x01\x00\x00")
-        with pytest.raises(ValueError):
-            SignSequence.from_bytes((1).to_bytes(8, "little") + b"\x00" * 7)
-
     def test_stray_high_bits_are_cleared(self):
         assert SignSequence(3, 0b11111) == SignSequence(3, 0b111)
 
