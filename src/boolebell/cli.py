@@ -72,10 +72,18 @@ def _parse_vector(value) -> UnitVector3:
         raise ValueError(f"expected a finite non-zero vector, got {value!r}") from exc
 
 
-def _parse_sequence(text: str) -> SignSequence:
+def _read_text(path: str, flag: str) -> str:
+    """A UTF-8 input file's text; an error names the flag and the file."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValueError(f"cannot read {flag} file {path}: {exc}") from exc
+
+
+def _parse_sequence(text: str, flag: str) -> SignSequence:
     from .sequences import SignSequence
     if text.startswith("@"):
-        text = Path(text[1:]).read_text()
+        text = _read_text(text[1:], flag)
     return SignSequence.from_text(text)
 
 
@@ -173,7 +181,7 @@ def _render(report: Report, fmt: str, out: str | None) -> None:
 
 def _cmd_correlate(args) -> Report:
     from .sequences import correlation
-    f, g = _parse_sequence(args.f), _parse_sequence(args.g)
+    f, g = _parse_sequence(args.f, "--f"), _parse_sequence(args.g, "--g")
     est = correlation(f, g)
     return Report(
         "correlate", args.seed, {"f": f.to_text(), "g": g.to_text()},
@@ -183,7 +191,7 @@ def _cmd_correlate(args) -> Report:
 
 def _cmd_check_boole(args) -> Report:
     from .sequences import boole_bell_lhs
-    f, g, h = (_parse_sequence(s) for s in (args.f, args.g, args.h))
+    f, g, h = (_parse_sequence(getattr(args, n), f"--{n}") for n in "fgh")
     lhs = boole_bell_lhs(f, g, h)
     verdict = "PASS" if lhs <= 1.0 else "FAIL"
     return Report(
@@ -259,14 +267,21 @@ def _witness_sweep(args) -> Report:
 
 def _cmd_witness(args) -> Report:
     if args.sweep:
+        for name in ("a", "b", "optimal", "orthogonal_to"):
+            if getattr(args, name) not in (None, False):
+                raise ValueError(f"--sweep cannot be combined with --{name.replace('_', '-')}")
         return _witness_sweep(args)
+    if args.plot:
+        raise ValueError("--plot needs --sweep")
+    if args.optimal and args.orthogonal_to:
+        raise ValueError("--orthogonal-to cannot be combined with --optimal")
     if args.a is None or args.b is None:
         raise ValueError("witness needs --a and --b (or --sweep)")
     a, b = _parse_vector(args.a), _parse_vector(args.b)
     if args.optimal:
         witness = optimal_witness(a, b)
     else:
-        witness = geometric_witness(a, b, orthogonal_to=args.orthogonal_to)
+        witness = geometric_witness(a, b, orthogonal_to=args.orthogonal_to or "a")
     fields = {
         "theta_deg": math.degrees(angle_between(a, b)),
         "case": witness.case_label,
@@ -355,13 +370,13 @@ def _cmd_lhv(args) -> Report:
 
 
 # the config-file keys `certify-ap` reads; `experiment` also reads a, b, model
-_CONFIG_KEYS = ("seed", "n", "sigma_k", "directions", "scenario")
+_CONFIG_KEYS = ("seed", "n", "sigma_k", "directions")
 
 
 def _load_config_file(path: str | None, keys: tuple[str, ...] = _CONFIG_KEYS) -> dict:
     if not path:
         return {}
-    data = _json(Path(path).read_text(), f"config file {path}")
+    data = _json(_read_text(path, "--config"), f"config file {path}")
     if not isinstance(data, dict):
         raise ValueError("config file must hold a JSON object")
     unknown = sorted(set(data) - set(keys))
@@ -382,7 +397,7 @@ def _config_value(file_cfg: dict, key: str, default, *kinds: type):
     return value
 
 
-def _build_config(args, file_cfg: dict, default_scenario: str) -> ExperimentConfig:
+def _build_config(args, file_cfg: dict) -> ExperimentConfig:
     """The run's config; a flag that is given wins over the file's key."""
     from .experiments import ExperimentConfig
     if args.directions is not None:
@@ -398,7 +413,6 @@ def _build_config(args, file_cfg: dict, default_scenario: str) -> ExperimentConf
         if args.sigma_k is not None
         else float(_config_value(file_cfg, "sigma_k", 4.0, int, float)),
         directions=tuple(map(_parse_vector, directions)),
-        scenario=_config_value(file_cfg, "scenario", default_scenario, str),
     )
 
 
@@ -422,7 +436,8 @@ def _cmd_certify_ap(args) -> Report:
     file_cfg = _load_config_file(args.config)
     if (args.axis is None) == (args.singlet_beta is None):
         raise ValueError("choose exactly one of --axis (prepared) or --singlet-beta")
-    cfg = _build_config(args, file_cfg, "prepared-ap" if args.axis else "singlet-ap")
+    mode = "prepared-ap" if args.axis else "singlet-ap"
+    cfg = _build_config(args, file_cfg)
     if not cfg.directions:
         raise ValueError("no certification directions given (flag or config file)")
     if args.axis:
@@ -436,7 +451,7 @@ def _cmd_certify_ap(args) -> Report:
     ]
     lines.append(f"verdict={'PASS' if cert.passed else 'FAIL'}")
     return Report(
-        "certify-ap", cfg.seed, dict(cfg.to_dict(), mode=cfg.scenario),
+        "certify-ap", cfg.seed, dict(cfg.to_dict(), scenario=mode, mode=mode),
         {"certificate": cert.to_dict()},
         table=(_REPORT_FIELDS, _certificate_rows(cert, "u")), lines=lines,
         code=0 if cert.passed else 1,
@@ -453,13 +468,13 @@ def _cmd_experiment(args) -> Report:
         raise ValueError("experiment needs --a and --b (flags or config file)")
     a, b = _parse_vector(a_value), _parse_vector(b_value)
     model_name = args.model if args.model is not None else file_cfg.get("model", "sign-circle")
-    cfg = _build_config(args, file_cfg, "no-apbp")
+    cfg = _build_config(args, file_cfg)
     result = no_apbp_experiment(a, b, make_lhv_model(model_name), cfg)
 
     inequality = result.inequality
     cert_u, cert_v = result.certificate_u, result.certificate_v
     summary = {
-        "scenario": cfg.scenario,
+        "scenario": "no-apbp",
         "model": model_name,
         "a": a,
         "b": b,
@@ -492,7 +507,7 @@ def _cmd_experiment(args) -> Report:
         f"contradiction_closed={_yes_no(result.contradiction_closed)}",
     ]
     report = Report(
-        "experiment", cfg.seed, dict(cfg.to_dict(), a=a, b=b, model=model_name),
+        "experiment", cfg.seed, dict(cfg.to_dict(), scenario="no-apbp", a=a, b=b, model=model_name),
         dict(summary, detail=result.to_dict()),
         table=(_REPORT_FIELDS, rows), lines=lines,
         code=0 if (cert_u.passed and cert_v.passed) else 1,
@@ -536,7 +551,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", help="first axis as JSON vector")
     p.add_argument("--b", help="second axis as JSON vector")
     p.add_argument("--optimal", action="store_true", help="exactly maximized witness")
-    p.add_argument("--orthogonal-to", choices=("a", "b"), default="a")
+    p.add_argument("--orthogonal-to", choices=("a", "b"))  # None reads as "a"
     p.add_argument("--sweep", help="angle sweep START:STOP:STEP in degrees")
     p.add_argument("--plot", help="prefix for two-column plot data files")
 

@@ -114,7 +114,6 @@ class ExperimentConfig(_Record):
     n: int
     sigma_k: float = 4.0
     directions: tuple[UnitVector3, ...] = ()
-    scenario: str = ""
 
     def __post_init__(self) -> None:
         if self.n < 100:

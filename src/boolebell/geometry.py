@@ -171,8 +171,11 @@ def _check_distinct(a: UnitVector3, b: UnitVector3) -> float:
     return d
 
 
-def _unit(arr: np.ndarray) -> UnitVector3:
-    return UnitVector3(float(arr[0]), float(arr[1]), float(arr[2]))
+def perpendicular(a: UnitVector3, b: UnitVector3) -> UnitVector3:
+    """Unit b - (a.b) a: in the plane of a and b, at a right angle to a, on
+    b's side.  Plain float arithmetic, so the bits do not depend on the CPU."""
+    d = a.dot(b)
+    return UnitVector3(b.x - d * a.x, b.y - d * a.y, b.z - d * a.z)
 
 
 def geometric_witness(
@@ -194,12 +197,9 @@ def geometric_witness(
         raise ValueError("orthogonal_to must be 'a' or 'b'")
     label = _case_label(d)
     if label == "right":
-        raw = a.as_array() + b.as_array()
-    elif orthogonal_to == "a":
-        raw = b.as_array() - d * a.as_array()
+        alpha = UnitVector3(a.x + b.x, a.y + b.y, a.z + b.z)
     else:
-        raw = a.as_array() - d * b.as_array()
-    alpha = _unit(raw / np.linalg.norm(raw))
+        alpha = perpendicular(a, b) if orthogonal_to == "a" else perpendicular(b, a)
     value, assignment = malus_lhs_all_assignments(a, b, alpha)
     return WitnessReport(alpha=alpha, case_label=label, lhs_value=value, assignment=assignment)
 

@@ -16,7 +16,8 @@ the sign of a float32 projection and recomputes with the exact float64
 coordinates only the answers within ``_TAU`` of the boundary, so it gives
 the bytes of the exact law with almost no float64 trig.  The n x 3
 lambdas are built, exactly, only on request (:func:`sample_lhv`,
-``lhv --dump-lambdas``).
+``lhv --dump-lambdas``).  The plane frame is plain floats and the array
+work elementwise, so no byte depends on the CPU's BLAS kernel.
 
 A block can also be drawn one chunk of pairs at a time: ``draw_lambdas``
 called with the block's stream moved to the chunk's first pair
@@ -38,7 +39,7 @@ from typing import Callable
 import numpy as np
 
 from . import MODEL_NAMES  # defined in the package, where the CLI parser reads it
-from .geometry import UnitVector3
+from .geometry import UnitVector3, perpendicular
 from .rng import RngStream
 from .sequences import SignSequence
 
@@ -77,7 +78,7 @@ class _CircleDraws:
 
     __slots__ = ("t", "e1", "e2")
 
-    def __init__(self, t: np.ndarray, e1: np.ndarray, e2: np.ndarray):
+    def __init__(self, t: np.ndarray, e1: UnitVector3, e2: UnitVector3):
         self.t = t
         self.e1 = e1
         self.e2 = e2
@@ -86,8 +87,7 @@ class _CircleDraws:
         return len(self.t)
 
     def nonnegative(self, direction: UnitVector3) -> np.ndarray:
-        d = direction.as_array()
-        p, q = float(self.e1 @ d), float(self.e2 @ d)
+        p, q = self.e1.dot(direction), self.e2.dot(direction)
         if p == 0.0 and q == 0.0:
             # d is normal to the plane: d . lambda = 0 and sign(0) := +1
             return np.ones(len(self.t), dtype=bool)
@@ -99,7 +99,8 @@ class _CircleDraws:
 
     def lambdas(self) -> np.ndarray:
         psi = 2.0 * math.pi * self.t
-        return np.cos(psi)[:, None] * self.e1 + np.sin(psi)[:, None] * self.e2
+        e1, e2 = self.e1.as_array(), self.e2.as_array()
+        return np.cos(psi)[:, None] * e1 + np.sin(psi)[:, None] * e2
 
 
 def _dot(x: np.ndarray, y: np.ndarray, z: np.ndarray, direction: UnitVector3) -> np.ndarray:
@@ -204,29 +205,15 @@ def _sign_response(hidden: HiddenDraws, direction: UnitVector3) -> np.ndarray:
     return hidden.nonnegative(direction)
 
 
-def _orthonormal_to(e1: np.ndarray) -> np.ndarray:
-    # deterministic perpendicular: Gram-Schmidt against the least-aligned axis
-    pivot = np.zeros(3)
-    pivot[int(np.argmin(np.abs(e1)))] = 1.0
-    e2 = pivot - (pivot @ e1) * e1
-    return e2 / np.linalg.norm(e2)
+def _circle_frame(alpha: UnitVector3, beta: UnitVector3) -> tuple[UnitVector3, UnitVector3]:
+    # colinear axes: beta becomes the coordinate axis least aligned with alpha
+    if abs(alpha.dot(beta)) >= 1.0 - 1e-9:
+        pivot = min(range(3), key=lambda i: abs(alpha.as_list()[i]))
+        beta = UnitVector3(*(float(i == pivot) for i in range(3)))
+    return alpha, perpendicular(alpha, beta)
 
 
-def _circle_frame(alpha: UnitVector3, beta: UnitVector3) -> tuple[np.ndarray, np.ndarray]:
-    # Not merged with geometry.geometric_witness's unit b - (a.b) a, whose
-    # cosine comes from UnitVector3.dot: the numpy product e1 @ b here differs
-    # from it in the last bit for 34% of 2e5 random pairs, and e2 from that
-    # direction for 49% (by 1.1e-16 at the lhv_circle golden pair), so a
-    # merge would move recorded circle-law lambdas and outputs.
-    e1 = alpha.as_array()
-    d = float(e1 @ beta.as_array())
-    if abs(d) >= 1.0 - 1e-9:
-        return e1, _orthonormal_to(e1)
-    e2 = beta.as_array() - d * e1
-    return e1, e2 / np.linalg.norm(e2)
-
-
-def _circle_points(frame: tuple[np.ndarray, np.ndarray], n: int, rng: RngStream) -> _CircleDraws:
+def _circle_points(frame: tuple[UnitVector3, UnitVector3], n: int, rng: RngStream) -> _CircleDraws:
     return _CircleDraws(rng.uniforms(n), frame[0], frame[1])
 
 

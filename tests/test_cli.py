@@ -270,7 +270,7 @@ class TestCertifyAndExperiment:
         doc = json.loads(out)
         assert doc["seed"] == 99
 
-    @pytest.mark.parametrize("key", ["sigmak", "threads"])
+    @pytest.mark.parametrize("key", ["sigmak", "threads", "scenario"])
     @pytest.mark.parametrize("command", ["certify-ap", "experiment"])
     def test_config_file_unknown_key_exits_two(self, capsys, tmp_path, command, key):
         # a misspelt key used to run silently on the default instead
@@ -285,7 +285,7 @@ class TestCertifyAndExperiment:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
             "seed": 7, "n": 3000, "sigma_k": 5.0, "directions": [[0, 0, 1]],
-            "scenario": "no-apbp", "a": [1, 0, 0], "b": [0, 1, 0], "model": "sign-sphere",
+            "a": [1, 0, 0], "b": [0, 1, 0], "model": "sign-sphere",
         }))
         code, out, _ = invoke(capsys, "experiment", "--config", str(cfg), "--format", "json")
         assert code in (0, 1)
@@ -436,6 +436,68 @@ class TestBadInputExitsTwo:
         code, out, err = invoke(capsys, *argv, "--config", str(cfg))
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["witness", "--sweep", "1:2"], "--sweep expects START:STOP:STEP in degrees"),
+            (["witness", "--sweep", "1:2:0"], "--sweep step must be positive"),
+            (["witness", "--a", "[1,0,0]"], "witness needs --a and --b (or --sweep)"),
+            (["certify-ap", "--axis", "[0,0,1]"],
+             "no certification directions given (flag or config file)"),
+            (["experiment", "--a", "[1,0,0]"],
+             "experiment needs --a and --b (flags or config file)"),
+            # flags the command would ignore
+            (["witness", "--sweep", "10:11:0.5", "--a", "[0,0,1]", "--optimal"],
+             "--sweep cannot be combined with --a"),
+            (["witness", "--sweep", "10:11:0.5", "--b", "[0,0,1]"],
+             "--sweep cannot be combined with --b"),
+            (["witness", "--sweep", "10:11:0.5", "--optimal"],
+             "--sweep cannot be combined with --optimal"),
+            (["witness", "--sweep", "10:11:0.5", "--orthogonal-to", "a"],
+             "--sweep cannot be combined with --orthogonal-to"),
+            (["witness", "--a", "[1,0,0]", "--b", "[0,1,0]", "--plot", "P"],
+             "--plot needs --sweep"),
+            (["witness", "--a", "[1,0,0]", "--b", "[0,1,0]", "--optimal", "--orthogonal-to", "b"],
+             "--orthogonal-to cannot be combined with --optimal"),
+        ],
+        ids=["sweep-two-parts", "sweep-zero-step", "witness-one-axis", "certify-no-directions",
+             "experiment-one-axis", "sweep-with-a", "sweep-with-b", "sweep-with-optimal",
+             "sweep-with-orthogonal-to", "plot-without-sweep", "optimal-with-orthogonal-to"],
+    )
+    def test_bad_flags_name_what_is_wrong(self, capsys, tmp_path, monkeypatch, argv, message):
+        monkeypatch.chdir(tmp_path)  # a --plot that is refused must write nothing
+        code, out, err = invoke(capsys, *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "argv, content, message",
+        [
+            (["certify-ap", "--axis", "[0,0,1]", "--config", "{path}"], b"[1,2]",
+             "config file must hold a JSON object"),
+            (["experiment", "--config", "{path}"], b"\xff\xfe{}",
+             "cannot read --config file {path}: 'utf-8' codec can't decode byte 0xff "
+             "in position 0: invalid start byte"),
+            (["certify-ap", "--axis", "[0,0,1]", "--config", "{path}"], None,
+             "cannot read --config file {path}: [Errno 2] No such file or directory: '{path}'"),
+            (["correlate", "--f", "@{path}", "--g", "++"], None,
+             "cannot read --f file {path}: [Errno 2] No such file or directory: '{path}'"),
+            (["check-boole", "--f", "+-", "--g", "++", "--h", "@{path}"], b"+\xff",
+             "cannot read --h file {path}: 'utf-8' codec can't decode byte 0xff "
+             "in position 1: invalid start byte"),
+        ],
+        ids=["config-not-an-object", "config-not-utf8", "config-missing", "sequence-missing",
+             "sequence-not-utf8"],
+    )
+    def test_input_file_errors_name_the_flag_and_file(
+        self, capsys, tmp_path, argv, content, message
+    ):
+        path = tmp_path / "input"
+        if content is not None:
+            path.write_bytes(content)
+        code, out, err = invoke(capsys, *(arg.format(path=path) for arg in argv))
+        assert (code, out, err) == (2, "", f"error: {message.format(path=path)}\n")
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     @pytest.mark.parametrize("command", ["certify-ap", "experiment"])

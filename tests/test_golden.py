@@ -10,10 +10,16 @@ meant to change, and say which bytes changed and why:
 """
 
 import argparse
+import os
+import platform
+import subprocess
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import boolebell
 from boolebell.cli import FORMATS, build_parser, run
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -150,8 +156,9 @@ SIDE_FILES["experiment_circle_k2.txt"] = (
 )
 
 
-def produce(name: str, outdir: Path) -> tuple[int, list[str]]:
-    """Run one case with its files written under ``outdir``."""
+def case_argv(name: str, outdir: Path) -> tuple[list[str], list[str]]:
+    """One case's arguments with its files written under ``outdir``, and
+    the names of those files."""
     files = [name]
     argv = CASES[name] + ["--out", str(outdir / name)]
     if name in SIDE_FILES:
@@ -159,15 +166,61 @@ def produce(name: str, outdir: Path) -> tuple[int, list[str]]:
         for flag, target in flags:
             argv += [flag, str(outdir / target)]
         files += written
+    return argv, files
+
+
+def produce(name: str, outdir: Path) -> tuple[int, list[str]]:
+    """Run one case with its files written under ``outdir``."""
+    argv, files = case_argv(name, outdir)
     return run(argv), files
+
+
+def _expected_code(name: str) -> int:
+    return 1 if name.startswith("experiment") else 0
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_output_matches_golden(name, tmp_path):
     code, files = produce(name, tmp_path)
-    assert code == (1 if name.startswith("experiment") else 0)
+    assert code == _expected_code(name)
     for file in files:
         assert (tmp_path / file).read_bytes() == (GOLDEN / file).read_bytes(), file
+
+
+def _numpy_on_openblas() -> bool:
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    except (TypeError, KeyError):  # a numpy that only prints its config
+        return False
+    return "openblas" in blas.lower()
+
+
+# Cases whose bytes once moved with the OpenBLAS kernel, when numpy's dot and
+# norm built the plane frame.  Prescott and Nehalem use no AVX, so they run on
+# any x86-64 CPU made since about 2008; a newer kernel (Haswell, SkylakeX,
+# Zen) can die of SIGILL on a CPU without its instructions, so it is not
+# forced here.
+KERNEL_CASES = ("lhv_circle.json", "experiment_circle_dusty_axes.csv",
+                "experiment_sphere_edges.json")
+
+
+@pytest.mark.skipif(
+    platform.machine().lower() not in ("x86_64", "amd64") or not _numpy_on_openblas(),
+    reason="needs numpy on OpenBLAS on x86-64",
+)
+@pytest.mark.parametrize("kernel", ("Prescott", "Nehalem"))
+def test_outputs_do_not_depend_on_the_blas_kernel(kernel, tmp_path):
+    src = str(Path(boolebell.__file__).parents[1])
+    env = dict(os.environ, OPENBLAS_CORETYPE=kernel,
+               PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    differ = []
+    for name in KERNEL_CASES:
+        argv, files = case_argv(name, tmp_path)
+        child = subprocess.run([sys.executable, "-m", "boolebell", *argv], env=env,
+                               capture_output=True, text=True)
+        assert child.returncode == _expected_code(name), child.stderr
+        differ += [f for f in files if (tmp_path / f).read_bytes() != (GOLDEN / f).read_bytes()]
+    assert differ == []
 
 
 def _command_and_format(argv: list[str]) -> tuple[str, str]:

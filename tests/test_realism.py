@@ -330,6 +330,21 @@ class TestModelFactory:
         normal = np.cross(alpha.as_array(), beta.as_array())
         assert np.max(np.abs(lam @ (normal / np.linalg.norm(normal)))) <= 1e-12
 
+    @pytest.mark.parametrize(
+        "alpha, axis",
+        [(UnitVector3(1, 1, 1), 0), (UnitVector3(0.2, -0.9, 0.2), 0), (UnitVector3(1, -1, 0), 2)],
+        ids=["three-way-tie", "two-way-tie", "zero-component"],
+    )
+    def test_colinear_circle_frame_turns_toward_the_least_aligned_axis(self, alpha, axis):
+        # on a tie, the first such axis, as np.argmin chose
+        normal = np.cross(alpha.as_array(), np.eye(3)[axis])
+        for beta in (alpha, -alpha):
+            e1, e2 = realism._circle_frame(alpha, beta)
+            assert e1 == alpha
+            assert abs(e1.dot(e2)) <= 1e-15
+            assert abs(float(np.dot(normal, e2.as_array()))) <= 1e-15
+            assert e2.as_list()[axis] > 0
+
 
 class TestCommitmentProtocol:
     def fair_sampler(self, u, alpha):
