@@ -16,13 +16,14 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-# every command parses or renders a direction, so geometry loads here; each
-# handler imports the other layers it calls, so a command loads only those
+# geometry, which needs no numpy, loads here for every command; each handler
+# imports the layers it calls, so only the sampling commands load numpy
 from . import MODEL_NAMES, __version__
 from .geometry import (
     ColinearAxes, UnitVector3, angle_between, clamp_unit_dot, geometric_witness, optimal_witness,
@@ -87,10 +88,26 @@ def _parse_sequence(text: str, flag: str) -> SignSequence:
     return SignSequence.from_text(text)
 
 
-def _write(path: str | None, text: str) -> None:
-    """Write a side file (a dump or plot data) if its flag was given."""
-    if path:
-        Path(path).write_text(text)
+def _dumps(*given) -> tuple:
+    """The output file of each (flag, path, sign sequence) whose flag was given."""
+    return tuple((flag, path, seq.to_text() + "\n") for flag, path, seq in given if path)
+
+
+def _write_files(files) -> None:
+    """Write each (flag, path, text); an error names the flag and the file and
+    removes the files this run created before it, so a failed run leaves no
+    new file behind (a path that existed, such as /dev/null, is kept)."""
+    created = []
+    for flag, path, text in files:
+        new = not os.path.lexists(path)
+        try:
+            Path(path).write_text(text)
+        except OSError as exc:
+            for done in created:
+                os.remove(done)
+            raise ValueError(f"cannot write {flag} file {path}: {exc}") from exc
+        if new:
+            created.append(path)
 
 
 # --- the one output path ---------------------------------------------------
@@ -104,7 +121,8 @@ class Report:
     ``text_keys`` pick and order the fields for json and text where those
     differ.  A row-wise result also gives ``table`` (the csv header and
     rows) and ``lines`` (the text), which then replace ``fields`` in those
-    formats.  ``code`` is the exit code.
+    formats.  ``files`` holds the (flag, path, text) of each side file, such
+    as a dump or plot data, written after ``--out``.  ``code`` is the exit code.
     """
 
     command: str
@@ -115,6 +133,7 @@ class Report:
     text_keys: tuple[str, ...] | None = None
     table: tuple[list[str], list[dict]] | None = None
     lines: list[str] | None = None
+    files: tuple[tuple[str, str, str], ...] = ()
     code: int = 0
 
 
@@ -150,7 +169,7 @@ def _csv_text(header: list[str], rows) -> str:
     return buffer.getvalue()
 
 
-def _render(report: Report, fmt: str, out: str | None) -> None:
+def _render(report: Report, fmt: str) -> str:
     fields = report.fields
     if fmt == "json":
         doc = {
@@ -168,12 +187,7 @@ def _render(report: Report, fmt: str, out: str | None) -> None:
         text = "\n".join(report.lines)
     else:
         text = ", ".join(f"{key}={_shown(fields[key])}" for key in report.text_keys or fields)
-    if not text.endswith("\n"):
-        text += "\n"
-    if out:
-        Path(out).write_text(text)
-    else:
-        sys.stdout.write(text)
+    return text if text.endswith("\n") else text + "\n"
 
 
 # --- subcommand handlers -------------------------------------------------
@@ -250,10 +264,11 @@ def _witness_sweep(args) -> Report:
         except ColinearAxes as exc:  # the user gave no axes; name the row instead
             raise ValueError(f"--sweep row at {theta} degrees: {exc}") from exc
         theta += step
-    if args.plot:
-        for series in ("geometric", "optimal"):
-            lines = "\n".join(f"{r['theta_deg']} {r['lhs_' + series]}" for r in rows)
-            _write(f"{args.plot}_{series}.dat", lines + "\n")
+    plots = tuple(
+        ("--plot", f"{args.plot}_{series}.dat",
+         "".join(f"{r['theta_deg']} {r['lhs_' + series]}\n" for r in rows))
+        for series in ("geometric", "optimal") if args.plot
+    )
     return Report(
         "witness", args.seed, {"sweep": args.sweep}, {"rows": rows},
         table=(["theta_deg", "case", "lhs_geometric", "lhs_optimal"], rows),
@@ -262,6 +277,7 @@ def _witness_sweep(args) -> Report:
             f"lhs_geometric={r['lhs_geometric']:.6f}, lhs_optimal={r['lhs_optimal']:.6f}"
             for r in rows
         ],
+        files=plots,
     )
 
 
@@ -303,8 +319,6 @@ def _cmd_simulate_prepared(args) -> Report:
     base = RngStream(args.seed)
     u = random_signs(args.n, base.substream(0))
     x = sample_prepared(PreparedSource(axis, u), alpha, base.substream(1))
-    _write(args.dump_u, u.to_text() + "\n")
-    _write(args.dump_x, x.to_text() + "\n")
     est = correlation(u, x)
     config = {"axis": axis, "alpha": alpha, "n": args.n, "seed": args.seed}
     return Report(
@@ -313,11 +327,12 @@ def _cmd_simulate_prepared(args) -> Report:
              stderr=est.stderr),
         json_keys=("n", "target", "estimate", "stderr"),
         text_keys=("n", "seed", "target", "estimate", "stderr"),
+        files=_dumps(("--dump-u", args.dump_u, u), ("--dump-x", args.dump_x, x)),
     )
 
 
-def _pair_report(command: str, args, lead: dict, alpha, beta, a_seq, b_seq, last: dict
-                 ) -> Report:
+def _pair_report(command: str, args, lead: dict, alpha, beta, a_seq, b_seq, last: dict,
+                 files: tuple = ()) -> Report:
     """The correlation of two wings measured along alpha and beta, as
     simulate-singlet and lhv report it: ``lead`` fields come first, then
     the directions, n, correlation and stderr, then ``last`` and the seed.
@@ -338,7 +353,7 @@ def _pair_report(command: str, args, lead: dict, alpha, beta, a_seq, b_seq, last
     return Report(
         command, args.seed, config, fields,
         json_keys=(*lead, "n", "correlation", "stderr", *last),
-        text_keys=(*lead, "n", "seed", "correlation", "stderr", *last),
+        text_keys=(*lead, "n", "seed", "correlation", "stderr", *last), files=files,
     )
 
 
@@ -347,11 +362,10 @@ def _cmd_simulate_singlet(args) -> Report:
     from .sampler import sample_singlet
     alpha, beta = _parse_vector(args.alpha), _parse_vector(args.beta)
     a_seq, b_seq = sample_singlet(alpha, beta, args.n, RngStream(args.seed))
-    _write(args.dump_a, a_seq.to_text() + "\n")
-    _write(args.dump_b, b_seq.to_text() + "\n")
     target = -clamp_unit_dot(alpha.dot(beta))
     return _pair_report(
-        "simulate-singlet", args, {}, alpha, beta, a_seq, b_seq, {"target": target}
+        "simulate-singlet", args, {}, alpha, beta, a_seq, b_seq, {"target": target},
+        _dumps(("--dump-a", args.dump_a, a_seq), ("--dump-b", args.dump_b, b_seq)),
     )
 
 
@@ -361,11 +375,14 @@ def _cmd_lhv(args) -> Report:
     alpha, beta = _parse_vector(args.alpha), _parse_vector(args.beta)
     model = make_lhv_model(args.model)
     a_seq, b_seq, lambdas = sample_lhv(model, alpha, beta, args.n, RngStream(args.seed))
+    files = ()
     if args.dump_lambdas:
-        _write(args.dump_lambdas, _csv_text(["lambda_x", "lambda_y", "lambda_z"], lambdas.tolist()))
+        dump = _csv_text(["lambda_x", "lambda_y", "lambda_z"], lambdas.tolist())
+        files = (("--dump-lambdas", args.dump_lambdas, dump),)
     closed_form = sign_model_correlation(angle_between(alpha, beta))
     return _pair_report(
-        "lhv", args, {"model": args.model}, alpha, beta, a_seq, b_seq, {"closed_form": closed_form}
+        "lhv", args, {"model": args.model}, alpha, beta, a_seq, b_seq, {"closed_form": closed_form},
+        files,
     )
 
 
@@ -512,9 +529,10 @@ def _cmd_experiment(args) -> Report:
         table=(_REPORT_FIELDS, rows), lines=lines,
         code=0 if (cert_u.passed and cert_v.passed) else 1,
     )
-    if args.summary:
-        _render(replace(report, json_keys=tuple(summary)), "json", args.summary)
-    return report
+    if not args.summary:
+        return report
+    summary_text = _render(replace(report, json_keys=tuple(summary)), "json")
+    return replace(report, files=(("--summary", args.summary, summary_text),))
 
 
 # --- parser ----------------------------------------------------------------
@@ -616,7 +634,11 @@ def run(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         report = args.handler(args)
-        _render(report, args.format, args.out)
+        text = _render(report, args.format)
+        out = (("--out", args.out, text),) if args.out else ()
+        _write_files(out + report.files)
+        if not args.out:
+            sys.stdout.write(text)
         return report.code
     except (ValueError, OverflowError, OSError, argparse.ArgumentTypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -16,6 +16,9 @@ linear forms in alpha, so every candidate peaks at alpha along a - b, b - a
 or a + b, and the best value over the sphere is
 max(a.b + ||a - b||, ||a + b|| - a.b).  The optimizers evaluate the
 candidates at those three directions and keep the largest.
+
+Everything here is plain floats; numpy is imported only by
+:meth:`UnitVector3.as_array`, so the witness commands start without it.
 """
 
 from __future__ import annotations
@@ -23,9 +26,10 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import TYPE_CHECKING, Callable, Iterable
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "UnitVector3",
@@ -107,6 +111,7 @@ class UnitVector3:
         return self.x * other.x + self.y * other.y + self.z * other.z
 
     def as_array(self) -> np.ndarray:
+        import numpy as np
         return np.array([self.x, self.y, self.z])
 
     def as_list(self) -> list[float]:

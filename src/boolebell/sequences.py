@@ -12,15 +12,19 @@ The central bound implemented here: for equal-length sequences f, g, h,
 where <f,g> denotes the empirical correlation (1/n) sum_i f_i g_i.  The
 bound holds for every triple because it holds term by term; see
 :func:`boole_bell_lhs` and :func:`brute_force_max_lhs`.
+
+numpy is imported only by :meth:`SignSequence.from_array` and
+:meth:`SignSequence.to_array`, so the exact commands start without it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "SignSequence",
@@ -57,6 +61,7 @@ class LengthTooLarge(ValueError):
 BRUTE_FORCE_MAX_LENGTH = 12
 
 _MINUS_SIGNS = {"-", "−"}  # ASCII hyphen and the unicode minus
+_SIGN_CHARS = str.maketrans("10", "+-")
 
 
 @dataclass(frozen=True)
@@ -94,6 +99,7 @@ class SignSequence:
     @classmethod
     def from_array(cls, values: np.ndarray) -> "SignSequence":
         """Build from a numpy array: bool (True = +1) or +1/-1 integers."""
+        import numpy as np
         arr = np.asarray(values)
         if arr.ndim != 1:
             raise ValueError("expected a one-dimensional array")
@@ -108,11 +114,12 @@ class SignSequence:
 
     def to_text(self) -> str:
         """Render as a '+'/'-' string (ASCII only)."""
-        arr = self.to_array()
-        return bytes(np.where(arr > 0, ord("+"), ord("-")).astype(np.uint8)).decode()
+        # entry i is bit i, so the binary digits read last entry first
+        return format(self.bits, f"0{self.length}b")[::-1].translate(_SIGN_CHARS)
 
     def to_array(self) -> np.ndarray:
         """Entries as an int8 array of +1/-1."""
+        import numpy as np
         nbytes = -(-self.length // 8)
         raw = np.frombuffer(self.bits.to_bytes(nbytes, "little"), dtype=np.uint8)
         ones = np.unpackbits(raw, count=self.length, bitorder="little")
@@ -146,7 +153,8 @@ class SignSequence:
         return SignSequence(self.length, ~self.bits)
 
     def __repr__(self) -> str:
-        text = self.to_text() if self.length <= 32 else self.to_text()[:29] + "..."
+        head = self if self.length <= 32 else SignSequence(29, self.bits)  # render what is shown
+        text = head.to_text() + ("" if head is self else "...")
         return f"SignSequence(length={self.length}, text='{text}')"
 
 

@@ -499,6 +499,45 @@ class TestBadInputExitsTwo:
         code, out, err = invoke(capsys, *(arg.format(path=path) for arg in argv))
         assert (code, out, err) == (2, "", f"error: {message.format(path=path)}\n")
 
+    @pytest.mark.parametrize(
+        "argv, flag, path",
+        [
+            (["witness", "--sweep", "10:170:20", "--plot", "P", "--out", "missing/x.txt"],
+             "--out", "missing/x.txt"),
+            (["witness", "--sweep", "10:170:20", "--plot", "missing/P", "--out", "x.txt"],
+             "--plot", "missing/P_geometric.dat"),
+            (["lhv", "--alpha", "[1,0,0]", "--beta", "[0,1,0]", "--n", "50",
+              "--dump-lambdas", "l.csv", "--out", "missing/x.txt"], "--out", "missing/x.txt"),
+            (["lhv", "--alpha", "[1,0,0]", "--beta", "[0,1,0]", "--n", "50",
+              "--dump-lambdas", "missing/l.csv", "--out", "x.txt"],
+             "--dump-lambdas", "missing/l.csv"),
+            (["simulate-prepared", "--axis", "[0,0,1]", "--alpha", "[1,0,0]", "--n", "50",
+              "--dump-u", "u.txt", "--dump-x", "missing/x.txt"], "--dump-x", "missing/x.txt"),
+            (["experiment", "--a", "[1,0,0]", "--b", "[0,1,0]", "--n", "500",
+              "--summary", "s.json", "--out", "missing/x.txt"], "--out", "missing/x.txt"),
+        ],
+        ids=["sweep-out", "sweep-plot", "lhv-out", "lhv-dump", "prepared-dump", "experiment-out"],
+    )
+    def test_output_file_errors_name_the_flag_and_leave_no_file(
+        self, capsys, tmp_path, monkeypatch, argv, flag, path
+    ):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = invoke(capsys, *argv)
+        reason = f"[Errno 2] No such file or directory: '{path}'"
+        assert (code, out, err) == (2, "", f"error: cannot write {flag} file {path}: {reason}\n")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_output_file_error_keeps_a_path_that_existed(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "x.txt").write_text("old\n")
+        code, out, err = invoke(
+            capsys, "simulate-prepared", "--axis", "[0,0,1]", "--alpha", "[1,0,0]", "--n", "50",
+            "--out", "x.txt", "--dump-u", "u.txt", "--dump-x", "missing/x.txt",
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: cannot write --dump-x file missing/x.txt: ")
+        assert [path.name for path in tmp_path.iterdir()] == ["x.txt"]
+
     @pytest.mark.parametrize("value", ["nan", "inf"])
     @pytest.mark.parametrize("command", ["certify-ap", "experiment"])
     def test_non_finite_sigma_k(self, capsys, tmp_path, command, value):

@@ -2,8 +2,9 @@
 
 ``import boolebell`` loads no submodule; each exported name is imported from
 its defining module on first use.  The CLI imports a layer only in the
-handlers that call it, so the geometry and exact commands start without
-``numpy.random``, OpenSSL (``_hashlib``) or the sampling layers.  The load
+handlers that call it, and ``geometry`` and ``sequences`` import numpy only
+inside their array functions, so the geometry and exact commands start
+without numpy, OpenSSL (``_hashlib``) or the sampling layers.  The load
 checks run in fresh interpreters, since this process has loaded everything.
 """
 
@@ -23,6 +24,7 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 # the modules a command pays for only when it samples or hashes
 SAMPLING = (
+    "numpy",
     "numpy.random",
     "_hashlib",
     "boolebell.experiments",

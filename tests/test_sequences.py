@@ -59,6 +59,24 @@ class TestSignSequence:
         s = SignSequence.from_text("+−+−")
         assert s.to_text() == "+-+-"
 
+    def test_text_matches_the_array_rendering(self):
+        # whole last bytes, partial last bytes, the shortest and a long sequence
+        lengths = [1, 100_003, *(8 * RNG.integers(1, 200, 40)),
+                   *(8 * RNG.integers(0, 200, 80) + RNG.integers(1, 8, 80))]
+        for n in lengths:
+            s = random_sequence(int(n))
+            text = s.to_text()
+            signs = np.where(s.to_array() > 0, ord("+"), ord("-")).astype(np.uint8)
+            assert text == bytes(signs).decode()
+            assert SignSequence.from_text(text) == s
+
+    @pytest.mark.parametrize("n", [1, 32, 33, 1_000_000])
+    def test_repr_shows_at_most_32_entries(self, n):
+        s = random_sequence(n)
+        text = s.to_text()
+        shown = text if n <= 32 else text[:29] + "..."
+        assert repr(s) == f"SignSequence(length={n}, text='{shown}')"
+
     def test_from_text_rejects_garbage(self):
         with pytest.raises(ValueError):
             SignSequence.from_text("+-x")
