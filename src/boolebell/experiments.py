@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, replace
+from fractions import Fraction
 from typing import Callable, Iterator
 
 from .geometry import UnitVector3, clamp_unit_dot, cosine_targets, geometric_witness
@@ -41,11 +42,11 @@ from .sampler import (
     PreparedSource, fair_signs, random_signs, sample_prepared, sample_singlet_partner,
 )
 from .sequences import (
+    BRUTE_FORCE_MAX_LENGTH,
     CorrelationEstimate,
-    EmptySequence,
     LengthMismatch,
-    LengthTooLarge,
     SignSequence,
+    _class_sums,
     boole_bell_lhs_from_sums,
     correlation,
 )
@@ -403,7 +404,7 @@ def _lhv_certificate(
     return certify_ap(source, axis_claimed, cfg)
 
 
-FEASIBILITY_MAX_LENGTH = 5
+FEASIBILITY_MAX_LENGTH = BRUTE_FORCE_MAX_LENGTH
 
 
 @dataclass(frozen=True)
@@ -430,27 +431,24 @@ def feasibility_bruteforce(
     Whenever the best candidate left-hand side on the targets exceeds
     1 + 3 epsilon, no triple can exist: the empirical value never exceeds
     1 and each correlation moves the bound by at most its own gap.
+
+    The search scans the class counts of (ux, vx, uv) and compares their
+    integer products sums with bounds taken once in Fractions, so the
+    verdict is exact.  The witness is x = all +1 with u and v set to the
+    ux and vx products.
     """
-    if n < 1:
-        raise EmptySequence("sequence length must be positive")
-    if n > FEASIBILITY_MAX_LENGTH:
-        raise LengthTooLarge(f"length {n} exceeds cap {FEASIBILITY_MAX_LENGTH}")
+    if not math.isfinite(epsilon):
+        raise ValueError(f"epsilon must be finite, got {epsilon}")
     targets = cosine_targets(a, b, alpha)
-    t_ux, t_vx, t_uv = targets
-    size = 1 << n
-    corr = [[(n - 2 * (p ^ q).bit_count()) / n for q in range(size)] for p in range(size)]
-    for mu in range(size):
-        row_u = corr[mu]
-        for mv in range(size):
-            if abs(row_u[mv] - t_uv) > epsilon:
-                continue
-            row_v = corr[mv]
-            for mx in range(size):
-                if abs(row_u[mx] - t_ux) <= epsilon and abs(row_v[mx] - t_vx) <= epsilon:
-                    witness = (
-                        SignSequence(n, mu),
-                        SignSequence(n, mv),
-                        SignSequence(n, mx),
-                    )
-                    return FeasibilityResult(True, witness, targets, epsilon, n)
+    eps = Fraction(epsilon)
+    (lo_ux, hi_ux), (lo_vx, hi_vx), (lo_uv, hi_uv) = (
+        (math.ceil(n * (Fraction(t) - eps)), math.floor(n * (Fraction(t) + eps))) for t in targets
+    )
+    for c1, c2, c3, s_ux, s_vx, s_uv in _class_sums(n):
+        if lo_ux <= s_ux <= hi_ux and lo_vx <= s_vx <= hi_vx and lo_uv <= s_uv <= hi_uv:
+            # indices run c1 of (+,+,+), c2 of (+,-,-), c3 of (-,+,-), then (-,-,+)
+            u = SignSequence(n, (1 << (c1 + c2)) - 1)
+            v = SignSequence(n, ((1 << c1) - 1) | (((1 << c3) - 1) << (c1 + c2)))
+            witness = (u, v, SignSequence(n, (1 << n) - 1))
+            return FeasibilityResult(True, witness, targets, epsilon, n)
     return FeasibilityResult(False, None, targets, epsilon, n)

@@ -11,7 +11,9 @@ The central bound implemented here: for equal-length sequences f, g, h,
 
 where <f,g> denotes the empirical correlation (1/n) sum_i f_i g_i.  The
 bound holds for every triple because it holds term by term; see
-:func:`boole_bell_lhs` and :func:`brute_force_max_lhs`.
+:func:`boole_bell_lhs` and :func:`brute_force_max_lhs`, which shares one
+class-count scan, capped at :data:`BRUTE_FORCE_MAX_LENGTH`, with the
+feasibility search of :mod:`.experiments`.
 
 numpy is imported only by :meth:`SignSequence.from_array` and
 :meth:`SignSequence.to_array`, so the exact commands start without it.
@@ -56,12 +58,13 @@ class LengthTooLarge(ValueError):
     """Exhaustive enumeration is capped to keep runtime bounded."""
 
 
-# Exhaustive search over triples is reduced to per-index product classes,
-# so the cap is generous; raw 2**(3n) enumeration would stop near n=8.
-BRUTE_FORCE_MAX_LENGTH = 12
+# The class-count scan visits (n+1)(n+2)(n+3)/6 compositions, about 3e5 at
+# the cap: a fraction of a second in CPython.
+BRUTE_FORCE_MAX_LENGTH = 120
 
-_MINUS_SIGNS = {"-", "−"}  # ASCII hyphen and the unicode minus
 _SIGN_CHARS = str.maketrans("10", "+-")
+_SIGN_DELETE = str.maketrans("", "", "+-−")  # '+', the ASCII hyphen, the unicode minus
+_SIGN_DIGITS = str.maketrans("+-−", "100")
 
 
 @dataclass(frozen=True)
@@ -86,15 +89,13 @@ class SignSequence:
     @classmethod
     def from_text(cls, text: str) -> "SignSequence":
         """Parse a '+'/'-' string; the unicode minus is accepted too."""
-        bits = 0
-        n = 0
-        for ch in text.strip():
-            if ch == "+":
-                bits |= 1 << n
-            elif ch not in _MINUS_SIGNS:
-                raise ValueError(f"unexpected character {ch!r} in sign text")
-            n += 1
-        return cls(n, bits)
+        text = text.strip()
+        # first, since int(., 2) would also take '0', '1' and '_'
+        bad = text.translate(_SIGN_DELETE)
+        if bad:
+            raise ValueError(f"unexpected character {bad[0]!r} in sign text")
+        # entry i is bit i, so the binary digits read last entry first
+        return cls(len(text), int(text.translate(_SIGN_DIGITS)[::-1] or "0", 2))
 
     @classmethod
     def from_array(cls, values: np.ndarray) -> "SignSequence":
@@ -261,28 +262,27 @@ def boole_bell_lhs_prob(
     return left, right
 
 
-def brute_force_max_lhs(n: int) -> float:
-    """Exhaustive maximum of the three-sequence bound at length n.
-
-    Per index, the product triple (f_i g_i, f_i h_i, g_i h_i) can only be
-    (+,+,+), (+,-,-), (-,+,-) or (-,-,+), so the search space collapses
-    from 2**(3n) triples to compositions of n into four class counts.
-    The result is exactly 1 for every n; the function recomputes it rather
-    than asserting it.
+def _class_sums(n: int) -> Iterator[tuple[int, int, int, int, int, int]]:
+    """(c1, c2, c3, s_fg, s_fh, s_gh) for every split of n indices into the
+    four classes (+,+,+), (+,-,-), (-,+,-), (-,-,+) of the product triple
+    (f_i g_i, f_i h_i, g_i h_i), the only triples it can take; c4 is the
+    rest.  The 2**(3n) sign triples of length n collapse to this cubic scan.
     """
     if n < 1:
         raise EmptySequence("sequence length must be positive")
     if n > BRUTE_FORCE_MAX_LENGTH:
         raise LengthTooLarge(f"length {n} exceeds cap {BRUTE_FORCE_MAX_LENGTH}")
-    best = -3 * n
-    for c1 in range(n + 1):
-        for c2 in range(n + 1 - c1):
-            for c3 in range(n + 1 - c1 - c2):
-                c4 = n - c1 - c2 - c3
-                s_fg = c1 + c2 - c3 - c4
-                s_fh = c1 - c2 + c3 - c4
-                s_gh = c1 - c2 - c3 + c4
-                value = abs(s_fg - s_fh) + s_gh
-                if value > best:
-                    best = value
-    return best / n
+    return (
+        (c1, c2, c3, 2 * (c1 + c2) - n, 2 * (c1 + c3) - n, n - 2 * (c2 + c3))
+        for c1 in range(n + 1)
+        for c2 in range(n + 1 - c1)
+        for c3 in range(n + 1 - c1 - c2)
+    )
+
+
+def brute_force_max_lhs(n: int) -> float:
+    """Exhaustive maximum of the three-sequence bound at length n, over the
+    class counts of :func:`_class_sums`.  The result is exactly 1 for every
+    n; the function recomputes it rather than asserting it.
+    """
+    return max(abs(s_fg - s_fh) + s_gh for _, _, _, s_fg, s_fh, s_gh in _class_sums(n)) / n

@@ -33,6 +33,14 @@ class TestBasicCommands:
         assert code == 0
         assert "max_lhs=1.000000" in out
 
+    def test_bruteforce_at_the_length_cap(self, capsys):
+        code, out, _ = invoke(capsys, "bruteforce", "--n", "60")
+        assert code == 0
+        assert "max_lhs=1.000000" in out
+        code, out, err = invoke(capsys, "bruteforce", "--n", "121")
+        assert (code, out) == (2, "")
+        assert err == "error: length 121 exceeds cap 120\n"
+
     def test_check_boole_pass(self, capsys):
         code, out, _ = invoke(
             capsys, "check-boole", "--f", "+--+", "--g", "++++", "--h=----"

@@ -1,4 +1,6 @@
 import math
+import random
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -19,7 +21,9 @@ from boolebell.geometry import ColinearAxes, UnitVector3, geometric_witness
 from boolebell.realism import MODEL_NAMES, make_lhv_model
 from boolebell.rng import RngStream
 from boolebell.sampler import random_signs
-from boolebell.sequences import EmptySequence, LengthMismatch, LengthTooLarge, SignSequence
+from boolebell.sequences import (
+    EmptySequence, LengthMismatch, LengthTooLarge, SignSequence, correlation,
+)
 
 X_HAT = UnitVector3(1, 0, 0)
 Z_HAT = UnitVector3(0, 0, 1)
@@ -280,6 +284,22 @@ class TestOwnAxisFloatDust:
         assert not _row_passes(-1.0, 1.0, 0.0, 4.0)
 
 
+def random_axis(rng: random.Random) -> UnitVector3:
+    return UnitVector3(*(rng.gauss(0.0, 1.0) for _ in range(3)))
+
+
+_ORACLE_RNG = random.Random(20261019)
+ORACLE_CASES = [
+    pytest.param(X_HAT, xy_direction(theta), xy_direction(theta / 2), 3, epsilon,
+                 id=f"{theta}-{epsilon}")
+    for theta, epsilon in [(0.0, 0.0), (90.0, 0.05), (90.0, 0.6), (45.0, 0.3)]
+] + [
+    pytest.param(*(random_axis(_ORACLE_RNG) for _ in range(3)), _ORACLE_RNG.randint(1, 3),
+                 _ORACLE_RNG.uniform(0.0, 1.0), id=f"random{i}")
+    for i in range(40)
+]
+
+
 class TestFeasibility:
     def test_right_angle_witness_is_infeasible(self):
         a, b = X_HAT, xy_direction(90)
@@ -306,22 +326,32 @@ class TestFeasibility:
         assert report.lhs_value > 1 + 3 * epsilon
         assert not feasibility_bruteforce(a, b, report.alpha, n=4, epsilon=epsilon).feasible
 
-    @pytest.mark.parametrize(
-        "theta,epsilon", [(0.0, 0.0), (90.0, 0.05), (90.0, 0.6), (45.0, 0.3)]
-    )
-    def test_matches_itertools_oracle_at_n3(self, theta, epsilon):
-        a, b = X_HAT, xy_direction(theta)
-        alpha = xy_direction(theta / 2)
-        result = feasibility_bruteforce(a, b, alpha, n=3, epsilon=epsilon)
-        assert result.feasible == oracle_feasibility(a, b, alpha, 3, epsilon)
+    @pytest.mark.parametrize("a,b,alpha,n,epsilon", ORACLE_CASES)
+    def test_matches_itertools_oracle_at_n3(self, a, b, alpha, n, epsilon):
+        result = feasibility_bruteforce(a, b, alpha, n=n, epsilon=epsilon)
+        assert result.feasible == oracle_feasibility(a, b, alpha, n, epsilon)
+
+    def test_decides_lengths_past_a_sign_triple_search(self):
+        # 2**180 sign triples at n = 60; the class-count scan decides it exactly
+        a, b = X_HAT, xy_direction(90)
+        alpha = geometric_witness(a, b).alpha
+        assert not feasibility_bruteforce(a, b, alpha, n=60, epsilon=0.05).feasible
+        result = feasibility_bruteforce(a, b, alpha, n=60, epsilon=0.15)
+        assert result.feasible
+        u, v, x = result.witness
+        for (p, q), target in zip([(u, x), (v, x), (u, v)], result.targets):
+            assert abs(correlation(p, q).as_fraction() - Fraction(target)) <= Fraction(0.15)
+
+    def test_non_finite_tolerance_is_refused(self):
+        for epsilon in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=f"epsilon must be finite, got {epsilon}"):
+                feasibility_bruteforce(X_HAT, Z_HAT, X_HAT, n=4, epsilon=epsilon)
 
     def test_witness_satisfies_tolerances(self):
         a, b = X_HAT, xy_direction(90)
         alpha = xy_direction(45)
         result = feasibility_bruteforce(a, b, alpha, n=4, epsilon=0.8)
         assert result.feasible
-        from boolebell.sequences import correlation
-
         u, v, x = result.witness
         assert abs(correlation(u, x).value - result.targets[0]) <= 0.8
         assert abs(correlation(v, x).value - result.targets[1]) <= 0.8
