@@ -4,6 +4,8 @@ around the three-sequence correlation bound |<f,g> - <f,h>| + <g,h> <= 1.
 
 Importing the package loads none of its modules: each name below is
 imported from the module that defines it on first use (PEP 562).
+``_EXPORTS`` below is the only list of public names: no module keeps an
+``__all__`` of its own.
 """
 
 import importlib

@@ -51,22 +51,6 @@ from .sequences import (
     correlation,
 )
 
-__all__ = [
-    "ExperimentConfig",
-    "ApRow",
-    "ApCertificate",
-    "InequalityReport",
-    "TriangleLeg",
-    "NoApBpResult",
-    "FeasibilityResult",
-    "FEASIBILITY_MAX_LENGTH",
-    "certify_ap",
-    "prepared_ap_experiment",
-    "singlet_ap_experiment",
-    "no_apbp_experiment",
-    "feasibility_bruteforce",
-]
-
 # Pairs per chunk.  A multiple of 4, so every chunk starts on a Philox
 # counter block; a chunk's 64-bit draw arrays take 512 KiB each.
 _CHUNK = 1 << 16

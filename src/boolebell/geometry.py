@@ -31,20 +31,6 @@ from typing import TYPE_CHECKING, Callable, Iterable
 if TYPE_CHECKING:
     import numpy as np
 
-__all__ = [
-    "UnitVector3",
-    "WitnessReport",
-    "ColinearAxes",
-    "InvalidProbability",
-    "SLOT_ASSIGNMENTS",
-    "clamp_unit_dot",
-    "angle_between",
-    "malus_lhs_all_assignments",
-    "geometric_witness",
-    "optimal_witness",
-    "assignment_optimum",
-]
-
 
 class ColinearAxes(ValueError):
     """The witness construction needs two genuinely distinct axes."""

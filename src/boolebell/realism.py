@@ -39,24 +39,9 @@ from typing import Callable
 import numpy as np
 
 from . import MODEL_NAMES  # defined in the package, where the CLI parser reads it
-from .geometry import UnitVector3, perpendicular
+from .geometry import COLINEAR_TOL, UnitVector3, perpendicular
 from .rng import RngStream
 from .sequences import SignSequence
-
-__all__ = [
-    "MODEL_NAMES",
-    "LhvModel",
-    "MissingHiddenState",
-    "OrderingViolation",
-    "CommitmentToken",
-    "make_lhv_model",
-    "sample_lhv",
-    "counterfactual_values",
-    "sign_model_correlation",
-    "commit",
-    "choose_direction",
-    "measure",
-]
 
 
 class MissingHiddenState(ValueError):
@@ -138,9 +123,6 @@ class _VectorDraws:
     def nonnegative(self, direction: UnitVector3) -> np.ndarray:
         return _dot(self.x, self.y, self.z, direction) >= 0.0
 
-    def lambdas(self) -> np.ndarray:
-        return np.column_stack((self.x, self.y, self.z))
-
 
 # Half-width of the band around d . lambda = 0 that the float32 filter
 # leaves to the exact expression.  The filter's error is about 5e-7 at
@@ -207,7 +189,7 @@ def _sign_response(hidden: HiddenDraws, direction: UnitVector3) -> np.ndarray:
 
 def _circle_frame(alpha: UnitVector3, beta: UnitVector3) -> tuple[UnitVector3, UnitVector3]:
     # colinear axes: beta becomes the coordinate axis least aligned with alpha
-    if abs(alpha.dot(beta)) >= 1.0 - 1e-9:
+    if abs(alpha.dot(beta)) >= 1.0 - COLINEAR_TOL:
         pivot = min(range(3), key=lambda i: abs(alpha.as_list()[i]))
         beta = UnitVector3(*(float(i == pivot) for i in range(3)))
     return alpha, perpendicular(alpha, beta)
@@ -251,7 +233,7 @@ class LhvModel:
             raise ValueError(f"unknown model {self.name!r}; choose from {MODEL_NAMES}")
 
     def draw_lambdas(self, alpha: UnitVector3, beta: UnitVector3, n: int, rng: RngStream,
-                     block: int | None = None) -> HiddenDraws:
+                     block: int | None = None) -> _CircleDraws | _SphereDraws:
         if self.name == "sign-circle":
             return _circle_points(_circle_frame(alpha, beta), n, rng)
         return _sphere_points(n, rng, block)

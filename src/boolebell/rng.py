@@ -21,8 +21,6 @@ import operator
 import numpy as np
 from numpy.random import Generator, Philox
 
-__all__ = ["RngStream"]
-
 _MASK64 = (1 << 64) - 1
 _DRAWS_PER_BLOCK = 4  # 64-bit outputs per Philox counter increment
 

@@ -24,14 +24,6 @@ from .geometry import UnitVector3, clamp_unit_dot
 from .rng import RngStream
 from .sequences import SignSequence
 
-__all__ = [
-    "PreparedSource",
-    "random_signs",
-    "sample_prepared",
-    "sample_singlet",
-    "sample_singlet_partner",
-]
-
 
 @dataclass(frozen=True)
 class PreparedSource:

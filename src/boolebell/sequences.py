@@ -28,23 +28,6 @@ from typing import TYPE_CHECKING, Iterable, Iterator
 if TYPE_CHECKING:
     import numpy as np
 
-__all__ = [
-    "SignSequence",
-    "CorrelationEstimate",
-    "LengthMismatch",
-    "EmptySequence",
-    "LengthTooLarge",
-    "BRUTE_FORCE_MAX_LENGTH",
-    "concatenate",
-    "correlation",
-    "coincidence_probability",
-    "boole_bell_lhs",
-    "boole_bell_lhs_exact",
-    "boole_bell_lhs_from_sums",
-    "boole_bell_lhs_prob",
-    "brute_force_max_lhs",
-]
-
 
 class LengthMismatch(ValueError):
     """Sequences in one expression must share a length."""

@@ -9,8 +9,10 @@ checks run in fresh interpreters, since this process has loaded everything.
 """
 
 import importlib
+import inspect
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 import types
@@ -140,7 +142,13 @@ class TestExports:
     def test_each_name_is_its_defining_modules_object(self, module):
         owner = importlib.import_module(f"boolebell.{module}")
         for name in EXPORTS[module]:
-            assert getattr(boolebell, name) is getattr(owner, name), name
+            obj = getattr(owner, name)
+            assert getattr(boolebell, name) is obj, name
+            if inspect.isclass(obj) or inspect.isfunction(obj):
+                assert obj.__module__ == owner.__name__, name  # defined there, not imported
+        # the package's table is the one list of public names
+        submodules = [m.name for m in pkgutil.iter_modules(boolebell.__path__, "boolebell.")]
+        assert [m for m in submodules if hasattr(importlib.import_module(m), "__all__")] == []
 
     def test_from_import_returns_the_submodule(self):
         from boolebell import experiments
@@ -160,3 +168,9 @@ class TestExports:
         from boolebell import realism
 
         assert realism.MODEL_NAMES is boolebell.MODEL_NAMES
+
+
+def test_version_matches_pyproject():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = tomllib.loads((SRC.parent / "pyproject.toml").read_text(encoding="utf-8"))
+    assert boolebell.__version__ == pyproject["project"]["version"]

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from boolebell import realism
-from boolebell.geometry import UnitVector3
+from boolebell.geometry import COLINEAR_TOL, ColinearAxes, UnitVector3, geometric_witness
 from boolebell.realism import (
     MODEL_NAMES,
     CommitmentToken,
@@ -344,6 +344,22 @@ class TestModelFactory:
             assert abs(e1.dot(e2)) <= 1e-15
             assert abs(float(np.dot(normal, e2.as_array()))) <= 1e-15
             assert e2.as_list()[axis] > 0
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["parallel", "antiparallel"])
+    @pytest.mark.parametrize("scale, colinear", [(0.99, True), (1.01, False)],
+                             ids=["inside-tolerance", "outside-tolerance"])
+    def test_circle_frame_pivots_exactly_where_the_witness_refuses(self, sign, scale, colinear):
+        # 1 - |alpha . beta| is scale**2 * COLINEAR_TOL, to first order
+        theta = scale * math.sqrt(2.0 * COLINEAR_TOL)
+        beta = UnitVector3(sign * math.cos(theta), 0.0, math.sin(theta))
+        try:
+            geometric_witness(X_HAT, beta)
+            refused = False
+        except ColinearAxes:
+            refused = True
+        _, e2 = realism._circle_frame(X_HAT, beta)
+        pivoted = e2 == UnitVector3(0, 1, 0)  # the axis least aligned with X_HAT
+        assert refused == pivoted == colinear
 
 
 class TestCommitmentProtocol:
