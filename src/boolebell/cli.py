@@ -17,6 +17,7 @@ import io
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -39,9 +40,9 @@ SWEEP_MAX_ROWS = 1_000_000  # a sweep holds its rows in memory until it renders 
 
 
 def _seed(value, from_file: bool = False) -> int:
-    """A seed in [0, 2**64), from a flag's text or a config file's integer."""
+    """A seed in [0, 2**64), from a flag's ASCII digits or a config file's integer."""
     text = str(value)  # a config file's 5.5, true or "5" must not pass as 5 or 1
-    if not text.removeprefix("-").isdigit() or from_file and isinstance(value, str):
+    if not re.fullmatch(r"-?[0-9]+", text) or from_file and isinstance(value, str):
         raise argparse.ArgumentTypeError(f"seed must be an integer, got {value!r}")
     seed = int(text)
     if not 0 <= seed < SEED_LIMIT:
@@ -90,7 +91,7 @@ def _parse_sequence(text: str, flag: str) -> SignSequence:
 
 def _dumps(*given) -> tuple:
     """The output file of each (flag, path, sign sequence) whose flag was given."""
-    return tuple((flag, path, seq.to_text() + "\n") for flag, path, seq in given if path)
+    return tuple((flag, path, s.to_text() + "\n") for flag, path, s in given if path is not None)
 
 
 def _write_files(files) -> None:
@@ -120,9 +121,10 @@ class Report:
     ``fields`` holds a one-row result in csv column order; ``json_keys`` and
     ``text_keys`` pick and order the fields for json and text where those
     differ.  A row-wise result also gives ``table`` (the csv header and
-    rows) and ``lines`` (the text), which then replace ``fields`` in those
-    formats.  ``files`` holds the (flag, path, text) of each side file, such
-    as a dump or plot data, written after ``--out``.  ``code`` is the exit code.
+    rows) and ``lines`` (the text, one dict of fields per line), which then
+    replace ``fields`` in those formats.  ``files`` holds the (flag, path,
+    text) of each side file, such as a dump or plot data, written after
+    ``--out``.  ``code`` is the exit code.
     """
 
     command: str
@@ -132,7 +134,7 @@ class Report:
     json_keys: tuple[str, ...] | None = None
     text_keys: tuple[str, ...] | None = None
     table: tuple[list[str], list[dict]] | None = None
-    lines: list[str] | None = None
+    lines: list[dict] | None = None
     files: tuple[tuple[str, str, str], ...] = ()
     code: int = 0
 
@@ -153,11 +155,15 @@ def _cell(value):
 
 
 def _shown(value) -> str:
-    # a text value: floats and direction components to six decimals
+    # a text value: six-decimal floats and direction components, yes/no flags, joined lists
+    if isinstance(value, bool):
+        return "yes" if value else "no"
     if isinstance(value, float):
         return f"{value:.6f}"
+    if isinstance(value, list):
+        return ", ".join(map(_shown, value))
     if isinstance(value, UnitVector3):
-        return "[" + ", ".join(f"{c:.6f}" for c in value.as_list()) + "]"
+        return "[" + _shown(value.as_list()) + "]"
     return str(value)
 
 
@@ -183,10 +189,9 @@ def _render(report: Report, fmt: str) -> str:
     elif fmt == "csv":
         header, rows = report.table or (list(fields), [fields])
         text = _csv_text(header, ([_cell(row[key]) for key in header] for row in rows))
-    elif report.lines is not None:
-        text = "\n".join(report.lines)
     else:
-        text = ", ".join(f"{key}={_shown(fields[key])}" for key in report.text_keys or fields)
+        lines = report.lines or [{key: fields[key] for key in report.text_keys or fields}]
+        text = "\n".join(", ".join(f"{k}={_shown(v)}" for k, v in line.items()) for line in lines)
     return text if text.endswith("\n") else text + "\n"
 
 
@@ -267,27 +272,23 @@ def _witness_sweep(args) -> Report:
     plots = tuple(
         ("--plot", f"{args.plot}_{series}.dat",
          "".join(f"{r['theta_deg']} {r['lhs_' + series]}\n" for r in rows))
-        for series in ("geometric", "optimal") if args.plot
+        for series in ("geometric", "optimal") if args.plot is not None
     )
     return Report(
         "witness", args.seed, {"sweep": args.sweep}, {"rows": rows},
         table=(["theta_deg", "case", "lhs_geometric", "lhs_optimal"], rows),
-        lines=[
-            f"theta_deg={r['theta_deg']!r}, case={r['case']}, "
-            f"lhs_geometric={r['lhs_geometric']:.6f}, lhs_optimal={r['lhs_optimal']:.6f}"
-            for r in rows
-        ],
+        lines=[dict(r, theta_deg=repr(r["theta_deg"])) for r in rows],
         files=plots,
     )
 
 
 def _cmd_witness(args) -> Report:
-    if args.sweep:
+    if args.sweep is not None:
         for name in ("a", "b", "optimal", "orthogonal_to"):
-            if getattr(args, name) not in (None, False):
+            if getattr(args, name) is not None:
                 raise ValueError(f"--sweep cannot be combined with --{name.replace('_', '-')}")
         return _witness_sweep(args)
-    if args.plot:
+    if args.plot is not None:
         raise ValueError("--plot needs --sweep")
     if args.optimal and args.orthogonal_to:
         raise ValueError("--orthogonal-to cannot be combined with --optimal")
@@ -376,7 +377,7 @@ def _cmd_lhv(args) -> Report:
     model = make_lhv_model(args.model)
     a_seq, b_seq, lambdas = sample_lhv(model, alpha, beta, args.n, RngStream(args.seed))
     files = ()
-    if args.dump_lambdas:
+    if args.dump_lambdas is not None:
         dump = _csv_text(["lambda_x", "lambda_y", "lambda_z"], lambdas.tolist())
         files = (("--dump-lambdas", args.dump_lambdas, dump),)
     closed_form = sign_model_correlation(angle_between(alpha, beta))
@@ -390,45 +391,45 @@ def _cmd_lhv(args) -> Report:
 _CONFIG_KEYS = ("seed", "n", "sigma_k", "directions")
 
 
-def _load_config_file(path: str | None, keys: tuple[str, ...] = _CONFIG_KEYS) -> dict:
-    if not path:
-        return {}
-    data = _json(_read_text(path, "--config"), f"config file {path}")
-    if not isinstance(data, dict):
+def _settings(args, keys: tuple[str, ...]) -> dict:
+    """The ``--config`` file's keys, each overridden by its flag when given;
+    a flag has passed argparse, so a type error can only be the file's."""
+    path = args.config
+    settings = {} if path is None else _json(_read_text(path, "--config"), f"config file {path}")
+    if not isinstance(settings, dict):
         raise ValueError("config file must hold a JSON object")
-    unknown = sorted(set(data) - set(keys))
+    unknown = sorted(set(settings) - set(keys))
     if unknown:
         raise ValueError(
             f"config file has unknown key(s) {', '.join(map(repr, unknown))}; "
             f"known keys: {', '.join(keys)}"
         )
-    return data
+    for key in keys:
+        value = getattr(args, key)
+        if value is not None:
+            settings[key] = _json(value, "--directions") if key == "directions" else value
+    return settings
 
 
-def _config_value(file_cfg: dict, key: str, default, *kinds: type):
-    """A config file's value for ``key``, refused unless it is one of ``kinds``."""
-    value = file_cfg.get(key, default)
+def _config_value(settings: dict, key: str, default, *kinds: type):
+    """A setting's value for ``key``, refused unless it is one of ``kinds``."""
+    value = settings.get(key, default)
     if isinstance(value, bool) or not isinstance(value, kinds):
         names = " or ".join(kind.__name__ for kind in kinds)
         raise ValueError(f"config file key {key!r} must be {names}, got {value!r}")
     return value
 
 
-def _build_config(args, file_cfg: dict) -> ExperimentConfig:
-    """The run's config; a flag that is given wins over the file's key."""
+def _build_config(settings: dict) -> ExperimentConfig:
+    """The run's config, from the settings of :func:`_settings`."""
     from .experiments import ExperimentConfig
-    if args.directions is not None:
-        directions = _json(args.directions, "--directions")
-    else:
-        directions = file_cfg.get("directions", [])
+    directions = settings.get("directions", [])
     if not isinstance(directions, list):
         raise ValueError("--directions expects a JSON list of vectors")
     return ExperimentConfig(
-        seed=args.seed if args.seed is not None else _seed(file_cfg.get("seed", 0), from_file=True),
-        n=args.n if args.n is not None else _config_value(file_cfg, "n", 100_000, int),
-        sigma_k=args.sigma_k
-        if args.sigma_k is not None
-        else float(_config_value(file_cfg, "sigma_k", 4.0, int, float)),
+        seed=_seed(settings.get("seed", 0), from_file=True),
+        n=_config_value(settings, "n", 100_000, int),
+        sigma_k=float(_config_value(settings, "sigma_k", 4.0, int, float)),
         directions=tuple(map(_parse_vector, directions)),
     )
 
@@ -444,29 +445,20 @@ def _certificate_rows(cert, which: str) -> list[dict]:
     ]
 
 
-def _yes_no(flag: bool) -> str:
-    return "yes" if flag else "no"
-
-
 def _cmd_certify_ap(args) -> Report:
     from .experiments import prepared_ap_experiment, singlet_ap_experiment
-    file_cfg = _load_config_file(args.config)
+    settings = _settings(args, _CONFIG_KEYS)
     if (args.axis is None) == (args.singlet_beta is None):
         raise ValueError("choose exactly one of --axis (prepared) or --singlet-beta")
-    mode = "prepared-ap" if args.axis else "singlet-ap"
-    cfg = _build_config(args, file_cfg)
+    cfg = _build_config(settings)
     if not cfg.directions:
         raise ValueError("no certification directions given (flag or config file)")
-    if args.axis:
-        cert = prepared_ap_experiment(_parse_vector(args.axis), cfg)
+    if args.axis is not None:
+        mode, cert = "prepared-ap", prepared_ap_experiment(_parse_vector(args.axis), cfg)
     else:
-        cert = singlet_ap_experiment(_parse_vector(args.singlet_beta), cfg)
-    lines = [
-        f"direction={_cell(row.direction)}, target={row.target:.6f}, "
-        f"estimate={row.estimate:.6f}, stderr={row.stderr:.6f}, pass={_yes_no(row.passed)}"
-        for row in cert.rows
-    ]
-    lines.append(f"verdict={'PASS' if cert.passed else 'FAIL'}")
+        mode, cert = "singlet-ap", singlet_ap_experiment(_parse_vector(args.singlet_beta), cfg)
+    lines = [dict(row.to_dict(), direction=_cell(row.direction)) for row in cert.rows]
+    lines.append({"verdict": "PASS" if cert.passed else "FAIL"})
     return Report(
         "certify-ap", cfg.seed, dict(cfg.to_dict(), scenario=mode, mode=mode),
         {"certificate": cert.to_dict()},
@@ -478,14 +470,12 @@ def _cmd_certify_ap(args) -> Report:
 def _cmd_experiment(args) -> Report:
     from .experiments import no_apbp_experiment
     from .realism import make_lhv_model
-    file_cfg = _load_config_file(args.config, (*_CONFIG_KEYS, "a", "b", "model"))
-    a_value = args.a if args.a is not None else file_cfg.get("a")
-    b_value = args.b if args.b is not None else file_cfg.get("b")
-    if a_value is None or b_value is None:
+    settings = _settings(args, (*_CONFIG_KEYS, "a", "b", "model"))
+    if settings.get("a") is None or settings.get("b") is None:
         raise ValueError("experiment needs --a and --b (flags or config file)")
-    a, b = _parse_vector(a_value), _parse_vector(b_value)
-    model_name = args.model if args.model is not None else file_cfg.get("model", "sign-circle")
-    cfg = _build_config(args, file_cfg)
+    a, b = _parse_vector(settings["a"]), _parse_vector(settings["b"])
+    model_name = settings.get("model", "sign-circle")
+    cfg = _build_config(settings)
     result = no_apbp_experiment(a, b, make_lhv_model(model_name), cfg)
 
     inequality = result.inequality
@@ -514,22 +504,17 @@ def _cmd_experiment(args) -> Report:
         for leg in result.triangle
     ]
     rows += _certificate_rows(cert_u, "u") + _certificate_rows(cert_v, "v")
-    lines = [
-        f"case={inequality.case_label}, assignment={inequality.assignment}, "
-        f"target_lhs={inequality.target_lhs:.6f}, empirical_lhs={inequality.empirical_lhs:.6f}",
-        f"gaps={', '.join(f'{g:.6f}' for g in inequality.gaps)}",
-        f"certificate_u_pass={_yes_no(cert_u.passed)}, "
-        f"certificate_v_pass={_yes_no(cert_v.passed)}",
-        f"failing_margin={result.failing_margin:.6f}, margin_floor={result.margin_floor:.6f}, "
-        f"contradiction_closed={_yes_no(result.contradiction_closed)}",
-    ]
+    groups = (("case", "assignment", "target_lhs", "empirical_lhs"), ("gaps",),
+              ("certificate_u_pass", "certificate_v_pass"),
+              ("failing_margin", "margin_floor", "contradiction_closed"))
+    lines = [{key: summary[key] for key in group} for group in groups]
     report = Report(
         "experiment", cfg.seed, dict(cfg.to_dict(), scenario="no-apbp", a=a, b=b, model=model_name),
         dict(summary, detail=result.to_dict()),
         table=(_REPORT_FIELDS, rows), lines=lines,
         code=0 if (cert_u.passed and cert_v.passed) else 1,
     )
-    if not args.summary:
+    if args.summary is None:
         return report
     summary_text = _render(replace(report, json_keys=tuple(summary)), "json")
     return replace(report, files=(("--summary", args.summary, summary_text),))
@@ -568,7 +553,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("witness", _cmd_witness, "violation witness directions and values")
     p.add_argument("--a", help="first axis as JSON vector")
     p.add_argument("--b", help="second axis as JSON vector")
-    p.add_argument("--optimal", action="store_true", help="exactly maximized witness")
+    # store_const leaves None when absent, so every flag's presence is one test
+    p.add_argument("--optimal", action="store_const", const=True, help="exactly maximized witness")
     p.add_argument("--orthogonal-to", choices=("a", "b"))  # None reads as "a"
     p.add_argument("--sweep", help="angle sweep START:STOP:STEP in degrees")
     p.add_argument("--plot", help="prefix for two-column plot data files")
@@ -635,9 +621,9 @@ def run(argv: list[str] | None = None) -> int:
     try:
         report = args.handler(args)
         text = _render(report, args.format)
-        out = (("--out", args.out, text),) if args.out else ()
+        out = (("--out", args.out, text),) if args.out is not None else ()
         _write_files(out + report.files)
-        if not args.out:
+        if args.out is None:
             sys.stdout.write(text)
         return report.code
     except (ValueError, OverflowError, OSError, argparse.ArgumentTypeError) as exc:

@@ -59,12 +59,10 @@ class RngStream:
 
     def _draw(self, n: int) -> Philox:
         """A Philox standing at the counter, which moves past the n draws."""
-        if n < 0:
-            raise ValueError("cannot draw a negative number of values")
         bg = Philox(key=np.array([self.seed, self.stream_id], dtype=np.uint64))
         if self.counter:
             bg.advance(self.counter)
-        self.counter += -(-n // _DRAWS_PER_BLOCK)
+        self.counter = self.after(n).counter
         return bg
 
     def uniforms(self, n: int) -> np.ndarray:
@@ -84,7 +82,8 @@ class RngStream:
         """
         if n < 0:
             raise ValueError("cannot draw a negative number of values")
-        return RngStream(self.seed, self.stream_id, self.counter + -(-n // _DRAWS_PER_BLOCK))
+        counter = (self.counter + -(-n // _DRAWS_PER_BLOCK)) % 2**256  # wraps as Philox's does
+        return RngStream(self.seed, self.stream_id, counter)
 
     def words_at(self, draw: int, n: int) -> np.ndarray:
         """Words draw .. draw + n - 1 of this stream; its counter does not move.

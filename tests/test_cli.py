@@ -102,6 +102,15 @@ class TestBasicCommands:
             assert float(x) == 90.0
             assert abs(float(y) - math.sqrt(2)) < 1e-9
 
+    def test_witness_sweep_plot_files_with_an_empty_prefix(self, capsys, tmp_path, monkeypatch):
+        # an empty prefix was dropped as if --plot were absent
+        monkeypatch.chdir(tmp_path)
+        code, _, _ = invoke(capsys, "witness", "--sweep", "45:135:45", "--plot", "")
+        assert code == 0
+        assert sorted(path.name for path in tmp_path.iterdir()) == [
+            "_geometric.dat", "_optimal.dat"
+        ]
+
     @pytest.mark.parametrize("sweep", ["0.5:inf:1", "nan:10:1", "1:179:nan", "-inf:10:1"])
     def test_witness_sweep_rejects_non_finite_values(self, capsys, monkeypatch, sweep):
         # an infinite STOP used to loop for ever: fail instead of computing a row
@@ -353,6 +362,14 @@ BAD_CONFIG_VALUES = {
 }
 
 
+PREPARED = ["simulate-prepared", "--axis", "[0,0,1]", "--alpha", "[1,0,0]", "--n", "100"]
+SINGLET = ["simulate-singlet", "--alpha", "[0,0,1]", "--beta", "[1,0,0]", "--n", "100"]
+LHV = ["lhv", "--alpha", "[1,0,0]", "--beta", "[0,1,0]", "--n", "100"]
+CERTIFY = ["certify-ap", "--axis", "[0,0,1]", "--directions", "[[0,0,1],[1,0,0]]", "--n", "100"]
+EXPERIMENT = ["experiment", "--a", "[1,0,0]", "--b", "[0,1,0]", "--n", "100"]
+WITNESS = ["witness", "--a", "[1,0,0]", "--b", "[0,1,0]"]
+
+
 class TestBadInputExitsTwo:
     """Malformed vectors and config values exit 2 with a message, never a
     traceback (exit 1 is kept for a failed verdict)."""
@@ -546,6 +563,37 @@ class TestBadInputExitsTwo:
         assert err.startswith("error: cannot write --dump-x file missing/x.txt: ")
         assert [path.name for path in tmp_path.iterdir()] == ["x.txt"]
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["bruteforce", "--n", "3", "--out", ""], "cannot write --out file : {dot}"),
+            ([*PREPARED, "--dump-u", ""], "cannot write --dump-u file : {dot}"),
+            ([*PREPARED, "--dump-x", ""], "cannot write --dump-x file : {dot}"),
+            ([*SINGLET, "--dump-a", ""], "cannot write --dump-a file : {dot}"),
+            ([*SINGLET, "--dump-b", ""], "cannot write --dump-b file : {dot}"),
+            ([*LHV, "--dump-lambdas", ""], "cannot write --dump-lambdas file : {dot}"),
+            ([*EXPERIMENT, "--summary", ""], "cannot write --summary file : {dot}"),
+            ([*CERTIFY, "--config", ""], "cannot read --config file : {dot}"),
+            ([*EXPERIMENT, "--config", ""], "cannot read --config file : {dot}"),
+            ([*WITNESS, "--plot", ""], "--plot needs --sweep"),
+            (["witness", "--sweep", ""], "--sweep expects START:STOP:STEP in degrees"),
+            (["certify-ap", "--axis", "", "--directions", "[[0,0,1]]", "--n", "100"],
+             "vector '' is not valid JSON: Expecting value: line 1 column 1 (char 0)"),
+        ],
+        ids=["out", "dump-u", "dump-x", "dump-a", "dump-b", "dump-lambdas", "summary",
+             "certify-config", "experiment-config", "plot", "sweep", "axis"],
+    )
+    def test_flag_given_an_empty_value_counts_as_given(
+        self, capsys, tmp_path, monkeypatch, argv, message
+    ):
+        # a truthiness test dropped the empty value: each of these ran as if
+        # the flag were absent (or, for --axis, failed on another flag's None)
+        monkeypatch.chdir(tmp_path)
+        code, out, err = invoke(capsys, *argv)
+        message = message.format(dot="[Errno 21] Is a directory: '.'")
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("value", ["nan", "inf"])
     @pytest.mark.parametrize("command", ["certify-ap", "experiment"])
     def test_non_finite_sigma_k(self, capsys, tmp_path, command, value):
@@ -604,15 +652,12 @@ SEEDED_COMMANDS = {
     "correlate": ["correlate", "--f", "++--", "--g", "+-+-"],
     "check-boole": ["check-boole", "--f", "+--+", "--g", "++++", "--h=----"],
     "bruteforce": ["bruteforce", "--n", "3"],
-    "witness": ["witness", "--a", "[1,0,0]", "--b", "[0,1,0]"],
-    "simulate-prepared": ["simulate-prepared", "--axis", "[0,0,1]", "--alpha", "[1,0,0]",
-                          "--n", "100"],
-    "simulate-singlet": ["simulate-singlet", "--alpha", "[0,0,1]", "--beta", "[1,0,0]",
-                         "--n", "100"],
-    "lhv": ["lhv", "--alpha", "[1,0,0]", "--beta", "[0,1,0]", "--n", "100"],
-    "certify-ap": ["certify-ap", "--axis", "[0,0,1]", "--directions", "[[0,0,1],[1,0,0]]",
-                   "--n", "100"],
-    "experiment": ["experiment", "--a", "[1,0,0]", "--b", "[0,1,0]", "--n", "100"],
+    "witness": WITNESS,
+    "simulate-prepared": PREPARED,
+    "simulate-singlet": SINGLET,
+    "lhv": LHV,
+    "certify-ap": CERTIFY,
+    "experiment": EXPERIMENT,
 }
 SEED_ENDS = (0, 2**64 - 1)
 SEEDS_OUTSIDE = (-1, 2**64)
@@ -652,6 +697,14 @@ class TestSeedRange:
         else:
             assert code in (0, 1)
             assert json.loads(out)["seed"] == seed
+
+    @pytest.mark.parametrize("seed", ["０７", "١٢", "²"], ids=["fullwidth", "arabic-indic", "square"])
+    @pytest.mark.parametrize("command", ["witness", "certify-ap"])
+    def test_flag_of_non_ascii_digits_exits_two(self, capsys, command, seed):
+        # "０７" ran as seed 7 and "١٢" as seed 12; "²" got a message naming _seed
+        code, out, err = invoke(capsys, *SEEDED_COMMANDS[command], "--seed", seed)
+        assert (code, out) == (2, "")
+        assert f"seed must be an integer, got {seed!r}" in err
 
     @pytest.mark.parametrize("seed", [5.5, 5.0, True, "x", None, "5"])
     def test_config_file_seed_must_be_an_integer(self, capsys, tmp_path, seed):

@@ -1,0 +1,113 @@
+"""The random streams checked against a pure-Python Philox4x64-10.
+
+The reference follows the generator's specification (Salmon et al.,
+"Parallel random numbers: as easy as 1, 2, 3", SC'11) as numpy's Philox
+keys and orders it: key = (seed, stream_id), a 256-bit counter of four
+little-endian 64-bit words that is incremented before each block and wraps
+at 2**256, and the four words of each block in order.  It shares no code
+with :mod:`boolebell.rng`, so these tests pin what a seed means without
+trusting numpy's layout.
+"""
+
+import math
+
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from boolebell.rng import RngStream
+from boolebell.sampler import _below, fair_signs
+
+_M64 = (1 << 64) - 1
+_ROUNDS = 10
+_MULTIPLIERS = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_KEY_INCREMENTS = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+
+
+def _block(counter: int, key: tuple[int, int]) -> list[int]:
+    """The four output words of one counter value."""
+    c0, c1, c2, c3 = ((counter >> shift) & _M64 for shift in (0, 64, 128, 192))
+    k0, k1 = key
+    for round_ in range(_ROUNDS):
+        if round_:
+            k0 = (k0 + _KEY_INCREMENTS[0]) & _M64
+            k1 = (k1 + _KEY_INCREMENTS[1]) & _M64
+        p0, p1 = _MULTIPLIERS[0] * c0, _MULTIPLIERS[1] * c2  # hi and lo of 128-bit products
+        c0, c1, c2, c3 = (p1 >> 64) ^ c1 ^ k0, p1 & _M64, (p0 >> 64) ^ c3 ^ k1, p0 & _M64
+    return [c0, c1, c2, c3]
+
+
+def reference_words(seed: int, stream_id: int, counter: int, n: int) -> list[int]:
+    """The first n words of the stream standing at ``counter``."""
+    words = []
+    while len(words) < n:
+        counter = (counter + 1) % 2**256
+        words += _block(counter, (seed, stream_id))
+    return words[:n]
+
+
+def reference_substream_id(stream_id: int, index: int) -> int:
+    """splitmix64 of the parent id and index, as substreams derive their ids."""
+    x = (stream_id * 0x9E3779B97F4A7C15 + index + 1) & _M64
+    x = (x + 0x9E3779B97F4A7C15) & _M64
+    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _M64
+    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _M64
+    return x ^ (x >> 31)
+
+
+KEYS = st.integers(0, 2**64 - 1)
+# counters anywhere, and just below the wrap at 2**256
+COUNTERS = st.one_of(st.integers(0, 2**256 - 1), st.integers(2**256 - 12, 2**256 - 1))
+COUNTS = st.integers(0, 24)
+FAST = settings(max_examples=40, deadline=None)
+
+
+@FAST
+@given(KEYS, KEYS, COUNTERS, COUNTS)
+@example(0, 0, 0, 8)
+@example(3, 12345678901234567, 7, 9)
+@example(2**64 - 1, 5, 2**200 + 3, 5)
+@example(3, 5, 2**256 - 1, 8)
+def test_words_equal_the_reference(seed, stream_id, counter, n):
+    s = RngStream(seed, stream_id, counter)
+    assert s.words(n).tolist() == reference_words(seed, stream_id, counter, n)
+    assert s.counter == (counter + math.ceil(n / 4)) % 2**256
+
+
+@FAST
+@given(KEYS, KEYS, COUNTERS, st.integers(0, 40), COUNTS)
+def test_words_at_equals_the_reference(seed, stream_id, counter, draw, n):
+    s = RngStream(seed, stream_id, counter)
+    run = reference_words(seed, stream_id, counter, draw + n)
+    assert s.words_at(draw, n).tolist() == run[draw:]
+    assert s.counter == counter
+
+
+@FAST
+@given(KEYS, KEYS, COUNTERS, st.integers(0, 40), COUNTS)
+def test_after_equals_the_reference(seed, stream_id, counter, k, n):
+    # a draw of k values rounds up to whole four-word blocks
+    skipped = 4 * math.ceil(k / 4)
+    run = reference_words(seed, stream_id, counter, skipped + n)
+    assert RngStream(seed, stream_id, counter).after(k).words(n).tolist() == run[skipped:]
+
+
+@FAST
+@given(KEYS, KEYS, KEYS, COUNTS)
+def test_substream_equals_the_reference(seed, stream_id, index, n):
+    child = RngStream(seed, stream_id, 9).substream(index)
+    assert (child.seed, child.counter) == (seed, 0)
+    assert child.stream_id == reference_substream_id(stream_id, index)
+    assert child.words(n).tolist() == reference_words(seed, child.stream_id, 0, n)
+
+
+@FAST
+@given(KEYS, KEYS, COUNTERS, st.floats(-0.5, 1.5))
+def test_fair_signs_and_below_decide_on_the_words_as_documented(seed, stream_id, counter, p):
+    words = reference_words(seed, stream_id, counter, 16)
+    array = np.array(words, dtype=np.uint64)
+    assert list(fair_signs(array)) == [1 if w < 2**63 else -1 for w in words]
+    # "uniform < p" on each word's double (w >> 11) * 2**-53, also at p equal
+    # to one of those doubles, where the word itself must decide False
+    for q in (p, (words[0] >> 11) * 2**-53, 0.0, 1.0):
+        assert _below(array, q).tolist() == [(w >> 11) * 2**-53 < q for w in words]

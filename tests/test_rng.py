@@ -155,9 +155,14 @@ def test_counter_at_its_top_end_draws():
     assert not np.array_equal(RngStream(1, 0, 2**256 - 1).words(4), RngStream(1, 0, 0).words(4))
 
 
-def test_after_cannot_step_past_the_counter_limit():
-    with pytest.raises(ValueError):
-        RngStream(1, 0, 2**256 - 1).after(8)
+def test_counter_wraps_at_the_counter_limit_as_philox_does():
+    # the counter once ran on to 2**256 + 1, and after() then refused it
+    assert RngStream(3, 5, 2**256 - 1).after(8).counter == 1
+    s = RngStream(3, 5, 2**256 - 1)
+    s.words(8)
+    assert s.counter == 1
+    assert s.after(0).counter == 1
+    assert np.array_equal(s.words(4), RngStream(3, 5, 1).words(4))
 
 
 @pytest.mark.parametrize("index", [-1, 2**64, 2**64 + 5])
