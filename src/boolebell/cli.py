@@ -97,7 +97,15 @@ def _dumps(*given) -> tuple:
 def _write_files(files) -> None:
     """Write each (flag, path, text); an error names the flag and the file and
     removes the files this run created before it, so a failed run leaves no
-    new file behind (a path that existed, such as /dev/null, is kept)."""
+    new file behind (a path that existed, such as /dev/null, is kept).  Two
+    flags that name one file exit before any write, unless it exists and is
+    not a regular file (such as /dev/null): a second write there loses nothing."""
+    named = {}
+    for flag, path, _ in files:
+        real = os.path.realpath(path)
+        if real in named and (os.path.isfile(real) or not os.path.exists(real)):
+            raise ValueError(f"{named[real]} and {flag} both name the file {real}")
+        named[real] = flag
     created = []
     for flag, path, text in files:
         new = not os.path.lexists(path)
@@ -363,7 +371,7 @@ def _cmd_simulate_singlet(args) -> Report:
     from .sampler import sample_singlet
     alpha, beta = _parse_vector(args.alpha), _parse_vector(args.beta)
     a_seq, b_seq = sample_singlet(alpha, beta, args.n, RngStream(args.seed))
-    target = -clamp_unit_dot(alpha.dot(beta))
+    target = clamp_unit_dot(-alpha.dot(beta))
     return _pair_report(
         "simulate-singlet", args, {}, alpha, beta, a_seq, b_seq, {"target": target},
         _dumps(("--dump-a", args.dump_a, a_seq), ("--dump-b", args.dump_b, b_seq)),

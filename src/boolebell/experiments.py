@@ -293,21 +293,29 @@ def no_apbp_experiment(
     least one of the two certificates failing by
     (target_lhs - 1)/3 - sigma_k * stderr or more.
 
-    Extra cfg.directions are certified too; every chunk is drawn with (a, b),
-    so the circle law keeps one plane and one stream one hidden-variable law.
+    Every block is read by one reader, ``hidden``: block j is drawn from
+    substream j with the plane (a, b), so the circle law keeps one plane and
+    one stream one hidden-variable law.  Block 0 is the witness; blocks
+    1 .. k are the k rows of u's certificate (a, b, the witness direction,
+    then cfg.directions) and blocks k + 1 .. 2k those of v's.  A certificate
+    commits the far wing's values along minus its axis before its direction
+    is chosen, and the near wing then answers from the same draws, so the
+    protocol ordering inside certify_ap is honest.
     """
     witness = geometric_witness(a, b)
     base = RngStream(cfg.seed)
 
+    def hidden(j: int, start: int, count: int):  # block j's chunk at start
+        return model.draw_lambdas(a, b, count, base.substream(j).after(start), cfg.n)
+
     # the witness block: the three pair sums of x, u, v, one chunk at a time
-    hidden_rng = base.substream(0)
     sums = {"ux": 0, "vx": 0, "uv": 0}
     for start, count in _chunks(cfg.n):
-        hidden = model.draw_lambdas(a, b, count, hidden_rng.after(start), cfg.n)
+        state = hidden(0, start, count)
         chunk = {
-            "x": SignSequence.from_array(model.response_a(hidden, witness.alpha)),
-            "u": SignSequence.from_array(model.response_b(hidden, -a)),
-            "v": counterfactual_values(model, hidden, -b, "B"),
+            "x": SignSequence.from_array(model.response_a(state, witness.alpha)),
+            "u": SignSequence.from_array(model.response_b(state, -a)),
+            "v": counterfactual_values(model, state, -b, "B"),
         }
         for pair in sums:
             sums[pair] += correlation(chunk[pair[0]], chunk[pair[1]]).sum_products
@@ -336,11 +344,18 @@ def no_apbp_experiment(
         verdict="contradiction" if witness.lhs_value > 1.0 >= empirical else "consistent",
     )
 
-    cert_dirs = (a, b, witness.alpha) + tuple(cfg.directions)
-    cert_cfg = replace(cfg, directions=cert_dirs)
-    k = len(cert_dirs)
-    cert_u = _lhv_certificate(model, (a, b), a, cert_cfg, base, offset=1)
-    cert_v = _lhv_certificate(model, (a, b), b, cert_cfg, base, offset=1 + k)
+    cert_cfg = replace(cfg, directions=(a, b, witness.alpha) + tuple(cfg.directions))
+    k = len(cert_cfg.directions)
+
+    def certificate(axis: UnitVector3, first: int) -> ApCertificate:
+        def source(j: int, start: int, count: int) -> tuple[SignSequence, Sampler]:
+            state = hidden(first + j, start, count)
+            u = SignSequence.from_array(model.response_b(state, -axis))
+            return u, lambda uu, alpha: SignSequence.from_array(model.response_a(state, alpha))
+
+        return certify_ap(source, axis, cert_cfg)
+
+    cert_u, cert_v = certificate(a, 1), certificate(b, 1 + k)
 
     failing = cert_u.failing_rows() + cert_v.failing_rows()
     lift = (witness.lhs_value - 1.0) / 3.0
@@ -360,32 +375,6 @@ def no_apbp_experiment(
             inequality.verdict == "contradiction" and bool(failing) and margin_ok
         ),
     )
-
-
-def _lhv_certificate(
-    model: LhvModel,
-    plane: tuple[UnitVector3, UnitVector3],
-    axis_claimed: UnitVector3,
-    cfg: ExperimentConfig,
-    base: RngStream,
-    offset: int,
-) -> ApCertificate:
-    """Certify the model's near wing against ``axis_claimed``.
-
-    Block j's pairs come from substream offset + j and are drawn with the
-    pair ``plane``.  For each chunk the committed u holds the far wing's
-    values along -axis_claimed; the chunk's hidden draws happen before its
-    direction is chosen, and the near wing then answers from the same draws,
-    so the protocol ordering inside certify_ap is honest.
-    """
-
-    def source(j: int, start: int, count: int) -> tuple[SignSequence, Sampler]:
-        rng = base.substream(offset + j).after(start)
-        hidden = model.draw_lambdas(*plane, count, rng, cfg.n)
-        u = SignSequence.from_array(model.response_b(hidden, -axis_claimed))
-        return u, lambda uu, alpha: SignSequence.from_array(model.response_a(hidden, alpha))
-
-    return certify_ap(source, axis_claimed, cfg)
 
 
 FEASIBILITY_MAX_LENGTH = BRUTE_FORCE_MAX_LENGTH

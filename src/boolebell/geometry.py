@@ -47,11 +47,12 @@ def clamp_unit_dot(value: float) -> float:
     """Snap a cosine to [-1, 1]; reject genuine excursions.
 
     Unit-vector dot products can exceed 1 by rounding dust; this is the one
-    place that clamps them.
+    place that clamps them.  Adding 0.0 turns a -0.0 into 0.0, so a zero
+    cosine never prints as -0.
     """
     if abs(value) > 1.0 + _DOT_TOL:
         raise InvalidProbability(f"|{value}| > 1 is not a unit-vector cosine")
-    return max(-1.0, min(1.0, value))
+    return max(-1.0, min(1.0, value)) + 0.0
 
 
 COLINEAR_TOL = 1e-9
@@ -121,8 +122,7 @@ def angle_between(a: UnitVector3, b: UnitVector3) -> float:
 
 
 def _candidate_values(p, q, c):
-    # p = a.alpha, q = b.alpha, c = a.b; one value per slot assignment.
-    # p and q are floats or numpy arrays of equal shape.
+    # p = a.alpha, q = b.alpha, c = a.b, all floats; one value per slot assignment.
     return (abs(p - q) + c, abs(p - c) + q, abs(c - q) + p)
 
 

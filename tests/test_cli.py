@@ -4,13 +4,17 @@ import csv
 import io
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from boolebell import SignSequence, correlation
 from boolebell.cli import run
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def invoke(capsys, *argv):
@@ -227,6 +231,25 @@ class TestSamplingCommands:
         # aligned wings are exactly anticorrelated
         assert float(row["correlation"]) == -1.0
         assert row["seed"] == "3"
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize(
+        "argv",
+        [["simulate-singlet", "--alpha", "[1,0,0]", "--beta", "[0,1,0]", "--n", "10"],
+         ["certify-ap", "--singlet-beta", "[0,1,0]", "--directions", "[[1,0,0]]", "--n", "1000"]],
+        ids=["simulate-singlet", "certify-ap"],
+    )
+    def test_zero_cosine_target_is_not_negative(self, capsys, argv, fmt):
+        # the target was -0.0: simulate-singlet negated a clamped 0.0, and
+        # certify-ap's far-wing axis -beta carries -0.0 components
+        code, out, _ = invoke(capsys, *argv, "--format", fmt)
+        assert code == 0
+        if fmt == "text":
+            assert "target=0.000000" in out
+        else:
+            doc = json.loads(out)
+            target = (doc["certificate"]["rows"][0] if "certificate" in doc else doc)["target"]
+            assert (target, math.copysign(1.0, target)) == (0.0, 1.0)
 
     def test_lhv_dump_lambdas(self, capsys, tmp_path):
         lam_path = tmp_path / "lam.csv"
@@ -594,6 +617,34 @@ class TestBadInputExitsTwo:
         assert (code, out, err) == (2, "", f"error: {message}\n")
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["simulate-prepared", "--axis", "[1,0,0]", "--alpha", "[0,1,0]", "--n", "10",
+              "--out", "same.txt", "--dump-u", "same.txt"],
+             "--out and --dump-u both name the file {cwd}/same.txt"),
+            (["witness", "--sweep", "10:20:5", "--plot", "p", "--out", "p_geometric.dat"],
+             "--out and --plot both name the file {cwd}/p_geometric.dat"),
+            (["simulate-singlet", "--alpha", "[1,0,0]", "--beta", "[0,1,0]", "--n", "10",
+              "--dump-a", "x.txt", "--dump-b", "./x.txt"],
+             "--dump-a and --dump-b both name the file {cwd}/x.txt"),
+            (["simulate-prepared", "--axis", "[1,0,0]", "--alpha", "[0,1,0]", "--n", "10",
+              "--out", os.devnull, "--dump-u", os.devnull], None),
+        ],
+        ids=["out-and-dump", "out-and-plot", "two-dumps", "devnull-twice"],
+    )
+    def test_two_outputs_that_name_one_file(self, capsys, tmp_path, monkeypatch, argv, message):
+        # the later file silently replaced the earlier one; a path that is
+        # not a regular file, such as /dev/null, may repeat
+        monkeypatch.chdir(tmp_path)
+        code, out, err = invoke(capsys, *argv)
+        if message is None:
+            assert (code, out, err) == (0, "", "")
+        else:
+            message = message.format(cwd=os.path.realpath(tmp_path))
+            assert (code, out, err) == (2, "", f"error: {message}\n")
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("value", ["nan", "inf"])
     @pytest.mark.parametrize("command", ["certify-ap", "experiment"])
     def test_non_finite_sigma_k(self, capsys, tmp_path, command, value):
@@ -642,7 +693,7 @@ class TestContractDetails:
     def test_console_entry_point(self, tmp_path):
         proc = subprocess.run(
             [sys.executable, "-m", "boolebell", "bruteforce", "--n", "5"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(SRC)},
         )
         assert proc.returncode == 0
         assert "max_lhs=1.000000" in proc.stdout

@@ -18,7 +18,7 @@ from boolebell.experiments import (
     singlet_ap_experiment,
 )
 from boolebell.geometry import ColinearAxes, UnitVector3, geometric_witness
-from boolebell.realism import MODEL_NAMES, make_lhv_model
+from boolebell.realism import MODEL_NAMES, counterfactual_values, make_lhv_model
 from boolebell.rng import RngStream
 from boolebell.sampler import random_signs
 from boolebell.sequences import (
@@ -219,6 +219,49 @@ class TestChunkInvariance:
         self.assert_invariant(
             monkeypatch, lambda: no_apbp_experiment(X_HAT, xy_direction(70), model, cfg)
         )
+
+
+class TestLhvStreamLayout:
+    """The contradiction experiment reads LHV block j from substream j: the
+    witness is block 0, row j of u's certificate block 1 + j and row j of
+    v's block 1 + k + j, each drawn with the plane (a, b).  A whole-block
+    draw from that substream gives every estimate exactly."""
+
+    N = 2_000
+
+    @pytest.mark.parametrize("name", MODEL_NAMES)
+    def test_block_j_reads_substream_j(self, monkeypatch, name):
+        monkeypatch.setattr(experiments, "_CHUNK", 512)
+        a, b, extra = X_HAT, xy_direction(70), xz_direction(40)
+        cfg = ExperimentConfig(seed=64, n=self.N, directions=(extra,))
+        model = make_lhv_model(name)
+        result = no_apbp_experiment(a, b, model, cfg)
+        base = RngStream(cfg.seed)
+
+        def block(j):
+            return model.draw_lambdas(a, b, self.N, base.substream(j), self.N)
+
+        def signs(values):
+            return SignSequence.from_array(values)
+
+        witness = geometric_witness(a, b).alpha
+        state = block(0)
+        x = signs(model.response_a(state, witness))
+        u = signs(model.response_b(state, -a))
+        v = counterfactual_values(model, state, -b, "B")
+        legs = {"ux": (u, x), "vx": (v, x), "uv": (u, v)}
+        for leg in result.triangle:
+            assert leg.estimate == correlation(*legs[leg.label]).value
+
+        directions = (a, b, witness, extra)
+        k = len(directions)
+        for cert, axis, first in ((result.certificate_u, a, 1), (result.certificate_v, b, 1 + k)):
+            assert tuple(row.direction for row in cert.rows) == directions
+            for j, row in enumerate(cert.rows):
+                state = block(first + j)
+                u = signs(model.response_b(state, -axis))
+                x = signs(model.response_a(state, row.direction))
+                assert row.estimate == correlation(u, x).value
 
 
 def oracle_feasibility(a, b, alpha, n, epsilon):
