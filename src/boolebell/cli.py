@@ -94,13 +94,13 @@ def _dumps(*given) -> tuple:
     return tuple((flag, path, s.to_text() + "\n") for flag, path, s in given if path is not None)
 
 
-def _write_files(files) -> None:
+def _write_files(files, inputs=()) -> None:
     """Write each (flag, path, text); an error names the flag and the file and
     removes the files this run created before it, so a failed run leaves no
-    new file behind (a path that existed, such as /dev/null, is kept).  Two
-    flags that name one file exit before any write, unless it exists and is
-    not a regular file (such as /dev/null): a second write there loses nothing."""
-    named = {}
+    new file behind (a path that existed, such as /dev/null, is kept).  An output on
+    the file of an input (flag, path) or another output exits before any write, unless
+    the file exists and is not regular (such as /dev/null), where a write loses nothing."""
+    named = {os.path.realpath(path): flag for flag, path in inputs}
     for flag, path, _ in files:
         real = os.path.realpath(path)
         if real in named and (os.path.isfile(real) or not os.path.exists(real)):
@@ -147,13 +147,9 @@ class Report:
     code: int = 0
 
 
-def _json_default(obj: UnitVector3) -> list[float]:
-    return obj.as_list()  # the one value type in a report that JSON lacks
-
-
 def _config_hash(payload: dict) -> str:
     import hashlib  # loads OpenSSL, which only --format json needs
-    canonical = json.dumps(payload, sort_keys=True, default=_json_default)
+    canonical = json.dumps(payload, sort_keys=True, default=UnitVector3.as_list)
     return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
 
@@ -193,7 +189,7 @@ def _render(report: Report, fmt: str) -> str:
             "config_hash": _config_hash(report.config),
             **{key: fields[key] for key in report.json_keys or fields},
         }
-        text = json.dumps(doc, sort_keys=True, indent=2, default=_json_default)
+        text = json.dumps(doc, sort_keys=True, indent=2, default=UnitVector3.as_list)
     elif fmt == "csv":
         header, rows = report.table or (list(fields), [fields])
         text = _csv_text(header, ([_cell(row[key]) for key in header] for row in rows))
@@ -379,14 +375,19 @@ def _cmd_simulate_singlet(args) -> Report:
 
 
 def _cmd_lhv(args) -> Report:
-    from .realism import make_lhv_model, sample_lhv, sign_model_correlation
+    from .realism import make_lhv_model, sign_model_correlation
     from .rng import RngStream
+    from .sequences import SignSequence
     alpha, beta = _parse_vector(args.alpha), _parse_vector(args.beta)
     model = make_lhv_model(args.model)
-    a_seq, b_seq, lambdas = sample_lhv(model, alpha, beta, args.n, RngStream(args.seed))
+    if args.n < 1:
+        raise ValueError("need at least one pair")
+    hidden = model.draw_lambdas(alpha, beta, args.n, RngStream(args.seed))
+    a_seq = SignSequence.from_array(model.response_a(hidden, alpha))
+    b_seq = SignSequence.from_array(model.response_b(hidden, beta))
     files = ()
-    if args.dump_lambdas is not None:
-        dump = _csv_text(["lambda_x", "lambda_y", "lambda_z"], lambdas.tolist())
+    if args.dump_lambdas is not None:  # the n x 3 lambdas are built only here
+        dump = _csv_text(["lambda_x", "lambda_y", "lambda_z"], hidden.lambdas().tolist())
         files = (("--dump-lambdas", args.dump_lambdas, dump),)
     closed_form = sign_model_correlation(angle_between(alpha, beta))
     return _pair_report(
@@ -630,7 +631,10 @@ def run(argv: list[str] | None = None) -> int:
         report = args.handler(args)
         text = _render(report, args.format)
         out = (("--out", args.out, text),) if args.out is not None else ()
-        _write_files(out + report.files)
+        given = {flag: getattr(args, flag[2:], None) for flag in ("--config", "--f", "--g", "--h")}
+        inputs = [(flag, path if flag == "--config" else path[1:]) for flag, path in given.items()
+                  if path is not None and (flag == "--config" or path.startswith("@"))]
+        _write_files(out + report.files, inputs)
         if args.out is None:
             sys.stdout.write(text)
         return report.code

@@ -25,7 +25,7 @@ so a field reaches the JSON output when it is declared.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
 from typing import Callable, Iterator
 
@@ -165,13 +165,10 @@ class TriangleLeg(_Record):
     target: float
     estimate: float
     stderr: float
+    gap: float = field(init=False)
 
-    @property
-    def gap(self) -> float:
-        return abs(self.estimate - self.target)
-
-    def to_dict(self) -> dict:
-        return dict(super().to_dict(), gap=self.gap)
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "gap", abs(self.estimate - self.target))
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,7 @@
 Streams are keyed by (seed, stream_id) and advance a block counter, so a
 stream can be reconstructed from three integers anywhere in a run and
 replays identically on any platform and in any order of reads.  Each
-draw call builds a fresh Philox generator jumped to the current counter;
+draw call builds a fresh Philox generator opened at the current counter;
 Philox emits four 64-bit words per counter block, so consumption rounds
 up to whole blocks.  Any stretch of a run can therefore be read on its
 own, from a computed counter (Salmon et al., "Parallel random numbers: as
@@ -59,9 +59,8 @@ class RngStream:
 
     def _draw(self, n: int) -> Philox:
         """A Philox standing at the counter, which moves past the n draws."""
-        bg = Philox(key=np.array([self.seed, self.stream_id], dtype=np.uint64))
-        if self.counter:
-            bg.advance(self.counter)
+        bg = Philox(key=np.array([self.seed, self.stream_id], dtype=np.uint64),
+                    counter=self.counter)
         self.counter = self.after(n).counter
         return bg
 

@@ -52,8 +52,8 @@ def _below(words: np.ndarray, p: float) -> np.ndarray:
 
 
 def fair_signs(words: np.ndarray) -> SignSequence:
-    """One fair sign per word: +1 where the word is below 2**63."""
-    return SignSequence.from_array(words < 2**63)
+    """One fair sign per word: the outcome +1 at p = 1/2 (a word below 2**63)."""
+    return SignSequence.from_array(_below(words, 0.5))
 
 
 def random_signs(n: int, rng: RngStream) -> SignSequence:

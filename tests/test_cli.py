@@ -645,6 +645,37 @@ class TestBadInputExitsTwo:
             assert (code, out, err) == (2, "", f"error: {message}\n")
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["certify-ap", "--axis", "[0,0,1]", "--directions", "[[0,0,1]]", "--n", "1000",
+              "--config", "cfg.json", "--out", "cfg.json"],
+             "--config and --out both name the file {cwd}/cfg.json"),
+            (["experiment", "--a", "[1,0,0]", "--b", "[0,1,0]", "--n", "1000",
+              "--config", "cfg.json", "--summary", "./cfg.json"],
+             "--config and --summary both name the file {cwd}/cfg.json"),
+            (["correlate", "--f", "@f.txt", "--g", "++++", "--out", "./f.txt"],
+             "--f and --out both name the file {cwd}/f.txt"),
+            (["check-boole", "--f", "@f.txt", "--g", "@f.txt", "--h", "+--+"], None),
+        ],
+        ids=["config-out", "config-summary", "sequence-out", "two-inputs"],
+    )
+    def test_an_output_may_not_name_an_input(self, capsys, tmp_path, monkeypatch, argv, message):
+        # the report replaced the config or sequence file the run had read;
+        # two inputs may share a file
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cfg.json").write_text('{"seed": 3}\n')
+        (tmp_path / "f.txt").write_text("+-++\n")
+        before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+        code, out, err = invoke(capsys, *argv)
+        if message is None:
+            assert (code, err) == (0, "")
+            assert "verdict=PASS" in out
+        else:
+            message = message.format(cwd=os.path.realpath(tmp_path))
+            assert (code, out, err) == (2, "", f"error: {message}\n")
+        assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+
     @pytest.mark.parametrize("value", ["nan", "inf"])
     @pytest.mark.parametrize("command", ["certify-ap", "experiment"])
     def test_non_finite_sigma_k(self, capsys, tmp_path, command, value):
@@ -779,12 +810,17 @@ class TestOutOfMemory:
         "sample_singlet": ["simulate-singlet", "--alpha", "[0,0,1]", "--beta", "[1,0,0]"],
         "sample_lhv": ["lhv", "--alpha", "[0,0,1]", "--beta", "[1,0,0]"],
     }
-    # the module that defines each sampler; the handlers import it from there
-    MODULES = {"sample_prepared": "sampler", "sample_singlet": "sampler", "sample_lhv": "realism"}
+    # what each case replaces, where the handler finds it; lhv draws its
+    # hidden state with the model's own method
+    TARGETS = {
+        "sample_prepared": "sampler.sample_prepared",
+        "sample_singlet": "sampler.sample_singlet",
+        "sample_lhv": "realism.LhvModel.draw_lambdas",
+    }
 
     @pytest.mark.parametrize("sampler", sorted(CASES))
     def test_memory_error_exits_two(self, capsys, monkeypatch, sampler):
-        monkeypatch.setattr(f"boolebell.{self.MODULES[sampler]}.{sampler}", _out_of_memory)
+        monkeypatch.setattr(f"boolebell.{self.TARGETS[sampler]}", _out_of_memory)
         code, out, err = invoke(capsys, *self.CASES[sampler], "--n", "1000")
         assert code == 2
         assert out == ""

@@ -187,6 +187,18 @@ def test_output_matches_golden(name, tmp_path):
         assert (tmp_path / file).read_bytes() == (GOLDEN / file).read_bytes(), file
 
 
+def _no_lambdas(hidden):
+    raise AssertionError("lhv built the n x 3 lambdas without --dump-lambdas")
+
+
+@pytest.mark.parametrize("name", ["lhv_circle_long.csv", "lhv_sphere_long.csv"])
+def test_lhv_builds_lambdas_only_to_dump_them(name, tmp_path, monkeypatch):
+    # the answers come from the compact hidden state alone
+    for draws in ("_CircleDraws", "_SphereDraws"):
+        monkeypatch.setattr(f"boolebell.realism.{draws}.lambdas", _no_lambdas)
+    test_output_matches_golden(name, tmp_path)
+
+
 def _numpy_on_openblas() -> bool:
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
