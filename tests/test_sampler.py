@@ -16,6 +16,7 @@ from boolebell.sampler import (
     sample_singlet_partner,
 )
 from boolebell.sequences import SignSequence, coincidence_probability, correlation
+from stats import assert_law
 
 X_HAT = UnitVector3(1, 0, 0)
 Z_HAT = UnitVector3(0, 0, 1)
@@ -132,6 +133,79 @@ class TestSinglet:
             sample_singlet(X_HAT, Z_HAT, 0, RngStream(19))
         with pytest.raises(ValueError):
             random_signs(0, RngStream(19))
+
+
+def popcount(bits: int) -> int:
+    return bin(bits).count("1")
+
+
+def every_64th(n: int, first: int) -> int:
+    """The mask of bits first, first + 64, first + 128, ... below n."""
+    return sum(1 << i for i in range(first, n, 64))
+
+
+class TestLaws:
+    """Each test counts events over 20 seeds and checks the totals against
+    their exact binomial laws (tests/stats.py), failing a true law with
+    probability at most 1e-9.  They pin no bytes, so they hold for any
+    stream format that draws the laws right."""
+
+    N = 100_000
+    THETAS = [0, 30, 60, 90, 135, 180]
+
+    def test_fair_signs(self):
+        n = 64 * 1000  # 1 000 words' worth, whatever the format
+
+        def draw(seed):
+            s = random_signs(n, RngStream(seed, 40)).bits
+            # bit i of s ^ (s >> 1) is set when signs i and i + 1 differ
+            same = ~(s ^ (s >> 1))
+            return [
+                (popcount(s), n),
+                (popcount(same & ((1 << (n - 1)) - 1)), n - 1),
+                # sign 63 against 64, 127 against 128, ...: across 64-bit words
+                (popcount(same & every_64th(n - 1, 63)), n // 64 - 1),
+            ]
+
+        assert_law(draw, 0.5, 0.5, 0.5)
+
+    @pytest.mark.parametrize("theta", THETAS)
+    def test_prepared(self, theta):
+        # x_i = +1 with probability (1 + u_i c)/2, given u
+        alpha = plane_direction(theta)
+        c = clamp_unit_dot(X_HAT.dot(alpha))
+        mask = (1 << self.N) - 1
+
+        def draw(seed):
+            u = random_signs(self.N, RngStream(seed, 50))
+            x = sample_prepared(PreparedSource(X_HAT, u), alpha, RngStream(seed, 51))
+            n_plus = popcount(u.bits)
+            return [
+                (popcount(u.bits & x.bits), n_plus),
+                (popcount(~u.bits & x.bits & mask), self.N - n_plus),
+            ]
+
+        assert_law(draw, 0.5 * (1 + c), 0.5 * (1 - c))
+
+    @pytest.mark.parametrize("theta", THETAS)
+    def test_singlet(self, theta):
+        # B disagrees with A with probability (1 + c)/2; both wings are fair
+        beta = plane_direction(theta)
+        p = 0.5 * (1 + clamp_unit_dot(X_HAT.dot(beta)))
+        pairs = (1 << self.N) // 3  # bits 0, 2, 4, ...: one per pair of neighbours
+
+        def draw(seed):
+            a, b = sample_singlet(X_HAT, beta, self.N, RngStream(seed, 60))
+            flips = a.bits ^ b.bits
+            return [
+                (popcount(flips), self.N),
+                (popcount(a.bits), self.N),
+                (popcount(b.bits), self.N),
+                # neighbours 2i and 2i + 1 flip independently
+                (popcount(flips & (flips >> 1) & pairs), self.N // 2),
+            ]
+
+        assert_law(draw, p, 0.5, 0.5, p * p)
 
 
 class TestClamp:
