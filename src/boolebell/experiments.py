@@ -15,7 +15,9 @@ from computed Philox counters, committed, measured along the block's
 direction and reduced to integer products sums, which add up exactly
 across chunks; then it is dropped.  Memory therefore stays at a few chunks
 whatever n is, and the results are the ones a whole-block run would give,
-bit for bit, for any chunk size that is a multiple of 4.
+bit for bit, for any chunk size that is a multiple of 256: a chunk's
+signs (64 per word) and outcomes (two per word, each of probability p
+rounded to the nearest 2**-32) then start on a Philox counter block.
 
 The config and result records turn into dicts by one rule,
 :meth:`_Record.to_dict`, which writes each dataclass field under its name,
@@ -38,9 +40,8 @@ from .realism import (
     measure,
 )
 from .rng import RngStream
-from .sampler import (
-    PreparedSource, fair_signs, random_signs, sample_prepared, sample_singlet_partner,
-)
+from .sampler import (PreparedSource, _OUTCOMES_PER_WORD, _SIGNS_PER_WORD, random_signs,
+                      sample_prepared, sample_singlet_partner)
 from .sequences import (
     BRUTE_FORCE_MAX_LENGTH,
     CorrelationEstimate,
@@ -51,8 +52,8 @@ from .sequences import (
     correlation,
 )
 
-# Pairs per chunk.  A multiple of 4, so every chunk starts on a Philox
-# counter block; a chunk's 64-bit draw arrays take 512 KiB each.
+# Pairs per chunk, a multiple of 256 (see above); a chunk's outcome words
+# take 256 KiB.
 _CHUNK = 1 << 16
 
 # measures committed signs along a chosen direction: (u, alpha) -> x
@@ -243,16 +244,15 @@ def certify_ap(source: ChunkSource, a: UnitVector3, cfg: ExperimentConfig) -> Ap
 def prepared_ap_experiment(a: UnitVector3, cfg: ExperimentConfig) -> ApCertificate:
     """Certify a genuinely axis-prepared source against its own axis.
 
-    The committed signs of all blocks are one run of fair draws on
-    substream 0, block j taking draws j n .. (j + 1) n - 1; block j is
-    measured with substream 1 + j.
+    Block j draws its committed fair signs u from substream 2 j and is
+    measured with substream 2 j + 1, each chunk from its own first word,
+    so block j's draws depend neither on the chunk size nor on n.
     """
     base = RngStream(cfg.seed)
-    signs = base.substream(0)
 
     def source(j: int, start: int, count: int) -> tuple[SignSequence, Sampler]:
-        u = fair_signs(signs.words_at(j * cfg.n + start, count))
-        rng = base.substream(1 + j).after(start)
+        u = random_signs(count, base.substream(2 * j).after(start // _SIGNS_PER_WORD))
+        rng = base.substream(2 * j + 1).after(start // _OUTCOMES_PER_WORD)
         return u, lambda uu, alpha: sample_prepared(PreparedSource(a, uu), alpha, rng)
 
     return certify_ap(source, a, cfg)
@@ -270,8 +270,8 @@ def singlet_ap_experiment(beta: UnitVector3, cfg: ExperimentConfig) -> ApCertifi
     base = RngStream(cfg.seed)
 
     def source(j: int, start: int, count: int) -> tuple[SignSequence, Sampler]:
-        u = random_signs(count, base.substream(2 * j).after(start))
-        rng = base.substream(2 * j + 1).after(start)
+        u = random_signs(count, base.substream(2 * j).after(start // _SIGNS_PER_WORD))
+        rng = base.substream(2 * j + 1).after(start // _OUTCOMES_PER_WORD)
         return u, lambda uu, alpha: sample_singlet_partner(uu, beta, alpha, rng)
 
     return certify_ap(source, -beta, cfg)

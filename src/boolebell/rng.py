@@ -9,9 +9,11 @@ up to whole blocks.  Any stretch of a run can therefore be read on its
 own, from a computed counter (Salmon et al., "Parallel random numbers: as
 easy as 1, 2, 3", SC'11): experiments stream their blocks chunk by chunk
 this way and still draw the values a whole-block draw would.  A stream
-reads as doubles or as the raw 64-bit words behind them: the double of
-word w is exactly (w >> 11) * 2**-53, so a sampler can decide each
-``uniform < p`` on w with an integer comparison, bit for bit.
+reads as doubles, which the LHV laws draw, or as the raw 64-bit words
+behind them (the double of word w is exactly (w >> 11) * 2**-53).  The
+quantum samplers split words into the bits an outcome needs: 64 fair
+signs, or two outcomes of probability p rounded to the nearest 2**-32,
+per word (:mod:`boolebell.sampler`).
 """
 
 from __future__ import annotations
@@ -83,15 +85,6 @@ class RngStream:
             raise ValueError("cannot draw a negative number of values")
         counter = (self.counter + -(-n // _DRAWS_PER_BLOCK)) % 2**256  # wraps as Philox's does
         return RngStream(self.seed, self.stream_id, counter)
-
-    def words_at(self, draw: int, n: int) -> np.ndarray:
-        """Words draw .. draw + n - 1 of this stream; its counter does not move.
-
-        Reads from counter block draw // 4 and drops the first draw % 4
-        words, so a run read in chunks equals the run drawn at once.
-        """
-        skip = draw % _DRAWS_PER_BLOCK
-        return self.after(draw - skip).words(skip + n)[skip:]
 
     def substream(self, index: int) -> "RngStream":
         """Derived stream i: deterministic, distinct for distinct indices."""

@@ -7,18 +7,23 @@ spin-1/2 cosine law.  A singlet pair measured along (alpha, beta) follows
 the joint law P(A=s, B=t) = (1 - s t (alpha.beta))/4: unbiased marginals,
 E[AB] = -alpha.beta, and perfect anticorrelation at alpha = beta.
 
-Every sampler consumes one 64-bit word per outcome from an
+Every sampler reads raw 64-bit words from an
 :class:`~boolebell.rng.RngStream`, so runs are reproducible from
-(seed, stream_id, counter) alone.  An outcome of probability p is decided
-as ``uniform < p`` exactly, by an integer threshold on the word.
+(seed, stream_id, counter) alone, and it reads only the bits an outcome
+needs.  A fair sign is one bit: sign i is bit i mod 64 of word i // 64,
+little-endian, so n signs take ceil(n/64) words.  An outcome of
+probability p takes 32 bits: event i reads half i mod 2 of word i // 2,
+low half first, and happens when that half is below K(p), p * 2**32
+rounded to the nearest integer (ties to even) and clipped to [0, 2**32].
+The event's probability is then p rounded to the nearest 2**-32, off by
+at most 2**-33; a p within 2**-33 of 0 or 1 decides as 0 or 1 does, so a
+source measured along its own axis still returns u exactly through float
+dust in a.alpha.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .geometry import UnitVector3, clamp_unit_dot
 from .rng import RngStream
@@ -38,41 +43,43 @@ class PreparedSource:
     u: SignSequence
 
 
-_ONE = 1 << 53  # the word w stands for the double (w >> 11) / 2**53
+_SIGNS_PER_WORD = 64  # one bit each
+_OUTCOMES_PER_WORD = 2  # one 32-bit half each
+_HALF = 1 << 32  # the values a half can take
 
 
-def _below(words: np.ndarray, p: float) -> np.ndarray:
-    """The bools ``uniform < p`` of the words' doubles, bit for bit.
-
-    m * 2**-53 < p exactly when the integer m = w >> 11 is below the exact
-    k = ceil(p * 2**53), i.e. when w < k << 11.
-    """
-    k = math.ceil(p * _ONE)
-    return words < (max(k, 0) << 11) if k < _ONE else np.ones(words.shape, dtype=bool)
+def _threshold(p: float) -> int:
+    """K(p): p * 2**32, exact in floats, rounded to nearest and clipped."""
+    return min(max(round(p * _HALF), 0), _HALF)
 
 
-def fair_signs(words: np.ndarray) -> SignSequence:
-    """One fair sign per word: the outcome +1 at p = 1/2 (a word below 2**63)."""
-    return SignSequence.from_array(_below(words, 0.5))
+def _events(n: int, p: float, rng: RngStream) -> int:
+    """n independent events of probability K(p) / 2**32, as bits: bit i
+    is set when 32-bit half i of the drawn words, low half first, is below
+    K(p)."""
+    words = rng.words(-(-n // _OUTCOMES_PER_WORD))
+    halves = words.astype("<u8", copy=False).view("<u4")[:n]
+    return SignSequence.from_array(halves < _threshold(p)).bits
 
 
 def random_signs(n: int, rng: RngStream) -> SignSequence:
-    """n fair independent signs."""
+    """n fair independent signs, 64 per drawn word."""
     if n < 1:
         raise ValueError("need at least one sign")
-    return fair_signs(rng.words(n))
+    words = rng.words(-(-n // _SIGNS_PER_WORD)).astype("<u8", copy=False)
+    return SignSequence(n, int.from_bytes(words.tobytes(), "little"))
 
 
 def sample_prepared(src: PreparedSource, alpha: UnitVector3, rng: RngStream) -> SignSequence:
     """Measure the prepared stream along ``alpha``.
 
     Independently per index, x_i = +1 with probability
-    (1 + u_i (a.alpha))/2; at alpha = axis this collapses to x = u exactly.
+    (1 + u_i (a.alpha))/2: x_i agrees with u_i with probability
+    (1 + a.alpha)/2.  At alpha = axis this collapses to x = u exactly.
     """
     c = clamp_unit_dot(src.axis.dot(alpha))
-    w = rng.words(src.u.length)
-    plus, minus = (SignSequence.from_array(_below(w, 0.5 * (1.0 + s))).bits for s in (c, -c))
-    return SignSequence(src.u.length, (src.u.bits & plus) | (~src.u.bits & minus))
+    agree = _events(src.u.length, 0.5 * (1.0 + c), rng)
+    return SignSequence(src.u.length, ~(src.u.bits ^ agree))
 
 
 def sample_singlet(
@@ -82,7 +89,8 @@ def sample_singlet(
 
     A is a fair coin per pair (:func:`random_signs`); B then disagrees with
     A with probability (1 + alpha.beta)/2 (:func:`sample_singlet_partner`),
-    reproducing the joint law exactly.
+    reproducing the joint law with that probability rounded to the
+    nearest 2**-32.
     """
     if n < 1:
         raise ValueError("need at least one pair")
@@ -104,5 +112,4 @@ def sample_singlet_partner(
     or B then A, realizes the same joint law.
     """
     c = clamp_unit_dot(fixed_direction.dot(other_direction))
-    flip = SignSequence.from_array(_below(rng.words(fixed.length), 0.5 * (1.0 + c)))
-    return SignSequence(fixed.length, fixed.bits ^ flip.bits)
+    return SignSequence(fixed.length, fixed.bits ^ _events(fixed.length, 0.5 * (1.0 + c), rng))

@@ -20,7 +20,9 @@ from boolebell.experiments import (
 from boolebell.geometry import ColinearAxes, UnitVector3, geometric_witness
 from boolebell.realism import MODEL_NAMES, counterfactual_values, make_lhv_model
 from boolebell.rng import RngStream
-from boolebell.sampler import random_signs
+from boolebell.sampler import (
+    PreparedSource, random_signs, sample_prepared, sample_singlet_partner,
+)
 from boolebell.sequences import (
     EmptySequence, LengthMismatch, LengthTooLarge, SignSequence, correlation,
 )
@@ -187,11 +189,15 @@ class TestNoApBp:
 
 
 class TestChunkInvariance:
-    """A block streamed in chunks of any multiple of 4 pairs, or in one
+    """A block streamed in chunks of any multiple of 256 pairs, or in one
     chunk, gives the same result bit for bit."""
 
-    N = 10_001  # not a multiple of 4, so prepared blocks start mid counter block
-    CHUNKS = (4, 4096, 65536, 1 << 20)
+    N = 10_001  # not a multiple of 256, so every block ends in a partial chunk
+    CHUNKS = (256, 4096, 65536, 1 << 20)
+
+    def test_chunk_is_a_multiple_of_256(self):
+        # 64 signs and two outcomes per word: chunk starts on counter blocks
+        assert experiments._CHUNK % 256 == 0
 
     def results(self, monkeypatch, run):
         out = []
@@ -264,6 +270,62 @@ class TestLhvStreamLayout:
                 assert row.estimate == correlation(u, x).value
 
 
+class TestQuantumStreamLayout:
+    """Both certify-ap sources read block j's committed signs from
+    substream 2 j and measure them with substream 2 j + 1, so a whole-block
+    draw gives every estimate exactly, and a block's first m pairs are the
+    same draws at any n >= m."""
+
+    DIRECTIONS = (X_HAT, xy_direction(70), xz_direction(40))
+    MODES = ("prepared", "singlet")
+
+    @staticmethod
+    def mode(name):
+        """The experiment at a config, and its block sampler (u, alpha, rng) -> x."""
+        if name == "prepared":
+            return (lambda cfg: prepared_ap_experiment(X_HAT, cfg),
+                    lambda u, alpha, rng: sample_prepared(PreparedSource(X_HAT, u), alpha, rng))
+        beta = UnitVector3(0.3, -0.5, 0.8)
+        return (lambda cfg: singlet_ap_experiment(beta, cfg),
+                lambda u, alpha, rng: sample_singlet_partner(u, beta, alpha, rng))
+
+    def blocks(self, monkeypatch, mode, n):
+        """The certificate at n in chunks of 256, and each block's committed
+        and measured signs as '+'/'-' text, chunk after chunk."""
+        monkeypatch.setattr(experiments, "_CHUNK", 256)
+        seen = []
+        real = experiments.correlation
+
+        def recording(u, x):
+            seen.append((u.to_text(), x.to_text()))
+            return real(u, x)
+
+        monkeypatch.setattr(experiments, "correlation", recording)
+        cert = self.mode(mode)[0](ExperimentConfig(seed=65, n=n, directions=self.DIRECTIONS))
+        per_block = -(-n // 256)
+        texts = [seen[j * per_block:(j + 1) * per_block] for j in range(len(self.DIRECTIONS))]
+        return cert, [tuple("".join(part) for part in zip(*chunks)) for chunks in texts]
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_block_j_reads_substreams_2j_and_2j_plus_1(self, monkeypatch, mode):
+        n = 2_000
+        cert, drawn = self.blocks(monkeypatch, mode, n)
+        sample = self.mode(mode)[1]
+        base = RngStream(65)
+        for j, row in enumerate(cert.rows):
+            u = random_signs(n, base.substream(2 * j))
+            x = sample(u, row.direction, base.substream(2 * j + 1))
+            assert drawn[j] == (u.to_text(), x.to_text())
+            assert row.estimate == correlation(u, x).value
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_first_pairs_do_not_depend_on_n(self, monkeypatch, mode):
+        m = 1_000
+        _, short = self.blocks(monkeypatch, mode, m)
+        _, long = self.blocks(monkeypatch, mode, 3_001)
+        assert [(u[:m], x[:m]) for u, x in long] == short
+
+
 def oracle_feasibility(a, b, alpha, n, epsilon):
     """Plain itertools re-derivation of the exhaustive search verdict."""
     targets = (a.dot(alpha), b.dot(alpha), a.dot(b))
@@ -320,6 +382,20 @@ class TestOwnAxisFloatDust:
         self.assert_dusty_row_passes(result.certificate_u.rows[0])
         self.assert_dusty_row_passes(result.certificate_v.rows[1])
         assert result.contradiction_closed
+
+    def test_own_axis_outcomes_equal_u_at_1e5(self):
+        # a cosine a . a within 2**-33 of 1 never flips an outcome
+        n = 100_000
+        prepared = prepared_ap_experiment(
+            self.DUSTY_A, ExperimentConfig(seed=4, n=n, directions=(self.DUSTY_A,)))
+        singlet = singlet_ap_experiment(
+            UnitVector3(3, 3, 1),
+            ExperimentConfig(seed=4, n=n, directions=(UnitVector3(-3, -3, -1),)))
+        for cert in (prepared, singlet):
+            assert cert.rows[0].estimate == 1.0 and cert.rows[0].target != 1.0
+        u = random_signs(n, RngStream(5))
+        x = sample_prepared(PreparedSource(self.DUSTY_A, u), self.DUSTY_A, RngStream(6))
+        assert x == u
 
     def test_genuine_gap_at_zero_stderr_still_fails(self):
         assert _row_passes(1.0, 1.0 - 2.0**-52, 0.0, 4.0)

@@ -10,13 +10,13 @@ trusting numpy's layout.
 """
 
 import math
+from fractions import Fraction
 
-import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from boolebell.rng import RngStream
-from boolebell.sampler import _below, fair_signs
+from boolebell.sampler import _events, random_signs
 
 _M64 = (1 << 64) - 1
 _ROUNDS = 10
@@ -76,15 +76,6 @@ def test_words_equal_the_reference(seed, stream_id, counter, n):
 
 @FAST
 @given(KEYS, KEYS, COUNTERS, st.integers(0, 40), COUNTS)
-def test_words_at_equals_the_reference(seed, stream_id, counter, draw, n):
-    s = RngStream(seed, stream_id, counter)
-    run = reference_words(seed, stream_id, counter, draw + n)
-    assert s.words_at(draw, n).tolist() == run[draw:]
-    assert s.counter == counter
-
-
-@FAST
-@given(KEYS, KEYS, COUNTERS, st.integers(0, 40), COUNTS)
 def test_after_equals_the_reference(seed, stream_id, counter, k, n):
     # a draw of k values rounds up to whole four-word blocks
     skipped = 4 * math.ceil(k / 4)
@@ -101,13 +92,25 @@ def test_substream_equals_the_reference(seed, stream_id, index, n):
     assert child.words(n).tolist() == reference_words(seed, child.stream_id, 0, n)
 
 
+def reference_threshold(p: float) -> int:
+    """K(p): the exact p * 2**32 rounded to nearest, ties to even, clipped
+    to [0, 2**32]."""
+    whole, rest = divmod(Fraction(p) * 2**32, 1)
+    up = rest > Fraction(1, 2) or (rest == Fraction(1, 2) and whole % 2 == 1)
+    return min(max(whole + up, 0), 2**32)
+
+
 @FAST
-@given(KEYS, KEYS, COUNTERS, st.floats(-0.5, 1.5))
-def test_fair_signs_and_below_decide_on_the_words_as_documented(seed, stream_id, counter, p):
-    words = reference_words(seed, stream_id, counter, 16)
-    array = np.array(words, dtype=np.uint64)
-    assert list(fair_signs(array)) == [1 if w < 2**63 else -1 for w in words]
-    # "uniform < p" on each word's double (w >> 11) * 2**-53, also at p equal
-    # to one of those doubles, where the word itself must decide False
-    for q in (p, (words[0] >> 11) * 2**-53, 0.0, 1.0):
-        assert _below(array, q).tolist() == [(w >> 11) * 2**-53 < q for w in words]
+@given(KEYS, KEYS, COUNTERS, st.integers(1, 150), st.floats(-0.5, 1.5))
+@example(3, 5, 7, 130, 3 * 2**-33)  # p * 2**32 = 1.5, a tie
+@example(3, 5, 2**256 - 1, 9, 0.5)
+def test_signs_and_events_decode_the_words_as_documented(seed, stream_id, counter, n, p):
+    words = reference_words(seed, stream_id, counter, -(-n // 2))
+    # sign i is bit i mod 64 of word i // 64, lowest bit first
+    signs = random_signs(n, RngStream(seed, stream_id, counter))
+    assert list(signs) == [1 if words[i // 64] >> (i % 64) & 1 else -1 for i in range(n)]
+    # event i is 32-bit half i mod 2 of word i // 2, low half first, below K(p)
+    halves = [w >> shift & 0xFFFFFFFF for w in words for shift in (0, 32)]
+    events = _events(n, p, RngStream(seed, stream_id, counter))
+    k = reference_threshold(p)
+    assert [events >> i & 1 for i in range(n)] == [int(h < k) for h in halves[:n]]

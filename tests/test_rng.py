@@ -111,18 +111,12 @@ def test_after_stands_where_a_draw_leaves_the_stream(n):
     assert np.array_equal(moved.uniforms(9), s.uniforms(9))
 
 
-@pytest.mark.parametrize("draw", [0, 1, 2, 3, 4, 5, 99])
-def test_words_at_reads_any_stretch_of_a_run(draw):
-    s = RngStream(10, 4, counter=2)
-    run = RngStream(10, 4, counter=2).words(120)
-    assert np.array_equal(s.words_at(draw, 17), run[draw : draw + 17])
-    assert s.counter == 2
-
-
 def test_run_read_in_chunks_equals_run_drawn_at_once():
-    start, n = 7, 1001  # starts mid counter block, ends in a partial chunk
-    whole = RngStream(11).words(start + n)[start:]
-    chunks = [RngStream(11).words_at(start + c, min(64, n - c)) for c in range(0, n, 64)]
+    # chunks of whole counter blocks, read from computed counters; the
+    # last chunk is partial
+    n, chunk = 1001, 64
+    whole = RngStream(11).words(n)
+    chunks = [RngStream(11).after(c).words(min(chunk, n - c)) for c in range(0, n, chunk)]
     assert np.array_equal(np.concatenate(chunks), whole)
 
 

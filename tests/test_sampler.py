@@ -9,7 +9,8 @@ from boolebell.geometry import InvalidProbability, UnitVector3, clamp_unit_dot
 from boolebell.rng import RngStream
 from boolebell.sampler import (
     PreparedSource,
-    _below,
+    _events,
+    _threshold,
     random_signs,
     sample_prepared,
     sample_singlet,
@@ -17,6 +18,7 @@ from boolebell.sampler import (
 )
 from boolebell.sequences import SignSequence, coincidence_probability, correlation
 from stats import assert_law
+from test_philox_reference import reference_threshold
 
 X_HAT = UnitVector3(1, 0, 0)
 Z_HAT = UnitVector3(0, 0, 1)
@@ -232,62 +234,71 @@ AXIS_PAIRS = [
     ((1, 0, 0), (1, 1, 0)),
     ((0.3, 0.4, 0.5), (0.1, -0.9, 0.2)),
 ]
-THRESHOLDS = [0.0, 5e-324, 2**-53, 0.5, 1 - 2**-53, 1.0] + [
+# the edges, a tie (p * 2**32 = 1.5) and both sides of own-axis dust
+THRESHOLDS = [0.0, 5e-324, 2**-40, 2**-33, 3 * 2**-33, 0.5, 1 - 2**-40, 1.0] + [
     0.5 * (1.0 + s * c) for c in DUSTY_C for s in (1.0, -1.0)
 ]
 
 
-def uniform_below(words: np.ndarray, p: float) -> np.ndarray:
-    """The rule the samplers must reproduce: numpy's Philox double < p."""
-    return ((words >> 11) * 2**-53) < p
+def halves(rng: RngStream, n: int) -> list[int]:
+    """The first n 32-bit halves of the stream's words, low half first."""
+    words = rng.words(-(-n // 2)).tolist()
+    return [w >> shift & 0xFFFFFFFF for w in words for shift in (0, 32)][:n]
 
 
 class TestIntegerThreshold:
+    """Outcomes against plain-int references: the 32-bit halves of the
+    words, low half first, below K(p) = p * 2**32 rounded to nearest."""
+
     def test_dusty_cosines_are_own_axis_dust(self):
         own = UnitVector3(1, 1, 0)
         assert clamp_unit_dot(own.dot(own)) in DUSTY_C
-        assert 0 < min(THRESHOLDS[6:]) < 2**-50
+        assert 0 < min(THRESHOLDS[8:]) < 2**-50
+
+    def test_threshold_edges(self):
+        assert [_threshold(p) for p in (0.0, 2**-40, 0.5, 1 - 2**-40, 1.0)] == [
+            0, 0, 2**31, 2**32, 2**32
+        ]
+        # ties go to even: 0.5 -> 0, 1.5 -> 2, 2**31 + 0.5 -> 2**31
+        assert [_threshold(p) for p in (2**-33, 3 * 2**-33, 0.5 + 2**-33)] == [0, 2, 2**31]
+        # own-axis dust decides as c = 1 would: x = u, never a flip
+        for c in DUSTY_C:
+            assert (_threshold(0.5 * (1 + c)), _threshold(0.5 * (1 - c))) == (2**32, 0)
+
+    @given(st.floats(-0.5, 1.5, allow_nan=False))
+    def test_threshold_is_the_reference(self, p):
+        assert _threshold(p) == reference_threshold(p)
 
     @pytest.mark.parametrize("p", THRESHOLDS)
-    def test_matches_the_uniform_rule_at_the_threshold(self, p):
-        edge = math.ceil(p * 2**53) << 11
-        words = np.array(
-            [w for w in (edge - 1, edge, edge + 2047, 0, 2**64 - 1) if 0 <= w < 2**64],
-            dtype=np.uint64,
-        )
-        assert np.array_equal(_below(words, p), uniform_below(words, p))
-
-    @given(
-        st.floats(-0.5, 1.5, allow_nan=False),
-        st.integers(0, 2**64 - 1),
-        st.integers(-4096, 4096),
-    )
-    def test_matches_the_uniform_rule(self, p, word, offset):
-        # a random word, and one near the threshold, where a slip would show
-        near = (max(math.ceil(p * 2**53), 0) << 11) + offset
-        w = np.array([word] + [near] * (0 <= near < 2**64), dtype=np.uint64)
-        assert np.array_equal(_below(w, p), uniform_below(w, p))
+    def test_events_at_the_threshold(self, p):
+        rng = RngStream(31, 2, counter=3)
+        events = _events(1001, p, rng)
+        k = reference_threshold(p)
+        want = [h < k for h in halves(RngStream(31, 2, counter=3), 1001)]
+        assert [bool(events >> i & 1) for i in range(1001)] == want
+        assert rng.counter == 3 + 126  # 501 words, rounded up to counter blocks
 
     @pytest.mark.parametrize("axis, alpha", AXIS_PAIRS)
-    def test_prepared_sample_is_the_uniform_rule(self, axis, alpha):
-        # the float formula the sampler used to evaluate, on the same stream
+    def test_prepared_sample_is_the_half_word_rule(self, axis, alpha):
+        # x_i = u_i where the half is below K((1 + c)/2), else -u_i
         axis, alpha = UnitVector3(*axis), UnitVector3(*alpha)
-        c = clamp_unit_dot(axis.dot(alpha))
+        k = reference_threshold(0.5 * (1.0 + clamp_unit_dot(axis.dot(alpha))))
         u = random_signs(1001, RngStream(30))
         x = sample_prepared(PreparedSource(axis, u), alpha, RngStream(31, 2, counter=3))
-        p_plus = 0.5 * (1.0 + u.to_array().astype(np.float64) * c)
-        assert x == SignSequence.from_array(RngStream(31, 2, counter=3).uniforms(1001) < p_plus)
+        hs = halves(RngStream(31, 2, counter=3), 1001)
+        assert list(x) == [ui if h < k else -ui for ui, h in zip(u, hs)]
 
     @pytest.mark.parametrize("fixed, other", AXIS_PAIRS)
-    def test_singlet_partner_is_the_uniform_rule(self, fixed, other):
+    def test_singlet_partner_is_the_half_word_rule(self, fixed, other):
+        # b_i = -a_i where the half is below K((1 + c)/2), else a_i
         fixed, other = UnitVector3(*fixed), UnitVector3(*other)
-        c = clamp_unit_dot(fixed.dot(other))
+        k = reference_threshold(0.5 * (1.0 + clamp_unit_dot(fixed.dot(other))))
         a = random_signs(1001, RngStream(32))
         b = sample_singlet_partner(a, fixed, other, RngStream(33))
-        flip = RngStream(33).uniforms(1001) < 0.5 * (1.0 + c)
-        assert b == SignSequence.from_array(np.where(flip, -a.to_array(), a.to_array()))
+        assert list(b) == [-ai if h < k else ai for ai, h in zip(a, halves(RngStream(33), 1001))]
 
-    def test_fair_signs_are_the_uniform_rule(self):
-        assert random_signs(1001, RngStream(34)) == SignSequence.from_array(
-            RngStream(34).uniforms(1001) < 0.5
-        )
+    def test_fair_signs_are_the_bits_of_the_words(self):
+        # sign i is bit i mod 64 of word i // 64, lowest bit first
+        words = RngStream(34).words(16).tolist()
+        want = [1 if words[i // 64] >> (i % 64) & 1 else -1 for i in range(1001)]
+        assert list(random_signs(1001, RngStream(34))) == want
