@@ -22,7 +22,8 @@ from boolebell.realism import (
     sign_model_correlation,
 )
 from boolebell.rng import RngStream
-from boolebell.sequences import SignSequence, boole_bell_lhs_exact, correlation
+from boolebell.sequences import SignSequence, boole_bell_lhs_exact
+from stats import assert_law
 
 X_HAT = UnitVector3(1, 0, 0)
 Z_HAT = UnitVector3(0, 0, 1)
@@ -31,6 +32,12 @@ Z_HAT = UnitVector3(0, 0, 1)
 def plane_direction(theta_deg: float) -> UnitVector3:
     t = math.radians(theta_deg)
     return UnitVector3(math.cos(t), math.sin(t), 0)
+
+
+def agreements(x: np.ndarray, y: np.ndarray) -> tuple[int, int]:
+    """(pairs where two bool answer arrays agree, pairs): for a wing's
+    answers A and B, the count of AB = +1."""
+    return int(np.count_nonzero(x == y)), len(x)
 
 
 def arc_length_oracle(theta: float, steps: int = 400_000) -> float:
@@ -73,14 +80,15 @@ class TestModels:
 
     @pytest.mark.parametrize("theta_deg", [30, 60, 90])
     def test_correlation_tracks_closed_form(self, name, theta_deg):
+        # E[AB] = -1 + 2 theta/pi, so AB = +1 with probability (1 + E[AB])/2
         model = make_lhv_model(name)
-        n = 200_000
-        a_seq, b_seq, _ = sample_lhv(
-            model, X_HAT, plane_direction(theta_deg), n, RngStream(22, theta_deg)
-        )
-        expected = sign_model_correlation(math.radians(theta_deg))
-        stderr = math.sqrt((1 - expected**2) / n)
-        assert abs(correlation(a_seq, b_seq).value - expected) <= 4 * max(stderr, 1e-12)
+        beta = plane_direction(theta_deg)
+
+        def draw(seed):
+            hidden = model.draw_lambdas(X_HAT, beta, 50_000, RngStream(seed, 22))
+            return [agreements(model.response_a(hidden, X_HAT), model.response_b(hidden, beta))]
+
+        assert_law(draw, 0.5 * (1 + sign_model_correlation(math.radians(theta_deg))))
 
     def test_locality_far_setting_changes_nothing(self, name):
         model = make_lhv_model(name)
@@ -129,10 +137,14 @@ class TestCounterfactuals:
 
     def test_orthogonal_direction_uncorrelated(self):
         model = make_lhv_model("sign-circle")
-        n = 200_000
-        a_seq, _, lam = sample_lhv(model, X_HAT, plane_direction(90), n, RngStream(28))
-        ghost = counterfactual_values(model, lam, plane_direction(90), "A")
-        assert abs(correlation(a_seq, ghost).value) <= 4 / math.sqrt(n)
+        beta = plane_direction(90)
+
+        def draw(seed):
+            hidden = model.draw_lambdas(X_HAT, beta, 50_000, RngStream(seed, 28))
+            ghost = counterfactual_values(model, hidden, beta, "A")
+            return [agreements(model.response_a(hidden, X_HAT), ghost.to_array() > 0)]
+
+        assert_law(draw, 0.5)
 
     def test_missing_state_rejected(self):
         model = make_lhv_model("sign-circle")
@@ -146,6 +158,53 @@ class TestCounterfactuals:
         _, _, lam = sample_lhv(model, X_HAT, Z_HAT, 10, RngStream(29))
         with pytest.raises(ValueError):
             counterfactual_values(model, lam, X_HAT, "C")
+
+
+class TestLaws:
+    """Each test counts events over 20 seeds and checks the totals against
+    their exact binomial laws (tests/stats.py), failing a true law with
+    probability at most 1e-9.  They pin no bytes, so they hold for any
+    stream format that draws the laws right."""
+
+    N = 50_000
+    THETAS = [0, 30, 60, 90, 135, 180]
+
+    @pytest.mark.parametrize("name", MODEL_NAMES)
+    @pytest.mark.parametrize("theta_deg", THETAS)
+    def test_fair_wings_whose_product_is_plus_one_with_probability_theta_over_pi(
+        self, name, theta_deg
+    ):
+        # at 0 and 180 degrees the count is certain: none or every pair
+        model = make_lhv_model(name)
+        beta = plane_direction(theta_deg)
+
+        def draw(seed):
+            hidden = model.draw_lambdas(X_HAT, beta, self.N, RngStream(seed, 70))
+            a = model.response_a(hidden, X_HAT)
+            return [(int(np.count_nonzero(a)), self.N),
+                    agreements(a, model.response_b(hidden, beta))]
+
+        assert_law(draw, 0.5, theta_deg / 180)
+
+    def test_sphere_state_is_uniform_with_independent_coordinates_and_pairs(self):
+        # z and phi each uniform and independent of each other, and the
+        # answers of neighbouring pairs independent: XORs of fair signs are
+        # independent, so the count of equal neighbours is binomial
+        model = make_lhv_model("sign-sphere")
+        d = UnitVector3(0.3, -0.5, 0.8)
+
+        def draw(seed):
+            hidden = model.draw_lambdas(X_HAT, Z_HAT, self.N, RngStream(seed, 71))
+            z, phi = hidden.z, hidden.phi
+            a = model.response_a(hidden, d)
+            return [
+                (int(np.count_nonzero(z < -0.5)), self.N),
+                (int(np.count_nonzero(phi < 0.5 * math.pi)), self.N),
+                (int(np.count_nonzero((z >= 0.0) & (phi < math.pi))), self.N),
+                agreements(a[:-1], a[1:]),
+            ]
+
+        assert_law(draw, 0.25, 0.25, 0.25, 0.5)
 
 
 class TestHiddenStateResponses:
