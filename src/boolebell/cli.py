@@ -54,7 +54,7 @@ def _json(text: str, source: str):
     """Parse the JSON text of a flag, vector or file; an error names ``source``."""
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer past Python's digit limit
         raise ValueError(f"{source} is not valid JSON: {exc}") from exc
 
 

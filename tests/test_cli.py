@@ -471,6 +471,26 @@ class TestBadInputExitsTwo:
             "Expecting property name enclosed in double quotes: line 1 column 11 (char 10)\n"
         )
 
+    @pytest.mark.parametrize("place", ["vector", "directions", "config"])
+    def test_integer_past_the_digit_limit_names_its_source(self, capsys, tmp_path, place):
+        # json.loads raises a plain ValueError, not a JSONDecodeError, for an
+        # integer literal of more than 4 300 digits
+        huge = "1" + "0" * 5000
+        vector = f"[{huge},0,0]"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(f'{{"n": 100, "seed": {huge}}}')
+        argv, source = {
+            "vector": (["witness", "--a", vector, "--b", "[0,1,0]"], f"vector {vector!r}"),
+            "directions": (["certify-ap", "--axis", "[0,0,1]", "--directions", f"[{vector}]"],
+                           "--directions"),
+            "config": ([*SEEDED_COMMANDS["experiment"], "--config", str(cfg)],
+                       f"config file {cfg}"),
+        }[place]
+        code, out, err = invoke(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {source} is not valid JSON: Exceeds the limit (4300 digits)")
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("name", sorted(BAD_CONFIG_VALUES))
     @pytest.mark.parametrize(
         "argv",
