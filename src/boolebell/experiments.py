@@ -16,8 +16,8 @@ direction and reduced to integer products sums, which add up exactly
 across chunks; then it is dropped.  Memory therefore stays at a few chunks
 whatever n is, and the results are the ones a whole-block run would give,
 bit for bit, for any chunk size that is a multiple of 256: a chunk's
-signs (64 per word) and outcomes (two per word, each of probability p
-rounded to the nearest 2**-32) then start on a Philox counter block.
+LHV pairs (one per word), signs (64 per word) and cosine-law outcomes
+(two per word) then start on a Philox counter block.
 
 The config and result records turn into dicts by one rule,
 :meth:`_Record.to_dict`, which writes each dataclass field under its name,
@@ -303,7 +303,7 @@ def no_apbp_experiment(
     base = RngStream(cfg.seed)
 
     def hidden(j: int, start: int, count: int):  # block j's chunk at start
-        return model.draw_lambdas(a, b, count, base.substream(j).after(start), cfg.n)
+        return model.draw_lambdas(a, b, count, base.substream(j).after(start))
 
     # the witness block: the three pair sums of x, u, v, one chunk at a time
     sums = {"ux": 0, "vx": 0, "uv": 0}

@@ -19,11 +19,13 @@ lambdas are built, exactly, only on request (:func:`sample_lhv`,
 ``lhv --dump-lambdas``).  The plane frame is plain floats and the array
 work elementwise, so no byte depends on the CPU's BLAS kernel.
 
-A block can also be drawn one chunk of pairs at a time: ``draw_lambdas``
-called with the block's stream moved to the chunk's first pair
-(``RngStream.after``) and the block's size draws exactly that chunk of the
-whole-block draw, so experiments hold one chunk of hidden state at a time,
-whatever n is.
+Pair i of a stream reads word i alone: the circle law's t is its double,
+and the sphere law takes z = (lo + 1/2) 2**-31 - 1 and
+phi = (hi + 1/2) 2 pi 2**-32 from its low and high 32-bit halves, the
+midpoints of their cells.  A chunk of a block is drawn from the block's
+stream moved to the chunk's first pair (``RngStream.after``), so a
+block's first m pairs are the same draws at any n >= m, and experiments
+hold one chunk of hidden state at a time, whatever n is.
 
 The commitment protocol is the bookkeeping half: preparation signs must be
 committed before a measurement direction is chosen, and a token is spent
@@ -199,15 +201,13 @@ def _circle_points(frame: tuple[UnitVector3, UnitVector3], n: int, rng: RngStrea
     return _CircleDraws(rng.uniforms(n), frame[0], frame[1])
 
 
-def _sphere_points(n: int, rng: RngStream, block: int | None = None) -> _SphereDraws:
-    # z takes a block's first run of draws and phi the run after it, so a
-    # chunk of a larger block finds its phi one whole-block z run ahead
-    phi_rng = rng if block is None else rng.after(block)
-    z = rng.uniforms(n)
-    z *= 2.0
-    z -= 1.0
-    phi = phi_rng.uniforms(n)
-    phi *= 2.0 * math.pi
+def _sphere_points(n: int, rng: RngStream) -> _SphereDraws:
+    # pair i reads word i, its 32-bit halves in the same order on any CPU
+    halves = rng.words(n).astype("<u8", copy=False).view("<u4")
+    z = halves[0::2] * 2.0**-31
+    z += 2.0**-32 - 1.0  # (lo + 1/2) 2**-31 - 1, exactly
+    phi = halves[1::2] + 0.5
+    phi *= 2.0 * math.pi * 2.0**-32  # rounded once
     return _SphereDraws(z, phi)
 
 
@@ -215,14 +215,13 @@ def _sphere_points(n: int, rng: RngStream, block: int | None = None) -> _SphereD
 class LhvModel:
     """Hidden-variable law plus one deterministic response map per wing.
 
-    ``draw_lambdas(alpha, beta, n, rng, block=None)`` returns the hidden
-    state of n pairs in its compact form (see the module docstring); ``len``
-    of it is the number of pairs.  With ``block`` given, the n pairs are
-    the chunk of a block of ``block`` pairs that starts where ``rng`` stands.
-    The circle law draws on the plane of its (alpha, beta), so one stream
-    keeps one law by passing the same pair.  ``response_a``/``response_b``
-    take (hidden state, own direction) only and return a bool array, True
-    for +1, so a wing's values cannot depend on the far setting; that is the
+    ``draw_lambdas(alpha, beta, n, rng)`` returns the compact hidden state
+    (see the module docstring) of the n pairs that start where ``rng``
+    stands, pair i from word i; ``len`` of it is the number of pairs.  The
+    circle law draws on the plane of its (alpha, beta), so one stream keeps
+    one law by passing the same pair.  ``response_a``/``response_b`` take
+    (hidden state, own direction) only and return a bool array, True for
+    +1, so a wing's values cannot depend on the far setting; that is the
     locality property the tests check by permuting the far direction.
     """
 
@@ -232,11 +231,11 @@ class LhvModel:
         if self.name not in MODEL_NAMES:
             raise ValueError(f"unknown model {self.name!r}; choose from {MODEL_NAMES}")
 
-    def draw_lambdas(self, alpha: UnitVector3, beta: UnitVector3, n: int, rng: RngStream,
-                     block: int | None = None) -> _CircleDraws | _SphereDraws:
+    def draw_lambdas(self, alpha: UnitVector3, beta: UnitVector3, n: int,
+                     rng: RngStream) -> _CircleDraws | _SphereDraws:
         if self.name == "sign-circle":
             return _circle_points(_circle_frame(alpha, beta), n, rng)
-        return _sphere_points(n, rng, block)
+        return _sphere_points(n, rng)
 
     def response_a(self, hidden: HiddenDraws, direction: UnitVector3) -> np.ndarray:
         return _sign_response(hidden, direction)

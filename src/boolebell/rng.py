@@ -9,11 +9,11 @@ up to whole blocks.  Any stretch of a run can therefore be read on its
 own, from a computed counter (Salmon et al., "Parallel random numbers: as
 easy as 1, 2, 3", SC'11): experiments stream their blocks chunk by chunk
 this way and still draw the values a whole-block draw would.  A stream
-reads as doubles, which the LHV laws draw, or as the raw 64-bit words
-behind them (the double of word w is exactly (w >> 11) * 2**-53).  The
-quantum samplers split words into the bits an outcome needs: 64 fair
-signs, or two outcomes of probability p rounded to the nearest 2**-32,
-per word (:mod:`boolebell.sampler`).
+reads as doubles or as the raw 64-bit words behind them (the double of
+word w is exactly (w >> 11) * 2**-53).  LHV pair i reads word i, the
+sphere law its two 32-bit halves (:mod:`boolebell.realism`); the quantum
+samplers split words into the bits an outcome needs, 64 fair signs or two
+cosine-law outcomes per word (:mod:`boolebell.sampler`).
 """
 
 from __future__ import annotations

@@ -196,7 +196,8 @@ class TestChunkInvariance:
     CHUNKS = (256, 4096, 65536, 1 << 20)
 
     def test_chunk_is_a_multiple_of_256(self):
-        # 64 signs and two outcomes per word: chunk starts on counter blocks
+        # one LHV pair, 64 signs or two outcomes per word: chunks start on
+        # counter blocks
         assert experiments._CHUNK % 256 == 0
 
     def results(self, monkeypatch, run):
@@ -231,7 +232,8 @@ class TestLhvStreamLayout:
     """The contradiction experiment reads LHV block j from substream j: the
     witness is block 0, row j of u's certificate block 1 + j and row j of
     v's block 1 + k + j, each drawn with the plane (a, b).  A whole-block
-    draw from that substream gives every estimate exactly."""
+    draw from that substream gives every estimate exactly, and a block's
+    first m pairs are the same draws at any n >= m."""
 
     N = 2_000
 
@@ -245,7 +247,7 @@ class TestLhvStreamLayout:
         base = RngStream(cfg.seed)
 
         def block(j):
-            return model.draw_lambdas(a, b, self.N, base.substream(j), self.N)
+            return model.draw_lambdas(a, b, self.N, base.substream(j))
 
         def signs(values):
             return SignSequence.from_array(values)
@@ -268,6 +270,37 @@ class TestLhvStreamLayout:
                 u = signs(model.response_b(state, -axis))
                 x = signs(model.response_a(state, row.direction))
                 assert row.estimate == correlation(u, x).value
+
+
+    def blocks(self, monkeypatch, name, n):
+        """The '+'/'-' text of the sequence pairs the experiment at n
+        correlates in chunks of 256, joined over each block's chunks: the
+        witness's (u, x), (v, x) and (u, v), then each certificate row's
+        (u, x)."""
+        monkeypatch.setattr(experiments, "_CHUNK", 256)
+        seen = []
+        real = experiments.correlation
+
+        def recording(f, g):
+            seen.append((f.to_text(), g.to_text()))
+            return real(f, g)
+
+        monkeypatch.setattr(experiments, "correlation", recording)
+        cfg = ExperimentConfig(seed=64, n=n, directions=(xz_direction(40),))
+        no_apbp_experiment(X_HAT, xy_direction(70), make_lhv_model(name), cfg)
+        per_block = -(-n // 256)
+        witness, rows = seen[:3 * per_block], seen[3 * per_block:]
+        groups = [witness[leg::3] for leg in range(3)]
+        groups += [rows[i:i + per_block] for i in range(0, len(rows), per_block)]
+        return [tuple("".join(part) for part in zip(*chunks)) for chunks in groups]
+
+    @pytest.mark.parametrize("name", MODEL_NAMES)
+    def test_first_pairs_do_not_depend_on_n(self, monkeypatch, name):
+        m = 1_000
+        short = self.blocks(monkeypatch, name, m)
+        long = self.blocks(monkeypatch, name, 3_001)
+        assert len(long) == len(short) == 3 + 2 * 4  # the witness legs, then 2 k rows
+        assert [(f[:m], g[:m]) for f, g in long] == short
 
 
 class TestQuantumStreamLayout:

@@ -45,9 +45,8 @@ CASES["experiment_circle_dusty_axes.csv"] = [
     "experiment", "--a", "[1,1,0]", "--b", "[0,1,1]", "--model", "sign-circle",
     "--n", N, "--seed", "3", "--format", "csv",
 ]
-# n = 150 003 spans three 65 536-pair chunks and is not a multiple of 4, so
-# prepared u blocks start inside a Philox counter block and every block
-# ends in a partial chunk
+# n = 150 003 spans three 65 536-pair chunks, so every block ends in a
+# partial chunk
 LONG_N = "150003"
 for _model in ("circle", "sphere"):
     CASES[f"experiment_{_model}_k2_long.json"] = [

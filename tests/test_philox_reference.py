@@ -15,6 +15,7 @@ from fractions import Fraction
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from boolebell.realism import _sphere_points
 from boolebell.rng import RngStream
 from boolebell.sampler import _events, random_signs
 
@@ -114,3 +115,19 @@ def test_signs_and_events_decode_the_words_as_documented(seed, stream_id, counte
     events = _events(n, p, RngStream(seed, stream_id, counter))
     k = reference_threshold(p)
     assert [events >> i & 1 for i in range(n)] == [int(h < k) for h in halves[:n]]
+
+
+@FAST
+@given(KEYS, KEYS, COUNTERS, COUNTS)
+@example(3, 5, 2**256 - 1, 9)
+def test_sphere_points_decode_the_words_as_documented(seed, stream_id, counter, n):
+    # pair i reads word i: z = (lo + 1/2) 2**-31 - 1 from its low 32-bit
+    # half, exactly, and phi = (hi + 1/2) (2 pi 2**-32) from its high half,
+    # the exact product rounded once to the nearest double
+    words = reference_words(seed, stream_id, counter, n)
+    points = _sphere_points(n, RngStream(seed, stream_id, counter))
+    two_pi_cell = Fraction(2 * math.pi) / 2**32
+    assert points.z.tolist() == [float(Fraction(2 * (w & 0xFFFFFFFF) + 1, 2**32) - 1)
+                                 for w in words]
+    assert points.phi.tolist() == [float(Fraction(2 * (w >> 32) + 1, 2) * two_pi_cell)
+                                   for w in words]

@@ -241,7 +241,7 @@ class TestHiddenStateResponses:
         whole = model.draw_lambdas(X_HAT, Z_HAT, block, RngStream(43, 2)).lambdas()
         rng = RngStream(43, 2)
         parts = [
-            model.draw_lambdas(X_HAT, Z_HAT, min(chunk, block - start), rng.after(start), block)
+            model.draw_lambdas(X_HAT, Z_HAT, min(chunk, block - start), rng.after(start))
             for start in range(0, block, chunk)
         ]
         assert np.array_equal(np.concatenate([p.lambdas() for p in parts]), whole)
@@ -320,7 +320,7 @@ class TestSphereFilter:
         whole = model.draw_lambdas(X_HAT, Z_HAT, block, RngStream(52))
         rng = RngStream(52)
         parts = [
-            model.draw_lambdas(X_HAT, Z_HAT, min(chunk, block - start), rng.after(start), block)
+            model.draw_lambdas(X_HAT, Z_HAT, min(chunk, block - start), rng.after(start))
             for start in range(0, block, chunk)
         ]
         z, phi = whole.z, whole.phi
@@ -342,7 +342,7 @@ class TestTracerHooks:
     def test_traced_functions_exist_with_their_signatures(self):
         # the tracer reads a[1] of _circle_points and len(a[0]) of _sign_response
         layouts = {
-            "_sphere_points": ["n", "rng", "block"],
+            "_sphere_points": ["n", "rng"],
             "_circle_points": ["frame", "n", "rng"],
             "_sign_response": ["hidden", "direction"],
         }
