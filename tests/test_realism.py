@@ -206,6 +206,22 @@ class TestLaws:
 
         assert_law(draw, 0.25, 0.25, 0.25, 0.5)
 
+    def test_circle_state_is_uniform_with_independent_pairs(self):
+        # psi, read back from lambdas(), falls in each quarter turn with
+        # probability 1/4, and neighbouring pairs' answers agree half the time
+        model = make_lhv_model("sign-circle")
+        d = UnitVector3(0.3, -0.5, 0.8)
+
+        def draw(seed):
+            hidden = model.draw_lambdas(X_HAT, Z_HAT, self.N, RngStream(seed, 72))
+            lam = hidden.lambdas()
+            quarter = np.floor(np.arctan2(lam[:, 2], lam[:, 0]) % (2 * math.pi) / (0.5 * math.pi))
+            a = model.response_a(hidden, d)
+            return [*((int(np.count_nonzero(quarter == i)), self.N) for i in range(3)),
+                    agreements(a[:-1], a[1:])]
+
+        assert_law(draw, 0.25, 0.25, 0.25, 0.5)
+
 
 class TestHiddenStateResponses:
     """Answers from the compact hidden state against sign(lambda @ d)."""
