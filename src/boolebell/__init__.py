@@ -10,7 +10,7 @@ imported from the module that defines it on first use (PEP 562).
 
 import importlib
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 # defined here so the CLI can offer --model choices without loading realism
 MODEL_NAMES = ("sign-circle", "sign-sphere")

@@ -8,24 +8,24 @@ three-sequence bound exactly; what such a model cannot do is reproduce the
 cosine correlations, and the experiments module quantifies that failure.
 
 A block's hidden state is kept in angle form, not as an n x 3 array: the
-great-circle law keeps its uniform draws t (lambda at angle 2 pi t in the
-plane frame) and answers sign(d . lambda) by comparing t with an arc of
-half a turn.  The sphere law keeps lambda's z and azimuth phi in float64
-and r cos phi, r sin phi in float32 from float32 trig; a response takes
-the sign of a float32 projection and recomputes with the exact float64
-coordinates only the answers within ``_TAU`` of the boundary, so it gives
-the bytes of the exact law with almost no float64 trig.  The n x 3
-lambdas are built, exactly, only on request (:func:`sample_lhv`,
+great-circle law keeps a 32-bit cell w per pair (lambda at its midpoint
+angle psi in the plane frame) and answers by testing w against a wrapped
+half turn of cells.  The sphere law keeps lambda's z and azimuth phi in
+float64 and r cos phi, r sin phi in float32 from float32 trig; a response
+takes the sign of a float32 projection and recomputes with the exact
+float64 coordinates only the answers within ``_TAU`` of the boundary, so
+it gives the bytes of the exact law with almost no float64 trig.  The
+n x 3 lambdas are built, exactly, only on request (:func:`sample_lhv`,
 ``lhv --dump-lambdas``).  The plane frame is plain floats and the array
 work elementwise, so no byte depends on the CPU's BLAS kernel.
 
-Pair i of a stream reads word i alone: the circle law's t is its double,
-and the sphere law takes z = (lo + 1/2) 2**-31 - 1 and
-phi = (hi + 1/2) 2 pi 2**-32 from its low and high 32-bit halves, the
-midpoints of their cells.  A chunk of a block is drawn from the block's
-stream moved to the chunk's first pair (``RngStream.after``), so a
-block's first m pairs are the same draws at any n >= m, and experiments
-hold one chunk of hidden state at a time, whatever n is.
+Pair i of a stream reads word i alone, through 32-bit halves taken by
+value: the circle law's w is the low half, and the sphere law's
+z = (lo + 1/2) 2**-31 - 1 and phi = (hi + 1/2) 2 pi 2**-32 are the cell
+midpoints of the low and high halves.  A chunk of a block is drawn from
+the block's stream moved to the chunk's first pair (``RngStream.after``),
+so a block's first m pairs are the same draws at any n >= m, and
+experiments hold one chunk of hidden state at a time, whatever n is.
 
 The commitment protocol is the bookkeeping half: preparation signs must be
 committed before a measurement direction is chosen, and a token is spent
@@ -55,37 +55,35 @@ class OrderingViolation(RuntimeError):
 
 
 class _CircleDraws:
-    """Great-circle hidden state: uniforms t, with psi = 2 pi t, in a frame.
+    """Great-circle hidden state: cells w, at psi = (w + 1/2) 2 pi 2**-32, in a frame.
 
     lambda = cos(psi) e1 + sin(psi) e2, so d . lambda = R cos(psi - phi_d)
-    with phi_d = atan2(e2 . d, e1 . d) and R >= 0.  The sign is therefore
-    a test of whether t lies on the closed half-turn arc centred on
-    phi_d / (2 pi): a modular comparison, with no trig per draw.
+    with phi_d = atan2(e2 . d, e1 . d) and R >= 0.  d answers +1 on the 2**31
+    cells whose midpoints lie on [lo, lo + 1/2) mod 1, lo = phi_d / (2 pi) - 1/4:
+    from K = ceil(lo 2**32 - 1/2) mod 2**32 on, one wrapped uint32 comparison.
     """
 
-    __slots__ = ("t", "e1", "e2")
+    __slots__ = ("w", "e1", "e2")
 
-    def __init__(self, t: np.ndarray, e1: UnitVector3, e2: UnitVector3):
-        self.t = t
+    def __init__(self, w: np.ndarray, e1: UnitVector3, e2: UnitVector3):
+        self.w = w
         self.e1 = e1
         self.e2 = e2
 
     def __len__(self) -> int:
-        return len(self.t)
+        return len(self.w)
 
     def nonnegative(self, direction: UnitVector3) -> np.ndarray:
         p, q = self.e1.dot(direction), self.e2.dot(direction)
         if p == 0.0 and q == 0.0:
             # d is normal to the plane: d . lambda = 0 and sign(0) := +1
-            return np.ones(len(self.t), dtype=bool)
-        lo = (math.atan2(q, p) / (2.0 * math.pi) - 0.25) % 1.0
-        hi = lo + 0.5
-        if hi <= 1.0:
-            return (self.t >= lo) & (self.t <= hi)
-        return (self.t >= lo) | (self.t <= hi - 1.0)
+            return np.ones(len(self.w), dtype=bool)
+        lo = (math.atan2(q, p) / (2.0 * math.pi) - 0.25) % 1.0  # may round to 1.0
+        k = np.uint32(math.ceil(lo * 2.0**32 - 0.5) % 2**32)
+        return self.w - k < np.uint32(2**31)  # the subtraction wraps mod 2**32
 
     def lambdas(self) -> np.ndarray:
-        psi = 2.0 * math.pi * self.t
+        psi = (self.w + 0.5) * (2.0 * math.pi * 2.0**-32)  # rounded once
         e1, e2 = self.e1.as_array(), self.e2.as_array()
         return np.cos(psi)[:, None] * e1 + np.sin(psi)[:, None] * e2
 
@@ -198,7 +196,7 @@ def _circle_frame(alpha: UnitVector3, beta: UnitVector3) -> tuple[UnitVector3, U
 
 
 def _circle_points(frame: tuple[UnitVector3, UnitVector3], n: int, rng: RngStream) -> _CircleDraws:
-    return _CircleDraws(rng.uniforms(n), frame[0], frame[1])
+    return _CircleDraws(rng.words(n).astype(np.uint32), frame[0], frame[1])
 
 
 def _sphere_points(n: int, rng: RngStream) -> _SphereDraws:

@@ -12,10 +12,12 @@ trusting numpy's layout.
 import math
 from fractions import Fraction
 
+import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from boolebell.realism import _sphere_points
+from boolebell.geometry import UnitVector3
+from boolebell.realism import _circle_points, _sphere_points
 from boolebell.rng import RngStream
 from boolebell.sampler import _events, random_signs
 
@@ -131,3 +133,21 @@ def test_sphere_points_decode_the_words_as_documented(seed, stream_id, counter, 
                                  for w in words]
     assert points.phi.tolist() == [float(Fraction(2 * (w >> 32) + 1, 2) * two_pi_cell)
                                    for w in words]
+
+
+@FAST
+@given(KEYS, KEYS, COUNTERS, COUNTS)
+@example(3, 5, 2**256 - 1, 9)
+def test_circle_points_decode_the_words_as_documented(seed, stream_id, counter, n):
+    # pair i reads word i: its cell w is the word's low 32-bit half, held as
+    # contiguous uint32, and lambdas() puts it at psi = (w + 1/2) (2 pi 2**-32),
+    # the exact product rounded once; the x-y frame makes lambda (cos, sin, 0)
+    words = reference_words(seed, stream_id, counter, n)
+    frame = (UnitVector3(1, 0, 0), UnitVector3(0, 1, 0))
+    points = _circle_points(frame, n, RngStream(seed, stream_id, counter))
+    cells = [w & 0xFFFFFFFF for w in words]
+    assert points.w.dtype == np.uint32 and points.w.flags.c_contiguous
+    assert points.w.tolist() == cells
+    two_pi_cell = Fraction(2 * math.pi) / 2**32
+    psi = np.array([float(Fraction(2 * w + 1, 2) * two_pi_cell) for w in cells])
+    assert points.lambdas().tolist() == [[c, s, 0.0] for c, s in zip(np.cos(psi), np.sin(psi))]

@@ -1,6 +1,7 @@
 import dataclasses
 import inspect
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from boolebell.sequences import SignSequence, boole_bell_lhs_exact
 from stats import assert_law
 
 X_HAT = UnitVector3(1, 0, 0)
+Y_HAT = UnitVector3(0, 1, 0)
 Z_HAT = UnitVector3(0, 0, 1)
 
 
@@ -228,6 +230,28 @@ class TestHiddenStateResponses:
 
     N = 100_000
 
+    @pytest.mark.parametrize(
+        "direction, case",
+        [pytest.param(UnitVector3(x, y, z), case, id=case) for x, y, z, case in (
+            (-0.6, 0.8, 0.3, "within-the-turn"), (0.6, -0.8, 0.3, "wraps"),
+            (2**-52, 1, 0, "lo-rounds-to-one"))],
+    )
+    def test_circle_arc_holds_the_half_turn_of_cells_from_the_first_midpoint_at_lo(
+        self, direction, case
+    ):
+        # d answers +1 on the cells w whose midpoints (w + 1/2) 2**-32 lie on
+        # [lo, lo + 1/2) mod 1, lo = atan2(q, p) / (2 pi) - 1/4 mod 1: the
+        # 2**31 cells from K on; K - 1 and K + 2**31 are the first cells out
+        lo = (math.atan2(direction.y, direction.x) / (2.0 * math.pi) - 0.25) % 1.0
+        assert {"within-the-turn": lo <= 0.5, "wraps": 0.5 < lo < 1.0,
+                "lo-rounds-to-one": lo == 1.0}[case]
+        k = math.ceil(Fraction(lo) * 2**32 - Fraction(1, 2)) % 2**32
+        cells = [(k + i) % 2**32 for i in (-1, 0, 2**31 - 1, 2**31)]
+        on_arc = [(Fraction(2 * w + 1, 2**33) - Fraction(lo)) % 1 < Fraction(1, 2) for w in cells]
+        assert on_arc == [False, True, True, False]
+        hidden = realism._CircleDraws(np.array(cells, dtype=np.uint32), X_HAT, Y_HAT)
+        assert realism._sign_response(hidden, direction).tolist() == on_arc
+
     @pytest.mark.parametrize("name", MODEL_NAMES)
     def test_compact_state_matches_materialized_lambdas(self, name):
         # drawn on the x-y plane, so z is the circle's exact plane normal
@@ -269,6 +293,9 @@ class TestHiddenStateResponses:
         assert model.response_a(hidden, Z_HAT).all()
         assert model.response_a(hidden, -Z_HAT).all()
         assert not model.response_b(hidden, Z_HAT).any()
+        edges = realism._CircleDraws(np.array([0, 2**31 - 1, 2**31, 2**32 - 1], np.uint32),
+                                     X_HAT, Y_HAT)
+        assert model.response_a(edges, Z_HAT).all() and model.response_a(edges, -Z_HAT).all()
 
 
 def exact_nonnegative(z: np.ndarray, phi: np.ndarray, d: UnitVector3) -> np.ndarray:
