@@ -426,6 +426,8 @@ def _config_value(settings: dict, key: str, default, *kinds: type):
     if isinstance(value, bool) or not isinstance(value, kinds):
         names = " or ".join(kind.__name__ for kind in kinds)
         raise ValueError(f"config file key {key!r} must be {names}, got {value!r}")
+    if float in kinds and isinstance(value, int) and abs(value) > sys.float_info.max:
+        raise ValueError(f"config file key {key!r} must be within the float range")
     return value
 
 

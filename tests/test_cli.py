@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from boolebell import SignSequence, correlation
+from boolebell import MODEL_NAMES, SignSequence, correlation
 from boolebell.cli import run
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -504,6 +504,8 @@ class TestBadInputExitsTwo:
         code, out, err = invoke(capsys, *argv, "--config", str(cfg))
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1
+        if name == "sigma_k-beyond-float":
+            assert "'sigma_k'" in err
 
     @pytest.mark.parametrize(
         "argv, message",
@@ -849,7 +851,7 @@ class TestOutOfMemory:
 
 
 def _float_draw(*args, **kwargs):
-    raise AssertionError("a sampler drew floats; it should decide on raw words")
+    raise AssertionError("a command drew doubles; it should decide on raw words")
 
 
 @pytest.mark.parametrize(
@@ -860,10 +862,13 @@ def _float_draw(*args, **kwargs):
          "--n", "1001"],
         SEEDED_COMMANDS["simulate-prepared"],
         SEEDED_COMMANDS["simulate-singlet"],
+        *([*SEEDED_COMMANDS[command], "--model", model]
+          for command in ("experiment", "lhv") for model in MODEL_NAMES),
     ],
-    ids=["certify-prepared", "certify-singlet", "simulate-prepared", "simulate-singlet"],
+    ids=["certify-prepared", "certify-singlet", "simulate-prepared", "simulate-singlet",
+         *(f"{command}-{model}" for command in ("experiment", "lhv") for model in MODEL_NAMES)],
 )
-def test_quantum_samplers_draw_no_floats(capsys, monkeypatch, argv):
+def test_sampling_commands_draw_no_doubles(capsys, monkeypatch, argv):
     monkeypatch.setattr("boolebell.rng.RngStream.uniforms", _float_draw)
     code, out, err = invoke(capsys, *argv)
     assert code in (0, 1), err
