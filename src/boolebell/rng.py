@@ -9,11 +9,11 @@ up to whole blocks.  Any stretch of a run can therefore be read on its
 own, from a computed counter (Salmon et al., "Parallel random numbers: as
 easy as 1, 2, 3", SC'11): experiments stream their blocks chunk by chunk
 this way and still draw the values a whole-block draw would.  Samplers
-split raw 64-bit words into the bits they need: LHV pair i reads word i,
-the circle law its low 32-bit half and the sphere law both halves
+split raw 64-bit words into the bits they need: LHV pair i reads word
+i, the circle law its low half and the sphere law both 32-bit halves
 (:mod:`boolebell.realism`); the quantum samplers take 64 fair signs or
 two cosine-law outcomes per word (:mod:`boolebell.sampler`).  No command
-draws the doubles of :meth:`uniforms`, exactly (w >> 11) * 2**-53.
+reads :meth:`RngStream.uniforms`, the double (w >> 11) * 2**-53 of word w.
 """
 
 from __future__ import annotations

@@ -8,6 +8,10 @@ deleting or renaming one of them must fail here first.
 import importlib.util
 from pathlib import Path
 
+from boolebell.geometry import UnitVector3
+from boolebell.realism import MODEL_NAMES, make_lhv_model
+from boolebell.rng import RngStream
+
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
 
@@ -30,10 +34,6 @@ def test_every_traced_name_resolves():
 def test_traced_lhv_draws_record_their_pair_count():
     # the tracer reads n by position (a[1] of _circle_points, a[0] of
     # _sphere_points), so an argument reorder would corrupt the metric
-    from boolebell.geometry import UnitVector3
-    from boolebell.realism import MODEL_NAMES, make_lhv_model
-    from boolebell.rng import RngStream
-
     tracing = _load_tracer()
     tracer = tracing.Tracer()
     saved = tracing.install(tracer)
