@@ -375,16 +375,11 @@ def _cmd_simulate_singlet(args) -> Report:
 
 
 def _cmd_lhv(args) -> Report:
-    from .realism import make_lhv_model, sign_model_correlation
+    from .realism import make_lhv_model, sample_lhv, sign_model_correlation
     from .rng import RngStream
-    from .sequences import SignSequence
     alpha, beta = _parse_vector(args.alpha), _parse_vector(args.beta)
     model = make_lhv_model(args.model)
-    if args.n < 1:
-        raise ValueError("need at least one pair")
-    hidden = model.draw_lambdas(alpha, beta, args.n, RngStream(args.seed))
-    a_seq = SignSequence.from_array(model.response_a(hidden, alpha))
-    b_seq = SignSequence.from_array(model.response_b(hidden, beta))
+    a_seq, b_seq, hidden = sample_lhv(model, alpha, beta, args.n, RngStream(args.seed))
     files = ()
     if args.dump_lambdas is not None:  # the n x 3 lambdas are built only here
         dump = _csv_text(["lambda_x", "lambda_y", "lambda_z"], hidden.lambdas().tolist())

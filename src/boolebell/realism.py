@@ -14,10 +14,13 @@ half turn of cells.  The sphere law keeps lambda's z and azimuth phi in
 float64 and r cos phi, r sin phi in float32 from float32 trig; a response
 takes the sign of a float32 projection and recomputes with the exact
 float64 coordinates only the answers within ``_TAU`` of the boundary, so
-it gives the bytes of the exact law with almost no float64 trig.  The
-n x 3 lambdas are built, exactly, only on request (:func:`sample_lhv`,
-``lhv --dump-lambdas``).  The plane frame is plain floats and the array
-work elementwise, so no byte depends on the CPU's BLAS kernel.
+it gives the bytes of the exact law with almost no float64 trig.  This
+state is the only record a run retains: :func:`sample_lhv` returns it,
+its arrays read-only, and counterfactual queries replay from it.  The
+n x 3 lambdas are built, exactly, only on request, by the state's
+``lambdas()`` (``lhv --dump-lambdas``).  The plane frame is plain floats
+and the array work elementwise, so no byte depends on the CPU's BLAS
+kernel.
 
 Pair i of a stream reads word i alone, through 32-bit halves taken by
 value: the circle law's w is the low half, and the sphere law's
@@ -47,7 +50,7 @@ from .sequences import SignSequence
 
 
 class MissingHiddenState(ValueError):
-    """Counterfactual queries need the lambda draws of a prior run."""
+    """Counterfactual queries need the hidden state of a prior run."""
 
 
 class OrderingViolation(RuntimeError):
@@ -66,6 +69,7 @@ class _CircleDraws:
     __slots__ = ("w", "e1", "e2")
 
     def __init__(self, w: np.ndarray, e1: UnitVector3, e2: UnitVector3):
+        w.setflags(write=False)  # retained draws are frozen
         self.w = w
         self.e1 = e1
         self.e2 = e2
@@ -88,15 +92,6 @@ class _CircleDraws:
         return np.cos(psi)[:, None] * e1 + np.sin(psi)[:, None] * e2
 
 
-def _dot(x: np.ndarray, y: np.ndarray, z: np.ndarray, direction: UnitVector3) -> np.ndarray:
-    # d . lambda from coordinate columns, in the one order every exact
-    # answer uses
-    s = x * direction.x
-    s += y * direction.y
-    s += z * direction.z
-    return s
-
-
 def _sphere_xy(z: np.ndarray, phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # the exact float64 x and y of a sphere point from its z and phi
     r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
@@ -105,23 +100,6 @@ def _sphere_xy(z: np.ndarray, phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     y = np.sin(phi)
     y *= r
     return x, y
-
-
-class _VectorDraws:
-    """Hidden unit vectors held as three coordinate columns."""
-
-    __slots__ = ("x", "y", "z")
-
-    def __init__(self, x: np.ndarray, y: np.ndarray, z: np.ndarray):
-        self.x = x
-        self.y = y
-        self.z = z
-
-    def __len__(self) -> int:
-        return len(self.z)
-
-    def nonnegative(self, direction: UnitVector3) -> np.ndarray:
-        return _dot(self.x, self.y, self.z, direction) >= 0.0
 
 
 # Half-width of the band around d . lambda = 0 that the float32 filter
@@ -158,6 +136,8 @@ class _SphereDraws:
         np.cos(self.xf, out=self.xf)
         self.xf *= r
         self.yf *= r
+        for column in (z, phi, self.xf, self.yf):
+            column.setflags(write=False)  # retained draws are frozen
 
     def __len__(self) -> int:
         return len(self.z)
@@ -172,14 +152,20 @@ class _SphereDraws:
         near = np.flatnonzero(np.abs(s, out=t) < _TAU)
         if near.size:
             z = self.z[near]
-            signs[near] = _dot(*_sphere_xy(z, self.phi[near]), z, direction) >= 0.0
+            # d . lambda from the exact coordinates, in the one order every
+            # exact answer uses
+            s, y = _sphere_xy(z, self.phi[near])
+            s *= direction.x
+            s += y * direction.y
+            s += z * direction.z
+            signs[near] = s >= 0.0
         return signs
 
     def lambdas(self) -> np.ndarray:
         return np.column_stack((*_sphere_xy(self.z, self.phi), self.z))
 
 
-HiddenDraws = _CircleDraws | _SphereDraws | _VectorDraws
+HiddenDraws = _CircleDraws | _SphereDraws
 
 
 def _sign_response(hidden: HiddenDraws, direction: UnitVector3) -> np.ndarray:
@@ -230,7 +216,7 @@ class LhvModel:
             raise ValueError(f"unknown model {self.name!r}; choose from {MODEL_NAMES}")
 
     def draw_lambdas(self, alpha: UnitVector3, beta: UnitVector3, n: int,
-                     rng: RngStream) -> _CircleDraws | _SphereDraws:
+                     rng: RngStream) -> HiddenDraws:
         if self.name == "sign-circle":
             return _circle_points(_circle_frame(alpha, beta), n, rng)
         return _sphere_points(n, rng)
@@ -260,45 +246,42 @@ def sign_model_correlation(theta: float) -> float:
 
 def sample_lhv(
     model: LhvModel, alpha: UnitVector3, beta: UnitVector3, n: int, rng: RngStream
-) -> tuple[SignSequence, SignSequence, np.ndarray]:
-    """One run: draw the hidden state, answer both wings, retain lambdas.
+) -> tuple[SignSequence, SignSequence, HiddenDraws]:
+    """One run: draw the hidden state, answer both wings, retain the state.
 
-    The returned n x 3 lambda buffer is built from the hidden state and
-    marked read-only; assigned values must not change once produced, and
-    counterfactual queries replay from it.
+    The third element is the compact state ``model.draw_lambdas`` drew, its
+    arrays read-only; assigned values must not change once produced, and
+    counterfactual queries replay from it.  Its ``lambdas()`` builds the
+    n x 3 lambdas on request.
     """
     if n < 1:
         raise ValueError("need at least one pair")
     hidden = model.draw_lambdas(alpha, beta, n, rng)
     a_seq = SignSequence.from_array(model.response_a(hidden, alpha))
     b_seq = SignSequence.from_array(model.response_b(hidden, beta))
-    lambdas = hidden.lambdas()
-    lambdas.setflags(write=False)
-    return a_seq, b_seq, lambdas
+    return a_seq, b_seq, hidden
 
 
 def counterfactual_values(
     model: LhvModel,
-    lambdas: np.ndarray | HiddenDraws | None,
+    hidden: HiddenDraws | None,
     direction: UnitVector3,
     side: str,
 ) -> SignSequence:
     """Signs the model assigns to an unperformed measurement.
 
     ``side`` picks the wing ("A" or "B") whose response map answers; the
-    result is fully determined by the retained draws: the n x 3 lambdas
-    of :func:`sample_lhv`, or the hidden state ``model.draw_lambdas``
-    returned.
+    result is fully determined by the retained hidden state, as
+    :func:`sample_lhv` or ``model.draw_lambdas`` returned it.  The state
+    goes to the response maps as it is, so a model may bring its own.
     """
-    if isinstance(lambdas, np.ndarray):
-        lambdas = _VectorDraws(*lambdas.T) if lambdas.size else None
-    if lambdas is None or len(lambdas) == 0:
+    if hidden is None or len(hidden) == 0:
         raise MissingHiddenState("no retained hidden-variable draws")
     wing = side.upper()
     if wing == "A":
-        return SignSequence.from_array(model.response_a(lambdas, direction))
+        return SignSequence.from_array(model.response_a(hidden, direction))
     if wing == "B":
-        return SignSequence.from_array(model.response_b(lambdas, direction))
+        return SignSequence.from_array(model.response_b(hidden, direction))
     raise ValueError("side must be 'A' or 'B'")
 
 

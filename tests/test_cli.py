@@ -268,6 +268,39 @@ class TestSamplingCommands:
             assert abs(norm - 1.0) < 1e-12
 
 
+def _no_lambdas(hidden):
+    raise AssertionError("built the n x 3 lambdas without being asked to")
+
+
+@pytest.mark.parametrize("model", MODEL_NAMES)
+def test_lhv_and_sample_lhv_share_one_draw(capsys, monkeypatch, tmp_path, model):
+    # one draw rule: the CLI's dump is the library's retained state, and
+    # neither answers a run through the n x 3 lambdas
+    from boolebell import realism
+    from boolebell.geometry import UnitVector3
+    from boolebell.rng import RngStream
+
+    argv = ["lhv", "--model", model, "--alpha", "[1,2,3]", "--beta", "[0,-1,2]",
+            "--n", "257", "--seed", "31"]
+
+    def library_run():
+        return realism.sample_lhv(realism.make_lhv_model(model), UnitVector3(1, 2, 3),
+                                  UnitVector3(0, -1, 2), 257, RngStream(31))
+
+    lam_path = tmp_path / "lam.csv"
+    code, _, err = invoke(capsys, *argv, "--dump-lambdas", str(lam_path))
+    assert code == 0, err
+    rows = list(csv.reader(io.StringIO(lam_path.read_text())))
+    assert rows[1:] == [[repr(x) for x in row] for row in library_run()[2].lambdas().tolist()]
+
+    for draws in ("_CircleDraws", "_SphereDraws"):
+        monkeypatch.setattr(f"boolebell.realism.{draws}.lambdas", _no_lambdas)
+    a_seq, b_seq, _ = library_run()
+    code, out, err = invoke(capsys, *argv, "--format", "json")
+    assert code == 0, err
+    assert json.loads(out)["correlation"] == correlation(a_seq, b_seq).value
+
+
 class TestCertifyAndExperiment:
     def test_certify_ap_dusty_own_axis_passes(self, capsys):
         # a . a = 0.9999999999999998 against an exact estimate of 1.0
@@ -832,12 +865,12 @@ class TestOutOfMemory:
         "sample_singlet": ["simulate-singlet", "--alpha", "[0,0,1]", "--beta", "[1,0,0]"],
         "sample_lhv": ["lhv", "--alpha", "[0,0,1]", "--beta", "[1,0,0]"],
     }
-    # what each case replaces, where the handler finds it; lhv draws its
-    # hidden state with the model's own method
+    # what each case replaces, where the handler finds it; lhv draws and
+    # answers through the library's sample_lhv
     TARGETS = {
         "sample_prepared": "sampler.sample_prepared",
         "sample_singlet": "sampler.sample_singlet",
-        "sample_lhv": "realism.LhvModel.draw_lambdas",
+        "sample_lhv": "realism.sample_lhv",
     }
 
     @pytest.mark.parametrize("sampler", sorted(CASES))

@@ -99,9 +99,9 @@ class TestModels:
         a2, _, lam2 = sample_lhv(model, X_HAT, plane_direction(140), n, RngStream(23))
         if name == "sign-sphere":
             # same lambda draws by construction, so A must agree bit-for-bit
-            assert np.array_equal(lam1, lam2)
+            assert np.array_equal(lam1.lambdas(), lam2.lambdas())
             assert a1 == a2
-        # with any fixed lambda buffer, the A response ignores beta entirely
+        # with any fixed hidden state, the A response ignores beta entirely
         assert counterfactual_values(model, lam1, X_HAT, "A") == a1
 
     def test_determinism_and_immutability(self, name):
@@ -109,9 +109,11 @@ class TestModels:
         a_seq, b_seq, lam = sample_lhv(model, X_HAT, Z_HAT, 1000, RngStream(24))
         again = sample_lhv(model, X_HAT, Z_HAT, 1000, RngStream(24))
         assert (a_seq, b_seq) == again[:2]
-        assert np.array_equal(lam, again[2])
-        with pytest.raises(ValueError):
-            lam[0, 0] = 0.0  # retained draws are frozen
+        assert np.array_equal(lam.lambdas(), again[2].lambdas())
+        columns = {"sign-circle": ("w",), "sign-sphere": ("z", "phi", "xf", "yf")}[name]
+        for column in columns:
+            with pytest.raises(ValueError):
+                getattr(lam, column)[0] = 0  # retained draws are frozen
 
     def test_boole_compliance_of_any_triple(self, name):
         model = make_lhv_model(name)
@@ -149,11 +151,13 @@ class TestCounterfactuals:
         assert_law(draw, 0.5)
 
     def test_missing_state_rejected(self):
-        model = make_lhv_model("sign-circle")
-        with pytest.raises(MissingHiddenState):
-            counterfactual_values(model, None, X_HAT, "A")
-        with pytest.raises(MissingHiddenState):
-            counterfactual_values(model, np.zeros((0, 3)), X_HAT, "A")
+        for name in MODEL_NAMES:
+            model = make_lhv_model(name)
+            with pytest.raises(MissingHiddenState):
+                counterfactual_values(model, None, X_HAT, "A")
+            empty = model.draw_lambdas(X_HAT, Z_HAT, 0, RngStream(29))  # zero pairs
+            with pytest.raises(MissingHiddenState):
+                counterfactual_values(model, empty, X_HAT, "A")
 
     def test_bad_side_rejected(self):
         model = make_lhv_model("sign-circle")
@@ -257,7 +261,8 @@ class TestHiddenStateResponses:
         # drawn on the x-y plane, so z is the circle's exact plane normal
         model = make_lhv_model(name)
         hidden = model.draw_lambdas(X_HAT, plane_direction(60), self.N, RngStream(40))
-        _, _, lam = sample_lhv(model, X_HAT, plane_direction(60), self.N, RngStream(40))
+        _, _, retained = sample_lhv(model, X_HAT, plane_direction(60), self.N, RngStream(40))
+        lam = retained.lambdas()
         assert len(hidden) == self.N
         assert np.array_equal(hidden.lambdas(), lam)
 
@@ -271,7 +276,7 @@ class TestHiddenStateResponses:
             assert fast.dtype == bool
             assert np.array_equal(fast, reference), d
             assert np.array_equal(model.response_b(hidden, d), ~reference), d
-            assert counterfactual_values(model, lam, d, "A") == SignSequence.from_array(fast)
+            assert counterfactual_values(model, hidden, d, "A") == SignSequence.from_array(fast)
             assert counterfactual_values(model, hidden, d, "B") == SignSequence.from_array(~fast)
 
     @pytest.mark.parametrize("name", MODEL_NAMES)
@@ -428,7 +433,8 @@ class TestModelFactory:
     )
     def test_circle_draws_lie_in_the_plane_of_alpha_beta(self, alpha, beta):
         model = make_lhv_model("sign-circle")
-        _, _, lam = sample_lhv(model, alpha, beta, 500, RngStream(30))
+        _, _, hidden = sample_lhv(model, alpha, beta, 500, RngStream(30))
+        lam = hidden.lambdas()
         normal = np.cross(alpha.as_array(), beta.as_array())
         assert np.max(np.abs(lam @ (normal / np.linalg.norm(normal)))) <= 1e-12
 
