@@ -14,29 +14,33 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import json
 import math
 import os
 import re
 import sys
-from dataclasses import dataclass, replace
+from collections import namedtuple
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-# geometry, which needs no numpy, loads here for every command; each handler
-# imports the layers it calls, so only the sampling commands load numpy
+# geometry, which needs no numpy and no dataclasses, loads here for every
+# command; each handler imports the layers it calls, so only the sampling
+# commands load numpy, and json is imported where text is parsed or written
+# as JSON, so --version and a csv or text sweep never load it
 from . import MODEL_NAMES, __version__
 from .geometry import (
     ColinearAxes, UnitVector3, angle_between, clamp_unit_dot, geometric_witness, optimal_witness,
 )
 
 if TYPE_CHECKING:
+    from collections.abc import Iterator
+
     from .experiments import ExperimentConfig
     from .sequences import SignSequence
 
 FORMATS = ("text", "csv", "json")
 SEED_LIMIT = 1 << 64  # the rng keys on 64 bits; larger or negative seeds would alias
 SWEEP_MAX_ROWS = 1_000_000  # a sweep holds its rows in memory until it renders them
+_DUMP_ROWS = 65_536  # rows a dump formats at a time, which bounds its memory
 
 
 def _seed(value, from_file: bool = False) -> int:
@@ -52,6 +56,7 @@ def _seed(value, from_file: bool = False) -> int:
 
 def _json(text: str, source: str):
     """Parse the JSON text of a flag, vector or file; an error names ``source``."""
+    import json
     try:
         return json.loads(text)
     except ValueError as exc:  # a JSONDecodeError, or an integer past Python's digit limit
@@ -95,8 +100,9 @@ def _dumps(*given) -> tuple:
 
 
 def _write_files(files, inputs=()) -> None:
-    """Write each (flag, path, text); an error names the flag and the file and
-    removes the files this run created before it, so a failed run leaves no
+    """Write each (flag, path, text), where text is a string or an iterable of
+    string pieces written in order; an error names the flag and the file and
+    removes the files this run created, so a failed run leaves no
     new file behind (a path that existed, such as /dev/null, is kept).  An output on
     the file of an input (flag, path) or another output exits before any write, unless
     the file exists and is not regular (such as /dev/null), where a write loses nothing."""
@@ -107,23 +113,31 @@ def _write_files(files, inputs=()) -> None:
             raise ValueError(f"{named[real]} and {flag} both name the file {real}")
         named[real] = flag
     created = []
-    for flag, path, text in files:
-        new = not os.path.lexists(path)
-        try:
-            Path(path).write_text(text)
-        except OSError as exc:
-            for done in created:
-                os.remove(done)
-            raise ValueError(f"cannot write {flag} file {path}: {exc}") from exc
-        if new:
-            created.append(path)
+    try:
+        for flag, path, text in files:
+            new = not os.path.lexists(path)
+            try:
+                with Path(path).open("w") as out:
+                    if new:
+                        created.append(path)
+                    out.writelines([text] if isinstance(text, str) else text)
+            except OSError as exc:
+                raise ValueError(f"cannot write {flag} file {path}: {exc}") from exc
+    except BaseException:  # also a MemoryError while a piece is made
+        for done in created:
+            os.remove(done)
+        raise
 
 
 # --- the one output path ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Report:
+# collections.namedtuple: a typing.NamedTuple class compiles each annotation,
+# which raised a witness sweep's peak RSS by about 0.3 MiB
+class Report(namedtuple(
+    "Report", "command seed config fields json_keys text_keys table lines files code",
+    defaults=(None, None, None, None, (), 0),
+)):
     """One command's result, in the shape every output format reads.
 
     ``fields`` holds a one-row result in csv column order; ``json_keys`` and
@@ -132,30 +146,27 @@ class Report:
     rows) and ``lines`` (the text, one dict of fields per line), which then
     replace ``fields`` in those formats.  ``files`` holds the (flag, path,
     text) of each side file, such as a dump or plot data, written after
-    ``--out``.  ``code`` is the exit code.
+    ``--out`` by :func:`_write_files`.  ``code`` is the exit code.  All but
+    the first four fields default to None, or () for ``files`` and 0 for
+    ``code``.
     """
 
-    command: str
-    seed: int
-    config: dict
-    fields: dict
-    json_keys: tuple[str, ...] | None = None
-    text_keys: tuple[str, ...] | None = None
-    table: tuple[list[str], list[dict]] | None = None
-    lines: list[dict] | None = None
-    files: tuple[tuple[str, str, str], ...] = ()
-    code: int = 0
+    __slots__ = ()
 
 
 def _config_hash(payload: dict) -> str:
     import hashlib  # loads OpenSSL, which only --format json needs
+    import json
     canonical = json.dumps(payload, sort_keys=True, default=UnitVector3.as_list)
     return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
 
 def _cell(value):
     # a csv cell: directions at full precision as a JSON list
-    return json.dumps(value.as_list()) if isinstance(value, UnitVector3) else value
+    if isinstance(value, UnitVector3):
+        import json
+        return json.dumps(value.as_list())
+    return value
 
 
 def _shown(value) -> str:
@@ -171,17 +182,23 @@ def _shown(value) -> str:
     return str(value)
 
 
-def _csv_text(header: list[str], rows) -> str:
+def _csv_pieces(header: list[str], chunks) -> Iterator[str]:
+    """The csv text of the header and each chunk's rows, one piece per chunk,
+    all through one writer, so a piece holds no more than its chunk."""
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(header)
-    writer.writerows(rows)
-    return buffer.getvalue()
+    for rows in chunks:
+        writer.writerows(rows)
+        yield buffer.getvalue()
+        buffer.seek(0)
+        buffer.truncate()
 
 
 def _render(report: Report, fmt: str) -> str:
     fields = report.fields
     if fmt == "json":
+        import json
         doc = {
             "command": report.command,
             "version": __version__,
@@ -192,7 +209,8 @@ def _render(report: Report, fmt: str) -> str:
         text = json.dumps(doc, sort_keys=True, indent=2, default=UnitVector3.as_list)
     elif fmt == "csv":
         header, rows = report.table or (list(fields), [fields])
-        text = _csv_text(header, ([_cell(row[key]) for key in header] for row in rows))
+        cells = ([_cell(row[key]) for key in header] for row in rows)
+        text = "".join(_csv_pieces(header, [cells]))
     else:
         lines = report.lines or [{key: fields[key] for key in report.text_keys or fields}]
         text = "\n".join(", ".join(f"{k}={_shown(v)}" for k, v in line.items()) for line in lines)
@@ -260,6 +278,7 @@ def _witness_sweep(args) -> Report:
         raise ValueError(f"--sweep {args.sweep} would compute more than {SWEEP_MAX_ROWS} rows")
     rows = []
     theta = start
+    a = UnitVector3(1, 0, 0)
     while theta <= stop + 1e-9:
         if theta + step == theta:
             raise ValueError(
@@ -269,10 +288,11 @@ def _witness_sweep(args) -> Report:
         t = math.radians(theta)
         b = UnitVector3(math.cos(t), math.sin(t), 0)
         try:
-            rows.append(_witness_row(theta, UnitVector3(1, 0, 0), b))
+            rows.append(_witness_row(theta, a, b))
         except ColinearAxes as exc:  # the user gave no axes; name the row instead
             raise ValueError(f"--sweep row at {theta} degrees: {exc}") from exc
         theta += step
+    text = args.format == "text"  # only text reads the lines
     plots = tuple(
         ("--plot", f"{args.plot}_{series}.dat",
          "".join(f"{r['theta_deg']} {r['lhs_' + series]}\n" for r in rows))
@@ -281,7 +301,7 @@ def _witness_sweep(args) -> Report:
     return Report(
         "witness", args.seed, {"sweep": args.sweep}, {"rows": rows},
         table=(["theta_deg", "case", "lhs_geometric", "lhs_optimal"], rows),
-        lines=[dict(r, theta_deg=repr(r["theta_deg"])) for r in rows],
+        lines=[dict(r, theta_deg=repr(r["theta_deg"])) for r in rows] if text else None,
         files=plots,
     )
 
@@ -382,8 +402,10 @@ def _cmd_lhv(args) -> Report:
     a_seq, b_seq, hidden = sample_lhv(model, alpha, beta, args.n, RngStream(args.seed))
     files = ()
     if args.dump_lambdas is not None:  # the n x 3 lambdas are built only here
-        dump = _csv_text(["lambda_x", "lambda_y", "lambda_z"], hidden.lambdas().tolist())
-        files = (("--dump-lambdas", args.dump_lambdas, dump),)
+        lambdas = hidden.lambdas()
+        chunks = (lambdas[i:i + _DUMP_ROWS].tolist() for i in range(0, len(lambdas), _DUMP_ROWS))
+        files = (("--dump-lambdas", args.dump_lambdas,
+                  _csv_pieces(["lambda_x", "lambda_y", "lambda_z"], chunks)),)
     closed_form = sign_model_correlation(angle_between(alpha, beta))
     return _pair_report(
         "lhv", args, {"model": args.model}, alpha, beta, a_seq, b_seq, {"closed_form": closed_form},
@@ -522,8 +544,8 @@ def _cmd_experiment(args) -> Report:
     )
     if args.summary is None:
         return report
-    summary_text = _render(replace(report, json_keys=tuple(summary)), "json")
-    return replace(report, files=(("--summary", args.summary, summary_text),))
+    summary_text = _render(report._replace(json_keys=tuple(summary)), "json")
+    return report._replace(files=(("--summary", args.summary, summary_text),))
 
 
 # --- parser ----------------------------------------------------------------

@@ -18,14 +18,16 @@ max(a.b + ||a - b||, ||a + b|| - a.b).  The optimizers evaluate the
 candidates at those three directions and keep the largest.
 
 Everything here is plain floats; numpy is imported only by
-:meth:`UnitVector3.as_array`, so the witness commands start without it.
+:meth:`UnitVector3.as_array`, so the witness commands start without it.  The
+two records are ``__slots__`` classes on :class:`_Frozen` rather than frozen
+dataclasses, so they start without ``dataclasses`` and the ``inspect``,
+``ast`` and ``dis`` modules it loads.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable
 
 if TYPE_CHECKING:
@@ -64,16 +66,45 @@ _RIGHT_ANGLE_TOL = 1e-9
 SLOT_ASSIGNMENTS = ("xuv", "uxv", "vux")
 
 
-@dataclass(frozen=True)
-class UnitVector3:
+class _Frozen:
+    """A record of the fields named in ``__slots__``, as a frozen dataclass
+    would give it: equal only to a record of its own type with equal fields,
+    hashed and shown by its fields, closed to assignment, and pickled and
+    copied field by field without running ``__init__`` again."""
+
+    __slots__ = ()
+
+    def __getstate__(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setstate__(self, state: tuple) -> None:
+        for name, value in zip(self.__slots__, state):
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.__getstate__() == other.__getstate__()
+
+    def __hash__(self) -> int:
+        return hash(self.__getstate__())
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+
+class UnitVector3(_Frozen):
     """Direction in R^3, renormalized to unit length on construction."""
 
-    x: float
-    y: float
-    z: float
+    __slots__ = ("x", "y", "z")
 
-    def __post_init__(self) -> None:
-        x, y, z = self.x, self.y, self.z
+    def __init__(self, x: float, y: float, z: float) -> None:
         squared = x * x + y * y + z * z
         if not sys.float_info.min <= squared < math.inf and all(map(math.isfinite, (x, y, z))):
             # the squares under- or overflowed, or their sum is subnormal and
@@ -134,19 +165,19 @@ def malus_lhs_all_assignments(
     Returns (max_value, assignment); ties go to the first assignment in
     :data:`SLOT_ASSIGNMENTS` order.
     """
-    values = _candidate_values(*cosine_targets(a, b, alpha))
-    best = max(range(3), key=lambda i: (values[i], -i))
+    values = first, second, third = _candidate_values(*cosine_targets(a, b, alpha))
+    best = 0 if first >= second and first >= third else 1 if second >= third else 2
     return values[best], SLOT_ASSIGNMENTS[best]
 
 
-@dataclass(frozen=True)
-class WitnessReport:
+class WitnessReport(_Frozen):
     """A measurement direction and the bound value it certifies."""
 
-    alpha: UnitVector3
-    case_label: str
-    lhs_value: float
-    assignment: str
+    __slots__ = ("alpha", "case_label", "lhs_value", "assignment")
+
+    def __init__(self, alpha: UnitVector3, case_label: str, lhs_value: float,
+                 assignment: str) -> None:
+        self.__setstate__((alpha, case_label, lhs_value, assignment))
 
 
 def _case_label(dot_ab: float) -> str:
@@ -209,7 +240,12 @@ def _best_direction(a: UnitVector3, b: UnitVector3, evaluate: Callable[..., tupl
         UnitVector3(b.x - a.x, b.y - a.y, b.z - a.z),
         UnitVector3(a.x + b.x, a.y + b.y, a.z + b.z),
     )
-    return max(((*evaluate(alpha), alpha) for alpha in directions), key=lambda best: best[0])
+    best = None
+    for alpha in directions:
+        found = (*evaluate(alpha), alpha)
+        if best is None or found[0] > best[0]:
+            best = found
+    return best
 
 
 def optimal_witness(a: UnitVector3, b: UnitVector3) -> WitnessReport:

@@ -9,6 +9,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from boolebell import MODEL_NAMES, SignSequence, correlation
@@ -299,6 +300,46 @@ def test_lhv_and_sample_lhv_share_one_draw(capsys, monkeypatch, tmp_path, model)
     code, out, err = invoke(capsys, *argv, "--format", "json")
     assert code == 0, err
     assert json.loads(out)["correlation"] == correlation(a_seq, b_seq).value
+
+
+@pytest.mark.parametrize("model", MODEL_NAMES)
+def test_lambda_dump_in_pieces_has_the_bytes_of_one_piece(capsys, monkeypatch, tmp_path, model):
+    # the dump is formatted a chunk at a time; 50 rows in chunks of 7 end mid-chunk
+    argv = ["lhv", "--model", model, "--alpha", "[1,2,3]", "--beta", "[0,-1,2]", "--n", "50"]
+    whole, pieces = tmp_path / "whole.csv", tmp_path / "pieces.csv"
+    assert invoke(capsys, *argv, "--dump-lambdas", str(whole))[0] == 0
+    monkeypatch.setattr("boolebell.cli._DUMP_ROWS", 7)
+    assert invoke(capsys, *argv, "--dump-lambdas", str(pieces))[0] == 0
+    assert pieces.read_bytes() == whole.read_bytes()
+    assert len(whole.read_text().splitlines()) == 51
+
+
+class _LambdasThatRunOut:
+    """n x 3 zeros whose chunks past the first cannot be allocated."""
+
+    def __init__(self, n):
+        self.n = n
+
+    def __len__(self):
+        return self.n
+
+    def __getitem__(self, rows):
+        if rows.start:
+            raise MemoryError("Unable to allocate the next chunk")
+        return np.zeros((rows.stop - rows.start, 3))
+
+
+def test_dump_that_fails_midway_leaves_no_new_file(capsys, monkeypatch, tmp_path):
+    # the dump's first piece is on disk when its second fails; the run
+    # removes it and the --out file, as when a write fails
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr("boolebell.cli._DUMP_ROWS", 16)
+    monkeypatch.setattr("boolebell.realism._CircleDraws.lambdas",
+                        lambda hidden: _LambdasThatRunOut(len(hidden)))
+    code, out, err = invoke(capsys, *LHV, "--out", "x.txt", "--dump-lambdas", "l.csv")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: out of memory (Unable to allocate the next chunk)")
+    assert list(tmp_path.iterdir()) == []
 
 
 class TestCertifyAndExperiment:

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from boolebell.geometry import (
     SLOT_ASSIGNMENTS,
     ColinearAxes,
     UnitVector3,
+    WitnessReport,
     angle_between,
     assignment_optimum,
     geometric_witness,
@@ -74,6 +77,63 @@ class TestUnitVector3:
         assert (-v).as_list() == pytest.approx([-x for x in v.as_list()])
 
 
+def _records():
+    # (record, its field names, its repr)
+    alpha = UnitVector3(1, 2, 2)
+    return [(alpha, ["x", "y", "z"],
+             "UnitVector3(x=0.3333333333333333, y=0.6666666666666666, z=0.6666666666666666)"),
+            (WitnessReport(alpha, "right", 1.25, "uxv"),
+             ["alpha", "case_label", "lhs_value", "assignment"],
+             "WitnessReport(alpha=UnitVector3(x=0.3333333333333333, y=0.6666666666666666, "
+             "z=0.6666666666666666), case_label='right', lhs_value=1.25, assignment='uxv')")]
+
+
+RECORD_IDS = ["UnitVector3", "WitnessReport"]
+
+
+class TestRecords:
+    """Both records behave as the frozen dataclasses they replaced."""
+
+    @pytest.mark.parametrize("record, names, shown", _records(), ids=RECORD_IDS)
+    def test_equality_hash_and_repr(self, record, names, shown):
+        twin = eval(shown)  # the repr rebuilds an equal record
+        assert record == twin and not record != twin
+        assert hash(record) == hash(twin)
+        assert repr(record) == shown
+        fields = [getattr(record, name) for name in names]
+        assert record != tuple(fields) and record != fields
+
+    def test_equal_vectors_hash_alike(self):
+        assert UnitVector3(3, 4, 0) == UnitVector3(0.6, 0.8, 0)
+        assert hash(UnitVector3(3, 4, 0)) == hash(UnitVector3(0.6, 0.8, 0))
+        assert hash(UnitVector3(1, 2, 2)) == hash((1 / 3, 2 / 3, 2 / 3))
+
+    @pytest.mark.parametrize("record, names, _", _records(), ids=RECORD_IDS)
+    def test_fields_cannot_be_assigned_or_added(self, record, names, _):
+        name = names[0]
+        with pytest.raises(AttributeError):
+            setattr(record, name, getattr(record, name))
+        with pytest.raises(AttributeError):
+            record.extra = 1
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+
+    @pytest.mark.parametrize("record, names, _", _records(), ids=RECORD_IDS)
+    def test_pickle_and_deepcopy_keep_every_field(self, record, names, _):
+        for copied in [copy.deepcopy(record), copy.copy(record),
+                       *(pickle.loads(pickle.dumps(record, protocol))
+                         for protocol in range(pickle.HIGHEST_PROTOCOL + 1))]:
+            assert type(copied) is type(record) and copied == record
+            assert [getattr(copied, name) for name in names] == [
+                getattr(record, name) for name in names]
+
+    def test_unpickling_does_not_renormalize(self):
+        # a renormalized unit vector can move by an ulp; a copy must not
+        v = UnitVector3(1, 1, 7)
+        assert pickle.loads(pickle.dumps(v)).as_list() == v.as_list()
+        assert UnitVector3(*v.as_list()).as_list() != v.as_list()
+
+
 class TestAngleBetween:
     def test_same_direction(self):
         assert angle_between(UnitVector3(1, 0, 0), UnitVector3(1, 0, 0)) == 0.0
@@ -103,7 +163,7 @@ class TestMalusAssignments:
         alpha = UnitVector3(1, 1, 0)
         value, assignment = malus_lhs_all_assignments(a, b, alpha)
         assert value == pytest.approx(math.sqrt(2), abs=1e-12)
-        assert assignment == "uxv"
+        assert assignment == "uxv"  # an exact tie with "vux" goes to the first
 
     def test_sixty_degree_orthogonal_direction(self):
         a, b = planar_pair(60)
@@ -235,6 +295,15 @@ class TestOptimalWitness:
         ra = UnitVector3.from_iterable(rot @ a.as_array())
         rb = UnitVector3.from_iterable(rot @ b.as_array())
         assert optimal_witness(ra, rb).lhs_value == pytest.approx(base, abs=1e-12)
+
+    def test_tied_directions_go_to_the_first(self):
+        # at an exact right angle a - b, b - a and a + b all reach sqrt(2)
+        a, b = UnitVector3(1, 0, 0), UnitVector3(0, 1, 0)
+        report = optimal_witness(a, b)
+        assert (report.alpha, report.assignment) == (UnitVector3(1, -1, 0), "xuv")
+        # "xuv" is the same along a - b and b - a
+        assert assignment_optimum(a, b, "xuv")[1] == UnitVector3(1, -1, 0)
+        assert assignment_optimum(b, a, "xuv")[1] == UnitVector3(-1, 1, 0)
 
     def test_assignment_labels_cover_slot_orders(self):
         assert SLOT_ASSIGNMENTS == ("xuv", "uxv", "vux")
