@@ -419,7 +419,7 @@ _CONFIG_KEYS = ("seed", "n", "sigma_k", "directions")
 
 def _settings(args, keys: tuple[str, ...]) -> dict:
     """The ``--config`` file's keys, each overridden by its flag when given;
-    a flag has passed argparse, so a type error can only be the file's."""
+    flags are checked here or by argparse, so a later type error is the file's."""
     path = args.config
     settings = {} if path is None else _json(_read_text(path, "--config"), f"config file {path}")
     if not isinstance(settings, dict):
@@ -432,8 +432,12 @@ def _settings(args, keys: tuple[str, ...]) -> dict:
         )
     for key in keys:
         value = getattr(args, key)
+        if value is not None and key == "directions":
+            value = _json(value, "--directions")
+            if not isinstance(value, list):
+                raise ValueError("--directions expects a JSON list of vectors")
         if value is not None:
-            settings[key] = _json(value, "--directions") if key == "directions" else value
+            settings[key] = value
     return settings
 
 
@@ -451,14 +455,11 @@ def _config_value(settings: dict, key: str, default, *kinds: type):
 def _build_config(settings: dict) -> ExperimentConfig:
     """The run's config, from the settings of :func:`_settings`."""
     from .experiments import ExperimentConfig
-    directions = settings.get("directions", [])
-    if not isinstance(directions, list):
-        raise ValueError("--directions expects a JSON list of vectors")
     return ExperimentConfig(
         seed=_seed(settings.get("seed", 0), from_file=True),
         n=_config_value(settings, "n", 100_000, int),
         sigma_k=float(_config_value(settings, "sigma_k", 4.0, int, float)),
-        directions=tuple(map(_parse_vector, directions)),
+        directions=tuple(map(_parse_vector, _config_value(settings, "directions", [], list))),
     )
 
 
@@ -584,7 +585,8 @@ def build_parser() -> argparse.ArgumentParser:
     # store_const leaves None when absent, so every flag's presence is one test
     p.add_argument("--optimal", action="store_const", const=True, help="exactly maximized witness")
     p.add_argument("--orthogonal-to", choices=("a", "b"))  # None reads as "a"
-    p.add_argument("--sweep", help="angle sweep START:STOP:STEP in degrees")
+    p.add_argument("--sweep", help="angle sweep START:STOP:STEP in degrees "
+                   "(a negative START needs the --sweep=START:STOP:STEP form)")
     p.add_argument("--plot", help="prefix for two-column plot data files")
 
     p = command("simulate-prepared", _cmd_simulate_prepared, "measure an axis-prepared stream")

@@ -241,6 +241,19 @@ def certify_ap(source: ChunkSource, a: UnitVector3, cfg: ExperimentConfig) -> Ap
     )
 
 
+def _quantum(axis: UnitVector3, cfg: ExperimentConfig, measure: Callable) -> ApCertificate:
+    """:func:`certify_ap` of block j's committed fair signs u from substream
+    2 j, measured by ``measure(u, alpha, rng)`` with substream 2 j + 1."""
+    base = RngStream(cfg.seed)
+
+    def source(j: int, start: int, count: int) -> tuple[SignSequence, Sampler]:
+        u = random_signs(count, base.substream(2 * j).after(start // _SIGNS_PER_WORD))
+        rng = base.substream(2 * j + 1).after(start // _OUTCOMES_PER_WORD)
+        return u, lambda uu, alpha: measure(uu, alpha, rng)
+
+    return certify_ap(source, axis, cfg)
+
+
 def prepared_ap_experiment(a: UnitVector3, cfg: ExperimentConfig) -> ApCertificate:
     """Certify a genuinely axis-prepared source against its own axis.
 
@@ -248,14 +261,7 @@ def prepared_ap_experiment(a: UnitVector3, cfg: ExperimentConfig) -> ApCertifica
     measured with substream 2 j + 1, each chunk from its own first word,
     so block j's draws depend neither on the chunk size nor on n.
     """
-    base = RngStream(cfg.seed)
-
-    def source(j: int, start: int, count: int) -> tuple[SignSequence, Sampler]:
-        u = random_signs(count, base.substream(2 * j).after(start // _SIGNS_PER_WORD))
-        rng = base.substream(2 * j + 1).after(start // _OUTCOMES_PER_WORD)
-        return u, lambda uu, alpha: sample_prepared(PreparedSource(a, uu), alpha, rng)
-
-    return certify_ap(source, a, cfg)
+    return _quantum(a, cfg, lambda u, alpha, rng: sample_prepared(PreparedSource(a, u), alpha, rng))
 
 
 def singlet_ap_experiment(beta: UnitVector3, cfg: ExperimentConfig) -> ApCertificate:
@@ -267,14 +273,7 @@ def singlet_ap_experiment(beta: UnitVector3, cfg: ExperimentConfig) -> ApCertifi
     conditionally on the committed near-wing outcomes, which realizes the
     same joint law as sampling the pair at once.
     """
-    base = RngStream(cfg.seed)
-
-    def source(j: int, start: int, count: int) -> tuple[SignSequence, Sampler]:
-        u = random_signs(count, base.substream(2 * j).after(start // _SIGNS_PER_WORD))
-        rng = base.substream(2 * j + 1).after(start // _OUTCOMES_PER_WORD)
-        return u, lambda uu, alpha: sample_singlet_partner(uu, beta, alpha, rng)
-
-    return certify_ap(source, -beta, cfg)
+    return _quantum(-beta, cfg, lambda u, alpha, rng: sample_singlet_partner(u, beta, alpha, rng))
 
 
 def no_apbp_experiment(

@@ -14,8 +14,10 @@ enters each candidate only through p = a.alpha and q = b.alpha, as |L| + M
 with L and M affine in p and q.  That is the larger of M + L and M - L, two
 linear forms in alpha, so every candidate peaks at alpha along a - b, b - a
 or a + b, and the best value over the sphere is
-max(a.b + ||a - b||, ||a + b|| - a.b).  The optimizers evaluate the
-candidates at those three directions and keep the largest.
+max(a.b + ||a - b||, ||a + b|| - a.b).  Both optimizers read one table of
+the candidates at those three directions and keep the first largest:
+:func:`optimal_witness` over all three assignments, :func:`assignment_optimum`
+over one.
 
 Everything here is plain floats; numpy is imported only by
 :meth:`UnitVector3.as_array`, so the witness commands start without it.  The
@@ -28,7 +30,7 @@ from __future__ import annotations
 
 import math
 import sys
-from typing import TYPE_CHECKING, Callable, Iterable
+from typing import TYPE_CHECKING, Iterable
 
 if TYPE_CHECKING:
     import numpy as np
@@ -152,9 +154,17 @@ def angle_between(a: UnitVector3, b: UnitVector3) -> float:
     return math.acos(clamp_unit_dot(a.dot(b)))
 
 
-def _candidate_values(p, q, c):
-    # p = a.alpha, q = b.alpha, c = a.b, all floats; one value per slot assignment.
+def _candidates(a: UnitVector3, b: UnitVector3, alpha: UnitVector3, c: float) -> tuple:
+    # one candidate left-hand side per slot assignment, from p = a.alpha and
+    # q = b.alpha, clamped here, and c = a.b, clamped by the caller
+    p, q = clamp_unit_dot(a.dot(alpha)), clamp_unit_dot(b.dot(alpha))
     return (abs(p - q) + c, abs(p - c) + q, abs(c - q) + p)
+
+
+def _best(values: tuple) -> tuple[float, str]:
+    # the largest candidate and its assignment; ties go to the first
+    value = max(values)
+    return value, SLOT_ASSIGNMENTS[values.index(value)]
 
 
 def malus_lhs_all_assignments(
@@ -165,9 +175,7 @@ def malus_lhs_all_assignments(
     Returns (max_value, assignment); ties go to the first assignment in
     :data:`SLOT_ASSIGNMENTS` order.
     """
-    values = first, second, third = _candidate_values(*cosine_targets(a, b, alpha))
-    best = 0 if first >= second and first >= third else 1 if second >= third else 2
-    return values[best], SLOT_ASSIGNMENTS[best]
+    return _best(_candidates(a, b, alpha, clamp_unit_dot(a.dot(b))))
 
 
 class WitnessReport(_Frozen):
@@ -180,17 +188,15 @@ class WitnessReport(_Frozen):
         self.__setstate__((alpha, case_label, lhs_value, assignment))
 
 
-def _case_label(dot_ab: float) -> str:
-    if abs(dot_ab) <= _RIGHT_ANGLE_TOL:
-        return "right"
-    return "acute" if dot_ab > 0 else "obtuse"
-
-
-def _check_distinct(a: UnitVector3, b: UnitVector3) -> float:
+def _axes(a: UnitVector3, b: UnitVector3) -> tuple[float, str]:
+    """(a.b clamped, case label) of two axes with a witness: the label is
+    "right", "acute" or "obtuse" by the angle between them, and colinear
+    axes, which have no witness, raise :class:`ColinearAxes`."""
     d = a.dot(b)
     if abs(d) >= 1.0 - COLINEAR_TOL:
         raise ColinearAxes("axes are colinear; no witness direction exists")
-    return d
+    label = "right" if abs(d) <= _RIGHT_ANGLE_TOL else "acute" if d > 0 else "obtuse"
+    return clamp_unit_dot(d), label
 
 
 def perpendicular(a: UnitVector3, b: UnitVector3) -> UnitVector3:
@@ -214,48 +220,41 @@ def geometric_witness(
     ``orthogonal_to`` selects which axis alpha is perpendicular to in the
     non-right cases ("a" or "b"); both give the same value.
     """
-    d = _check_distinct(a, b)
+    c, label = _axes(a, b)
     if orthogonal_to not in ("a", "b"):
         raise ValueError("orthogonal_to must be 'a' or 'b'")
-    label = _case_label(d)
     if label == "right":
         alpha = UnitVector3(a.x + b.x, a.y + b.y, a.z + b.z)
     else:
         alpha = perpendicular(a, b) if orthogonal_to == "a" else perpendicular(b, a)
-    value, assignment = malus_lhs_all_assignments(a, b, alpha)
+    value, assignment = _best(_candidates(a, b, alpha, c))
     return WitnessReport(alpha=alpha, case_label=label, lhs_value=value, assignment=assignment)
 
 
-def _best_direction(a: UnitVector3, b: UnitVector3, evaluate: Callable[..., tuple]) -> tuple:
-    """``(*evaluate(alpha), alpha)`` with the largest first item, over alpha
-    along a - b, b - a and a + b; ties go to the first in that order.
+def _witness_table(a: UnitVector3, b: UnitVector3) -> tuple[str, list]:
+    """The case label of two axes and their witness table: a row (alpha,
+    candidates at alpha) for alpha along a - b, b - a and a + b, in that
+    order; both optimizers keep the first row of the largest value.
 
     Every candidate is the larger of two linear forms (+-a +- b).alpha plus a
     constant, each largest along its own vector, and a + b only enters with
     a plus sign (``(a + b).alpha - a.b`` in "uxv" and "vux").
     """
-    _check_distinct(a, b)
+    c, label = _axes(a, b)
     directions = (
         UnitVector3(a.x - b.x, a.y - b.y, a.z - b.z),
         UnitVector3(b.x - a.x, b.y - a.y, b.z - a.z),
         UnitVector3(a.x + b.x, a.y + b.y, a.z + b.z),
     )
-    best = None
-    for alpha in directions:
-        found = (*evaluate(alpha), alpha)
-        if best is None or found[0] > best[0]:
-            best = found
-    return best
+    return label, [(alpha, _candidates(a, b, alpha, c)) for alpha in directions]
 
 
 def optimal_witness(a: UnitVector3, b: UnitVector3) -> WitnessReport:
     """Exactly maximized witness: max(a.b + ||a - b||, ||a + b|| - a.b)."""
-    value, assignment, alpha = _best_direction(
-        a, b, lambda alpha: malus_lhs_all_assignments(a, b, alpha)
-    )
-    return WitnessReport(
-        alpha=alpha, case_label=_case_label(a.dot(b)), lhs_value=value, assignment=assignment
-    )
+    label, table = _witness_table(a, b)
+    alpha, values = max(table, key=lambda row: max(row[1]))
+    value, assignment = _best(values)
+    return WitnessReport(alpha=alpha, case_label=label, lhs_value=value, assignment=assignment)
 
 
 def assignment_optimum(
@@ -267,7 +266,5 @@ def assignment_optimum(
     larger of that (along b - a and a - b) and ||a + b|| - a.b (along a + b).
     """
     index = SLOT_ASSIGNMENTS.index(assignment)
-    c = a.dot(b)
-    return _best_direction(
-        a, b, lambda alpha: (_candidate_values(a.dot(alpha), b.dot(alpha), c)[index],)
-    )
+    alpha, values = max(_witness_table(a, b)[1], key=lambda row: row[1][index])
+    return values[index], alpha

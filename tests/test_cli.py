@@ -73,13 +73,19 @@ class TestBasicCommands:
         assert code == 0
         assert "value=1.000000" in out
 
-    def test_witness_sweep_csv(self, capsys):
-        code, out, _ = invoke(
-            capsys, "witness", "--sweep", "30:150:30", "--format", "csv"
-        )
+    @pytest.mark.parametrize(
+        "sweep, labels",
+        [
+            ("30:150:30", ["30.0", "60.0", "90.0", "120.0", "150.0"]),
+            # a negative START needs the = form; argparse reads "-30:..." as a flag
+            ("-30:-10:10", ["-30.0", "-20.0", "-10.0"]),
+        ],
+    )
+    def test_witness_sweep_csv(self, capsys, sweep, labels):
+        code, out, _ = invoke(capsys, "witness", f"--sweep={sweep}", "--format", "csv")
         assert code == 0
         rows = list(csv.DictReader(io.StringIO(out)))
-        assert [r["theta_deg"] for r in rows] == ["30.0", "60.0", "90.0", "120.0", "150.0"]
+        assert [r["theta_deg"] for r in rows] == labels
         for r in rows:
             assert float(r["lhs_optimal"]) >= float(r["lhs_geometric"]) - 1e-12
             assert float(r["lhs_geometric"]) > 1.0
@@ -580,6 +586,10 @@ class TestBadInputExitsTwo:
         assert err.startswith("error: ") and err.count("\n") == 1
         if name == "sigma_k-beyond-float":
             assert "'sigma_k'" in err
+        if name == "directions-not-a-list":
+            # no --directions flag was given, so the message names the file's key
+            assert "'directions'" in err and "config file" in err
+            assert "--directions" not in err
 
     @pytest.mark.parametrize(
         "argv, message",
@@ -591,6 +601,8 @@ class TestBadInputExitsTwo:
              "no certification directions given (flag or config file)"),
             (["experiment", "--a", "[1,0,0]"],
              "experiment needs --a and --b (flags or config file)"),
+            (["certify-ap", "--axis", "[0,0,1]", "--directions", '"[[1,0,0]]"'],
+             "--directions expects a JSON list of vectors"),
             # flags the command would ignore
             (["witness", "--sweep", "10:11:0.5", "--a", "[0,0,1]", "--optimal"],
              "--sweep cannot be combined with --a"),
@@ -606,8 +618,9 @@ class TestBadInputExitsTwo:
              "--orthogonal-to cannot be combined with --optimal"),
         ],
         ids=["sweep-two-parts", "sweep-zero-step", "witness-one-axis", "certify-no-directions",
-             "experiment-one-axis", "sweep-with-a", "sweep-with-b", "sweep-with-optimal",
-             "sweep-with-orthogonal-to", "plot-without-sweep", "optimal-with-orthogonal-to"],
+             "experiment-one-axis", "directions-flag-not-a-list", "sweep-with-a", "sweep-with-b",
+             "sweep-with-optimal", "sweep-with-orthogonal-to", "plot-without-sweep",
+             "optimal-with-orthogonal-to"],
     )
     def test_bad_flags_name_what_is_wrong(self, capsys, tmp_path, monkeypatch, argv, message):
         monkeypatch.chdir(tmp_path)  # a --plot that is refused must write nothing

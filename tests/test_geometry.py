@@ -17,7 +17,18 @@ from boolebell.geometry import (
     optimal_witness,
 )
 
+from test_witness_reference import PAIRS
+
 RNG = np.random.default_rng(415)
+
+# the two optimizers, each assignment_optimum call on its own
+OPTIMIZERS = {
+    "optimal": optimal_witness,
+    **{
+        f"assignment-{name}": lambda a, b, name=name: assignment_optimum(a, b, name)
+        for name in SLOT_ASSIGNMENTS
+    },
+}
 
 
 def planar_pair(theta_deg: float) -> tuple[UnitVector3, UnitVector3]:
@@ -276,10 +287,24 @@ class TestOptimalWitness:
         smaller = optimal_witness(*planar_pair(0.1)).lhs_value
         assert 1.0 < smaller < small < 1.02
 
-    def test_colinear_rejected(self):
+    @pytest.mark.parametrize("name", sorted(OPTIMIZERS))
+    def test_colinear_rejected(self, name):
         v = random_direction()
         with pytest.raises(ColinearAxes):
-            optimal_witness(v, v)
+            OPTIMIZERS[name](v, v)
+        with pytest.raises(ColinearAxes):
+            OPTIMIZERS[name](v, -v)
+
+    @pytest.mark.parametrize("kind", sorted(PAIRS))
+    def test_both_optimizers_read_one_table(self, kind):
+        for a, b in PAIRS[kind]:
+            report = optimal_witness(a, b)
+            optima = [assignment_optimum(a, b, name) for name in SLOT_ASSIGNMENTS]
+            # the winning assignment's own optimum is the report, direction and all
+            assert optima[SLOT_ASSIGNMENTS.index(report.assignment)] == (
+                report.lhs_value, report.alpha
+            ), (a, b)
+            assert report.lhs_value == max(value for value, _ in optima), (a, b)
 
     def test_in_plane_and_unit(self):
         a, b = planar_pair(77)
