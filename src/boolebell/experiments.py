@@ -10,14 +10,15 @@ target left-hand side above 1, exact arithmetic keeps the empirical one at
 or below 1, so the correlation gaps must absorb the difference and at
 least one certificate fails by a quantifiable margin.
 
-Every block is streamed in chunks of ``_CHUNK`` pairs.  A chunk is drawn
-from computed Philox counters, committed, measured along the block's
-direction and reduced to integer products sums, which add up exactly
-across chunks; then it is dropped.  Memory therefore stays at a few chunks
-whatever n is, and the results are the ones a whole-block run would give,
-bit for bit, for any chunk size that is a multiple of 256: a chunk's
-LHV pairs (one per word), signs (64 per word) and cosine-law outcomes
-(two per word) then start on a Philox counter block.
+Every block is streamed in chunks of ``_CHUNK`` pairs, read front to back
+from one Philox per block stream (:meth:`RngStream.reader`).  A chunk is
+drawn, committed, measured along the block's direction and reduced to
+integer products sums, which add up exactly across chunks; then it is
+dropped.  Memory therefore stays at a few chunks whatever n is, and the
+results are the ones a whole-block run would give, bit for bit, for any
+chunk size that is a multiple of 256: a chunk's LHV pairs (one per word),
+signs (64 per word) and cosine-law outcomes (two per word) then take
+whole Philox counter blocks.
 
 The config and result records turn into dicts by one rule,
 :meth:`_Record.to_dict`, which writes each dataclass field under its name,
@@ -40,8 +41,7 @@ from .realism import (
     measure,
 )
 from .rng import RngStream
-from .sampler import (PreparedSource, _OUTCOMES_PER_WORD, _SIGNS_PER_WORD, random_signs,
-                      sample_prepared, sample_singlet_partner)
+from .sampler import PreparedSource, random_signs, sample_prepared, sample_singlet_partner
 from .sequences import (
     BRUTE_FORCE_MAX_LENGTH,
     CorrelationEstimate,
@@ -53,13 +53,14 @@ from .sequences import (
 )
 
 # Pairs per chunk, a multiple of 256 (see above); a chunk's outcome words
-# take 256 KiB.
-_CHUNK = 1 << 16
+# take 128 KiB, and a sphere-law chunk's state 768 KiB.
+_CHUNK = 1 << 15
 
 # measures committed signs along a chosen direction: (u, alpha) -> x
 Sampler = Callable[[SignSequence, UnitVector3], SignSequence]
 # a block's chunk source: (block j, first pair, pair count) -> (u, sampler);
-# u holds the chunk's committed signs, sampler measures the same pairs
+# u holds the chunk's committed signs, sampler measures the same pairs; a
+# block's chunks come in order from its first pair, blocks may interleave
 ChunkSource = Callable[[int, int, int], tuple[SignSequence, Sampler]]
 
 
@@ -202,11 +203,11 @@ def certify_ap(source: ChunkSource, a: UnitVector3, cfg: ExperimentConfig) -> Ap
     """Certify that ``source`` behaves as prepared along ``a``.
 
     Block j holds n fresh pairs measured along direction j; each particle
-    is measured once.  Chunk by chunk, the source draws the pairs' committed
-    signs u, the u are committed, direction j is chosen, and only then are
-    the pairs measured, so the protocol ordering is enforced per chunk.
-    Each row's correlation comes from the block's exact products sum,
-    added up over its chunks.
+    is measured once.  Chunk by chunk, in order, the source draws the
+    pairs' committed signs u, the u are committed, direction j is chosen,
+    and only then are the pairs measured, so the protocol ordering is
+    enforced per chunk.  Each row's correlation comes from the block's
+    exact products sum, added up over its chunks.
     """
     if not cfg.directions:
         raise ValueError("certification needs at least one direction")
@@ -243,13 +244,16 @@ def certify_ap(source: ChunkSource, a: UnitVector3, cfg: ExperimentConfig) -> Ap
 
 def _quantum(axis: UnitVector3, cfg: ExperimentConfig, measure: Callable) -> ApCertificate:
     """:func:`certify_ap` of block j's committed fair signs u from substream
-    2 j, measured by ``measure(u, alpha, rng)`` with substream 2 j + 1."""
+    2 j, measured by ``measure(u, alpha, rng)`` with substream 2 j + 1; each
+    substream is opened once, at the block's first chunk, and read on."""
     base = RngStream(cfg.seed)
+    readers = {}
 
     def source(j: int, start: int, count: int) -> tuple[SignSequence, Sampler]:
-        u = random_signs(count, base.substream(2 * j).after(start // _SIGNS_PER_WORD))
-        rng = base.substream(2 * j + 1).after(start // _OUTCOMES_PER_WORD)
-        return u, lambda uu, alpha: measure(uu, alpha, rng)
+        if start == 0:
+            readers[j] = base.substream(2 * j).reader(), base.substream(2 * j + 1).reader()
+        signs, outcomes = readers[j]
+        return random_signs(count, signs), lambda uu, alpha: measure(uu, alpha, outcomes)
 
     return certify_ap(source, axis, cfg)
 
@@ -258,8 +262,8 @@ def prepared_ap_experiment(a: UnitVector3, cfg: ExperimentConfig) -> ApCertifica
     """Certify a genuinely axis-prepared source against its own axis.
 
     Block j draws its committed fair signs u from substream 2 j and is
-    measured with substream 2 j + 1, each chunk from its own first word,
-    so block j's draws depend neither on the chunk size nor on n.
+    measured with substream 2 j + 1, each read front to back, so block j's
+    draws depend neither on the chunk size nor on n.
     """
     return _quantum(a, cfg, lambda u, alpha, rng: sample_prepared(PreparedSource(a, u), alpha, rng))
 
@@ -290,19 +294,23 @@ def no_apbp_experiment(
     (target_lhs - 1)/3 - sigma_k * stderr or more.
 
     Every block is read by one reader, ``hidden``: block j is drawn from
-    substream j with the plane (a, b), so the circle law keeps one plane and
-    one stream one hidden-variable law.  Block 0 is the witness; blocks
-    1 .. k are the k rows of u's certificate (a, b, the witness direction,
-    then cfg.directions) and blocks k + 1 .. 2k those of v's.  A certificate
-    commits the far wing's values along minus its axis before its direction
-    is chosen, and the near wing then answers from the same draws, so the
-    protocol ordering inside certify_ap is honest.
+    substream j, read on from its first chunk, with the plane (a, b), so
+    the circle law keeps one plane and one stream one hidden-variable law.
+    Block 0 is the witness; blocks 1 .. k are the k rows of u's certificate
+    (a, b, the witness direction, then cfg.directions) and blocks
+    k + 1 .. 2k those of v's.  A certificate commits the far wing's values
+    along minus its axis before its direction is chosen, and the near wing
+    then answers from the same draws, so the protocol ordering inside
+    certify_ap is honest.
     """
     witness = geometric_witness(a, b)
     base = RngStream(cfg.seed)
+    readers = {}
 
     def hidden(j: int, start: int, count: int):  # block j's chunk at start
-        return model.draw_lambdas(a, b, count, base.substream(j).after(start))
+        if start == 0:
+            readers[j] = base.substream(j).reader()
+        return model.draw_lambdas(a, b, count, readers[j])
 
     # the witness block: the three pair sums of x, u, v, one chunk at a time
     sums = {"ux": 0, "vx": 0, "uv": 0}
@@ -315,6 +323,7 @@ def no_apbp_experiment(
         }
         for pair in sums:
             sums[pair] += correlation(chunk[pair[0]], chunk[pair[1]]).sum_products
+    del state, chunk  # the certificates' chunks are drawn without the witness's last one
 
     def pair_sum(p: str, q: str) -> int:
         return sums["".join(sorted(p + q))]

@@ -25,10 +25,12 @@ kernel.
 Pair i of a stream reads word i alone, through 32-bit halves taken by
 value: the circle law's w is the low half, and the sphere law's
 z = (lo + 1/2) 2**-31 - 1 and phi = (hi + 1/2) 2 pi 2**-32 are the cell
-midpoints of the low and high halves.  A chunk of a block is drawn from
-the block's stream moved to the chunk's first pair (``RngStream.after``),
-so a block's first m pairs are the same draws at any n >= m, and
-experiments hold one chunk of hidden state at a time, whatever n is.
+midpoints of the low and high halves.  Experiments read a block's
+chunks in order from one reader of its stream (``RngStream.reader``),
+each chunk continuing where the last ended, so a block's first m pairs
+are the same draws at any n >= m, and they hold a chunk or two of hidden
+state at a time, whatever n is.  ``lambdas(start, stop)`` builds the
+lambdas of a slice of pairs, so a dump is written piece by piece.
 
 The commitment protocol is the bookkeeping half: preparation signs must be
 committed before a measurement direction is chosen, and a token is spent
@@ -86,8 +88,8 @@ class _CircleDraws:
         k = np.uint32(math.ceil(lo * 2.0**32 - 0.5) % 2**32)
         return self.w - k < np.uint32(2**31)  # the subtraction wraps mod 2**32
 
-    def lambdas(self) -> np.ndarray:
-        psi = (self.w + 0.5) * (2.0 * math.pi * 2.0**-32)  # rounded once
+    def lambdas(self, start: int = 0, stop: int | None = None) -> np.ndarray:
+        psi = (self.w[start:stop] + 0.5) * (2.0 * math.pi * 2.0**-32)  # rounded once
         e1, e2 = self.e1.as_array(), self.e2.as_array()
         return np.cos(psi)[:, None] * e1 + np.sin(psi)[:, None] * e2
 
@@ -161,8 +163,9 @@ class _SphereDraws:
             signs[near] = s >= 0.0
         return signs
 
-    def lambdas(self) -> np.ndarray:
-        return np.column_stack((*_sphere_xy(self.z, self.phi), self.z))
+    def lambdas(self, start: int = 0, stop: int | None = None) -> np.ndarray:
+        z = self.z[start:stop]
+        return np.column_stack((*_sphere_xy(z, self.phi[start:stop]), z))
 
 
 HiddenDraws = _CircleDraws | _SphereDraws
@@ -201,12 +204,13 @@ class LhvModel:
 
     ``draw_lambdas(alpha, beta, n, rng)`` returns the compact hidden state
     (see the module docstring) of the n pairs that start where ``rng``
-    stands, pair i from word i; ``len`` of it is the number of pairs.  The
-    circle law draws on the plane of its (alpha, beta), so one stream keeps
-    one law by passing the same pair.  ``response_a``/``response_b`` take
-    (hidden state, own direction) only and return a bool array, True for
-    +1, so a wing's values cannot depend on the far setting; that is the
-    locality property the tests check by permuting the far direction.
+    stands, pair i from word i (a stream's reader serves as well); ``len``
+    of it is the number of pairs.  The circle law draws on the plane of its
+    (alpha, beta), so one stream keeps one law by passing the same pair.
+    ``response_a``/``response_b`` take (hidden state, own direction) only
+    and return a bool array, True for +1, so a wing's values cannot depend
+    on the far setting; that is the locality property the tests check by
+    permuting the far direction.
     """
 
     name: str

@@ -320,19 +320,11 @@ def test_lambda_dump_in_pieces_has_the_bytes_of_one_piece(capsys, monkeypatch, t
     assert len(whole.read_text().splitlines()) == 51
 
 
-class _LambdasThatRunOut:
-    """n x 3 zeros whose chunks past the first cannot be allocated."""
-
-    def __init__(self, n):
-        self.n = n
-
-    def __len__(self):
-        return self.n
-
-    def __getitem__(self, rows):
-        if rows.start:
-            raise MemoryError("Unable to allocate the next chunk")
-        return np.zeros((rows.stop - rows.start, 3))
+def _lambdas_that_run_out(hidden, start=0, stop=None):
+    """n x 3 zeros for the first piece; the pieces after it cannot be allocated."""
+    if start:
+        raise MemoryError("Unable to allocate the next chunk")
+    return np.zeros((min(stop, len(hidden)), 3))
 
 
 def test_dump_that_fails_midway_leaves_no_new_file(capsys, monkeypatch, tmp_path):
@@ -340,8 +332,7 @@ def test_dump_that_fails_midway_leaves_no_new_file(capsys, monkeypatch, tmp_path
     # removes it and the --out file, as when a write fails
     monkeypatch.chdir(tmp_path)
     monkeypatch.setattr("boolebell.cli._DUMP_ROWS", 16)
-    monkeypatch.setattr("boolebell.realism._CircleDraws.lambdas",
-                        lambda hidden: _LambdasThatRunOut(len(hidden)))
+    monkeypatch.setattr("boolebell.realism._CircleDraws.lambdas", _lambdas_that_run_out)
     code, out, err = invoke(capsys, *LHV, "--out", "x.txt", "--dump-lambdas", "l.csv")
     assert (code, out) == (2, "")
     assert err.startswith("error: out of memory (Unable to allocate the next chunk)")

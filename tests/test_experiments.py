@@ -1,11 +1,12 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
-from boolebell import experiments
+from boolebell import experiments, rng
 from boolebell.experiments import (
     FEASIBILITY_MAX_LENGTH,
     ApCertificate,
@@ -357,6 +358,59 @@ class TestQuantumStreamLayout:
         _, short = self.blocks(monkeypatch, mode, m)
         _, long = self.blocks(monkeypatch, mode, 3_001)
         assert [(u[:m], x[:m]) for u, x in long] == short
+
+
+class TestBlockReaders:
+    """Each block stream is opened once, as one Philox read front to back,
+    so a run opens as many generators at any number of chunks, and its
+    traced memory holds at most two chunks whatever n is."""
+
+    DIRECTIONS = (X_HAT, xz_direction(40))
+
+    @staticmethod
+    def run(name, cfg):
+        if name == "prepared":
+            return prepared_ap_experiment(X_HAT, cfg)
+        if name == "singlet":
+            return singlet_ap_experiment(Z_HAT, cfg)
+        return no_apbp_experiment(X_HAT, xy_direction(70), make_lhv_model(name), cfg)
+
+    @pytest.mark.parametrize("chunks", [3, 9])
+    @pytest.mark.parametrize("name", ("prepared", "singlet") + MODEL_NAMES)
+    def test_each_block_stream_opens_one_philox(self, monkeypatch, name, chunks):
+        monkeypatch.setattr(experiments, "_CHUNK", 256)
+        made = []
+        real = rng.Philox
+
+        def counted(*args, **kwargs):
+            made.append(kwargs)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(rng, "Philox", counted)
+        cfg = ExperimentConfig(seed=66, n=256 * (chunks - 1) + 100, directions=self.DIRECTIONS)
+        self.run(name, cfg)
+        # a quantum block reads two streams; the contradiction experiment
+        # reads the witness block and 2 k certificate blocks, k = 3 + 2
+        k = len(self.DIRECTIONS)
+        assert len(made) == (2 * k if name in ("prepared", "singlet") else 1 + 2 * (3 + k))
+
+    def traced_peak(self, n):
+        model = make_lhv_model("sign-sphere")
+        tracemalloc.start()
+        try:
+            no_apbp_experiment(X_HAT, xy_direction(70), model, ExperimentConfig(seed=67, n=n))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_sphere_peak_holds_two_chunks_at_any_n(self):
+        # a sphere-law chunk's state takes 24 B per pair, 768 KiB at the
+        # shipped chunk, and the next chunk (about 1.2 MiB while it is
+        # built) is drawn while it lives; nothing else may grow with n
+        self.traced_peak(1_000)  # first-call allocations out of the way
+        four, sixteen = (self.traced_peak(m * experiments._CHUNK) for m in (4, 16))
+        assert abs(sixteen - four) <= 0.02 * four
+        assert four <= 2.5 * 2**20
 
 
 def oracle_feasibility(a, b, alpha, n, epsilon):

@@ -183,3 +183,25 @@ def test_after_rejects_a_negative_draw_count(n):
     # after(-8) stood at counter 3 of a stream at counter 5
     with pytest.raises(ValueError):
         RngStream(1, 0, 5).after(n)
+
+
+@pytest.mark.parametrize("counter", [0, 5, 2**256 - 1], ids=["zero", "mid", "wrap"])
+def test_reader_reads_on_as_after_stands(counter):
+    # runs of whole counter blocks, then a partial last run; from the top
+    # counter the reader wraps as after() does
+    s = RngStream(12, 3, counter)
+    reader = s.reader()
+    read = 0
+    for n in (8, 4, 64, 0, 12, 7):
+        assert np.array_equal(reader.words(n), s.after(read).words(n))
+        read += n
+    assert s.counter == counter  # the stream does not move
+
+
+@pytest.mark.parametrize("first", [1, 3, 6])
+def test_reader_refuses_to_read_on_inside_a_counter_block(first):
+    # Philox would serve the rest of the block, where after() skips it
+    reader = RngStream(12).reader()
+    reader.words(first)
+    with pytest.raises(ValueError, match="inside a counter block"):
+        reader.words(4)
