@@ -402,8 +402,7 @@ def _cmd_lhv(args) -> Report:
     a_seq, b_seq, hidden = sample_lhv(model, alpha, beta, args.n, RngStream(args.seed))
     files = ()
     if args.dump_lambdas is not None:  # the lambdas are built only here, a piece at a time
-        starts = range(0, len(hidden), _DUMP_ROWS)
-        chunks = (hidden.lambdas(i, i + _DUMP_ROWS).tolist() for i in starts)
+        chunks = (hidden.lambdas(i, i + _DUMP_ROWS).tolist() for i in range(0, args.n, _DUMP_ROWS))
         files = (("--dump-lambdas", args.dump_lambdas,
                   _csv_pieces(["lambda_x", "lambda_y", "lambda_z"], chunks)),)
     closed_form = sign_model_correlation(angle_between(alpha, beta))

@@ -10,15 +10,14 @@ target left-hand side above 1, exact arithmetic keeps the empirical one at
 or below 1, so the correlation gaps must absorb the difference and at
 least one certificate fails by a quantifiable margin.
 
-Every block is streamed in chunks of ``_CHUNK`` pairs, read front to back
-from one Philox per block stream (:meth:`RngStream.reader`).  A chunk is
-drawn, committed, measured along the block's direction and reduced to
-integer products sums, which add up exactly across chunks; then it is
-dropped.  Memory therefore stays at a few chunks whatever n is, and the
-results are the ones a whole-block run would give, bit for bit, for any
-chunk size that is a multiple of 256: a chunk's LHV pairs (one per word),
-signs (64 per word) and cosine-law outcomes (two per word) then take
-whole Philox counter blocks.
+Every block is streamed in chunks of ``_CHUNK`` pairs.  A chunk is drawn
+from the block's streams where its last chunk ended, committed, measured
+along the block's direction and reduced to integer products sums, which
+add up exactly across chunks; then it is dropped.  Memory therefore stays
+at a few chunks whatever n is, and the results are the ones a whole-block
+run would give, bit for bit, for any chunk size that is a multiple of 256:
+a chunk's LHV pairs (one per word), signs (64 per word) and cosine-law
+outcomes (two per word) then take whole Philox counter blocks.
 
 The config and result records turn into dicts by one rule,
 :meth:`_Record.to_dict`, which writes each dataclass field under its name,
@@ -30,6 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
+from functools import cache
 from typing import Callable, Iterator
 
 from .geometry import UnitVector3, clamp_unit_dot, cosine_targets, geometric_witness
@@ -58,9 +58,8 @@ _CHUNK = 1 << 15
 
 # measures committed signs along a chosen direction: (u, alpha) -> x
 Sampler = Callable[[SignSequence, UnitVector3], SignSequence]
-# a block's chunk source: (block j, first pair, pair count) -> (u, sampler);
-# u holds the chunk's committed signs, sampler measures the same pairs; a
-# block's chunks come in order from its first pair, blocks may interleave
+# a block's chunk source, called in pair order within each block: (j, first
+# pair, pair count) -> (the pairs' committed signs u, a sampler of the pairs)
 ChunkSource = Callable[[int, int, int], tuple[SignSequence, Sampler]]
 
 
@@ -203,11 +202,11 @@ def certify_ap(source: ChunkSource, a: UnitVector3, cfg: ExperimentConfig) -> Ap
     """Certify that ``source`` behaves as prepared along ``a``.
 
     Block j holds n fresh pairs measured along direction j; each particle
-    is measured once.  Chunk by chunk, in order, the source draws the
-    pairs' committed signs u, the u are committed, direction j is chosen,
-    and only then are the pairs measured, so the protocol ordering is
-    enforced per chunk.  Each row's correlation comes from the block's
-    exact products sum, added up over its chunks.
+    is measured once.  Chunk by chunk, in order, the source draws the pairs'
+    committed signs u, the u are committed, direction j is chosen, and only
+    then are the pairs measured, so the protocol ordering is enforced per
+    chunk.  Each row's correlation comes from the block's exact products
+    sum, added up over its chunks.
     """
     if not cfg.directions:
         raise ValueError("certification needs at least one direction")
@@ -244,16 +243,12 @@ def certify_ap(source: ChunkSource, a: UnitVector3, cfg: ExperimentConfig) -> Ap
 
 def _quantum(axis: UnitVector3, cfg: ExperimentConfig, measure: Callable) -> ApCertificate:
     """:func:`certify_ap` of block j's committed fair signs u from substream
-    2 j, measured by ``measure(u, alpha, rng)`` with substream 2 j + 1; each
-    substream is opened once, at the block's first chunk, and read on."""
-    base = RngStream(cfg.seed)
-    readers = {}
+    2 j, measured by ``measure(u, alpha, rng)`` with substream 2 j + 1."""
+    stream = cache(RngStream(cfg.seed).substream)  # each read on, chunk by chunk
 
     def source(j: int, start: int, count: int) -> tuple[SignSequence, Sampler]:
-        if start == 0:
-            readers[j] = base.substream(2 * j).reader(), base.substream(2 * j + 1).reader()
-        signs, outcomes = readers[j]
-        return random_signs(count, signs), lambda uu, alpha: measure(uu, alpha, outcomes)
+        rng = stream(2 * j + 1)
+        return random_signs(count, stream(2 * j)), lambda uu, alpha: measure(uu, alpha, rng)
 
     return certify_ap(source, axis, cfg)
 
@@ -262,8 +257,8 @@ def prepared_ap_experiment(a: UnitVector3, cfg: ExperimentConfig) -> ApCertifica
     """Certify a genuinely axis-prepared source against its own axis.
 
     Block j draws its committed fair signs u from substream 2 j and is
-    measured with substream 2 j + 1, each read front to back, so block j's
-    draws depend neither on the chunk size nor on n.
+    measured with substream 2 j + 1, each read on chunk by chunk, so block
+    j's draws depend neither on the chunk size nor on n.
     """
     return _quantum(a, cfg, lambda u, alpha, rng: sample_prepared(PreparedSource(a, u), alpha, rng))
 
@@ -294,28 +289,24 @@ def no_apbp_experiment(
     (target_lhs - 1)/3 - sigma_k * stderr or more.
 
     Every block is read by one reader, ``hidden``: block j is drawn from
-    substream j, read on from its first chunk, with the plane (a, b), so
-    the circle law keeps one plane and one stream one hidden-variable law.
-    Block 0 is the witness; blocks 1 .. k are the k rows of u's certificate
-    (a, b, the witness direction, then cfg.directions) and blocks
-    k + 1 .. 2k those of v's.  A certificate commits the far wing's values
-    along minus its axis before its direction is chosen, and the near wing
-    then answers from the same draws, so the protocol ordering inside
-    certify_ap is honest.
+    substream j with the plane (a, b), so the circle law keeps one plane and
+    one stream one hidden-variable law.  Block 0 is the witness; blocks
+    1 .. k are the k rows of u's certificate (a, b, the witness direction,
+    then cfg.directions) and blocks k + 1 .. 2k those of v's.  A certificate
+    commits the far wing's values along minus its axis before its direction
+    is chosen, and the near wing then answers from the same draws, so the
+    protocol ordering inside certify_ap is honest.
     """
     witness = geometric_witness(a, b)
-    base = RngStream(cfg.seed)
-    readers = {}
+    stream = cache(RngStream(cfg.seed).substream)
 
-    def hidden(j: int, start: int, count: int):  # block j's chunk at start
-        if start == 0:
-            readers[j] = base.substream(j).reader()
-        return model.draw_lambdas(a, b, count, readers[j])
+    def hidden(j: int, count: int):  # block j's next chunk
+        return model.draw_lambdas(a, b, count, stream(j))
 
     # the witness block: the three pair sums of x, u, v, one chunk at a time
     sums = {"ux": 0, "vx": 0, "uv": 0}
-    for start, count in _chunks(cfg.n):
-        state = hidden(0, start, count)
+    for _, count in _chunks(cfg.n):
+        state = hidden(0, count)
         chunk = {
             "x": SignSequence.from_array(model.response_a(state, witness.alpha)),
             "u": SignSequence.from_array(model.response_b(state, -a)),
@@ -354,7 +345,7 @@ def no_apbp_experiment(
 
     def certificate(axis: UnitVector3, first: int) -> ApCertificate:
         def source(j: int, start: int, count: int) -> tuple[SignSequence, Sampler]:
-            state = hidden(first + j, start, count)
+            state = hidden(first + j, count)
             u = SignSequence.from_array(model.response_b(state, -axis))
             return u, lambda uu, alpha: SignSequence.from_array(model.response_a(state, alpha))
 

@@ -25,12 +25,10 @@ kernel.
 Pair i of a stream reads word i alone, through 32-bit halves taken by
 value: the circle law's w is the low half, and the sphere law's
 z = (lo + 1/2) 2**-31 - 1 and phi = (hi + 1/2) 2 pi 2**-32 are the cell
-midpoints of the low and high halves.  Experiments read a block's
-chunks in order from one reader of its stream (``RngStream.reader``),
-each chunk continuing where the last ended, so a block's first m pairs
-are the same draws at any n >= m, and they hold a chunk or two of hidden
-state at a time, whatever n is.  ``lambdas(start, stop)`` builds the
-lambdas of a slice of pairs, so a dump is written piece by piece.
+midpoints of the low and high halves.  A block's chunks are read on, in
+order, from the block's stream, so a block's first m pairs are the same
+draws at any n >= m, and experiments hold a chunk or two of hidden state
+at a time, whatever n is; a dump builds its lambdas a slice at a time.
 
 The commitment protocol is the bookkeeping half: preparation signs must be
 committed before a measurement direction is chosen, and a token is spent
@@ -204,13 +202,12 @@ class LhvModel:
 
     ``draw_lambdas(alpha, beta, n, rng)`` returns the compact hidden state
     (see the module docstring) of the n pairs that start where ``rng``
-    stands, pair i from word i (a stream's reader serves as well); ``len``
-    of it is the number of pairs.  The circle law draws on the plane of its
-    (alpha, beta), so one stream keeps one law by passing the same pair.
-    ``response_a``/``response_b`` take (hidden state, own direction) only
-    and return a bool array, True for +1, so a wing's values cannot depend
-    on the far setting; that is the locality property the tests check by
-    permuting the far direction.
+    stands, pair i from word i; ``len`` of it is the number of pairs.  The
+    circle law draws on the plane of its (alpha, beta), so one stream keeps
+    one law by passing the same pair.  ``response_a``/``response_b`` take
+    (hidden state, own direction) only and return a bool array, True for
+    +1, so a wing's values cannot depend on the far setting; that is the
+    locality property the tests check by permuting the far direction.
     """
 
     name: str

@@ -7,15 +7,13 @@ draw call builds a fresh Philox generator opened at the current counter;
 Philox emits four 64-bit words per counter block, so consumption rounds
 up to whole blocks.  Any stretch of a run can therefore be read on its
 own, from a computed counter (Salmon et al., "Parallel random numbers: as
-easy as 1, 2, 3", SC'11); read front to back, it needs only one Philox,
-which :meth:`RngStream.reader` opens: experiments stream each block
-chunk by chunk from one reader and still draw what a whole-block draw
-would.  Samplers split raw 64-bit words into the bits they need: LHV
-pair i reads word i, the circle law its low half and the sphere law both
-32-bit halves (:mod:`boolebell.realism`); the quantum samplers take 64
-fair signs or two cosine-law outcomes per word (:mod:`boolebell.sampler`).
-No command reads :meth:`RngStream.uniforms`, the double
-(w >> 11) * 2**-53 of word w.
+easy as 1, 2, 3", SC'11), and whole blocks read on from one stream are the
+words of one draw: experiments read each block so, chunk by chunk.  Samplers
+split raw 64-bit words into the bits they need: LHV pair i reads word
+i, the circle law its low half and the sphere law both 32-bit halves
+(:mod:`boolebell.realism`); the quantum samplers take 64 fair signs or
+two cosine-law outcomes per word (:mod:`boolebell.sampler`).  No command
+reads :meth:`RngStream.uniforms`, the double (w >> 11) * 2**-53 of word w.
 """
 
 from __future__ import annotations
@@ -88,11 +86,6 @@ class RngStream:
         counter = (self.counter + -(-n // _DRAWS_PER_BLOCK)) % 2**256  # wraps as Philox's does
         return RngStream(self.seed, self.stream_id, counter)
 
-    def reader(self) -> "BlockReader":
-        """A reader of this stream's words from its counter on, through one
-        Philox; this stream does not move."""
-        return BlockReader(self._draw(0))
-
     def substream(self, index: int) -> "RngStream":
         """Derived stream i: deterministic, distinct for distinct indices."""
         index = _key("substream index", index)
@@ -101,23 +94,3 @@ class RngStream:
 
     def __repr__(self) -> str:
         return f"RngStream(seed={self.seed}, stream_id={self.stream_id}, counter={self.counter})"
-
-
-class BlockReader:
-    """A stream read front to back through one Philox: n words read after
-    m are ``after(m).words(n)`` of the stream, provided each earlier read
-    took whole counter blocks.  A read after one that did not raises, as
-    Philox would serve the rest of that block where ``after`` skips it."""
-
-    __slots__ = ("_bg", "_aligned")
-
-    def __init__(self, bg: Philox):
-        self._bg, self._aligned = bg, True
-
-    def words(self, n: int) -> np.ndarray:
-        """The next n raw uint64 words."""
-        if not self._aligned:
-            raise ValueError("a read ended inside a counter block; the stream cannot continue")
-        words = self._bg.random_raw(n)
-        self._aligned = n % _DRAWS_PER_BLOCK == 0
-        return words

@@ -18,7 +18,7 @@ rounded to the nearest integer (ties to even) and clipped to [0, 2**32].
 The event's probability is then p rounded to the nearest 2**-32, off by
 at most 2**-33; a p within 2**-33 of 0 or 1 decides as 0 or 1 does, so a
 source measured along its own axis still returns u exactly through float
-dust in a.alpha.  A sampler reads a stream's reader as it reads the stream.
+dust in a.alpha.
 """
 
 from __future__ import annotations

@@ -6,7 +6,7 @@ from itertools import product
 
 import pytest
 
-from boolebell import experiments, rng
+from boolebell import experiments
 from boolebell.experiments import (
     FEASIBILITY_MAX_LENGTH,
     ApCertificate,
@@ -360,39 +360,9 @@ class TestQuantumStreamLayout:
         assert [(u[:m], x[:m]) for u, x in long] == short
 
 
-class TestBlockReaders:
-    """Each block stream is opened once, as one Philox read front to back,
-    so a run opens as many generators at any number of chunks, and its
-    traced memory holds at most two chunks whatever n is."""
-
-    DIRECTIONS = (X_HAT, xz_direction(40))
-
-    @staticmethod
-    def run(name, cfg):
-        if name == "prepared":
-            return prepared_ap_experiment(X_HAT, cfg)
-        if name == "singlet":
-            return singlet_ap_experiment(Z_HAT, cfg)
-        return no_apbp_experiment(X_HAT, xy_direction(70), make_lhv_model(name), cfg)
-
-    @pytest.mark.parametrize("chunks", [3, 9])
-    @pytest.mark.parametrize("name", ("prepared", "singlet") + MODEL_NAMES)
-    def test_each_block_stream_opens_one_philox(self, monkeypatch, name, chunks):
-        monkeypatch.setattr(experiments, "_CHUNK", 256)
-        made = []
-        real = rng.Philox
-
-        def counted(*args, **kwargs):
-            made.append(kwargs)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(rng, "Philox", counted)
-        cfg = ExperimentConfig(seed=66, n=256 * (chunks - 1) + 100, directions=self.DIRECTIONS)
-        self.run(name, cfg)
-        # a quantum block reads two streams; the contradiction experiment
-        # reads the witness block and 2 k certificate blocks, k = 3 + 2
-        k = len(self.DIRECTIONS)
-        assert len(made) == (2 * k if name in ("prepared", "singlet") else 1 + 2 * (3 + k))
+class TestChunkMemory:
+    """A block is drawn a chunk at a time, so a run's traced memory holds at
+    most two chunks whatever n is."""
 
     def traced_peak(self, n):
         model = make_lhv_model("sign-sphere")

@@ -120,6 +120,17 @@ def test_run_read_in_chunks_equals_run_drawn_at_once():
     assert np.array_equal(np.concatenate(chunks), whole)
 
 
+@pytest.mark.parametrize("counter", [0, 2**256 - 1], ids=["zero", "wrap"])
+def test_run_read_on_from_one_stream_equals_run_drawn_at_once(counter):
+    # chunks of whole counter blocks, each read where the last left the
+    # stream, as experiments read a block; the last chunk is partial
+    n, chunk = 1001, 64
+    whole = RngStream(11, 0, counter).words(n)
+    s = RngStream(11, 0, counter)
+    chunks = [s.words(min(chunk, n - c)) for c in range(0, n, chunk)]
+    assert np.array_equal(np.concatenate(chunks), whole)
+
+
 @pytest.mark.parametrize("n", [1, 4, 7, 1000])
 def test_uniforms_are_the_words_top_53_bits(n):
     # numpy's Philox double is (w >> 11) * 2**-53, which the samplers rely on
@@ -184,24 +195,3 @@ def test_after_rejects_a_negative_draw_count(n):
     with pytest.raises(ValueError):
         RngStream(1, 0, 5).after(n)
 
-
-@pytest.mark.parametrize("counter", [0, 5, 2**256 - 1], ids=["zero", "mid", "wrap"])
-def test_reader_reads_on_as_after_stands(counter):
-    # runs of whole counter blocks, then a partial last run; from the top
-    # counter the reader wraps as after() does
-    s = RngStream(12, 3, counter)
-    reader = s.reader()
-    read = 0
-    for n in (8, 4, 64, 0, 12, 7):
-        assert np.array_equal(reader.words(n), s.after(read).words(n))
-        read += n
-    assert s.counter == counter  # the stream does not move
-
-
-@pytest.mark.parametrize("first", [1, 3, 6])
-def test_reader_refuses_to_read_on_inside_a_counter_block(first):
-    # Philox would serve the rest of the block, where after() skips it
-    reader = RngStream(12).reader()
-    reader.words(first)
-    with pytest.raises(ValueError, match="inside a counter block"):
-        reader.words(4)
