@@ -112,23 +112,17 @@ def test_after_stands_where_a_draw_leaves_the_stream(n):
 
 
 def test_run_read_in_chunks_equals_run_drawn_at_once():
-    # chunks of whole counter blocks, read from computed counters; the
-    # last chunk is partial
+    # chunks of whole counter blocks, read from computed counters, or read
+    # on from one stream as experiments read a block, across the counter's
+    # wrap too; the last chunk is partial
     n, chunk = 1001, 64
-    whole = RngStream(11).words(n)
-    chunks = [RngStream(11).after(c).words(min(chunk, n - c)) for c in range(0, n, chunk)]
-    assert np.array_equal(np.concatenate(chunks), whole)
-
-
-@pytest.mark.parametrize("counter", [0, 2**256 - 1], ids=["zero", "wrap"])
-def test_run_read_on_from_one_stream_equals_run_drawn_at_once(counter):
-    # chunks of whole counter blocks, each read where the last left the
-    # stream, as experiments read a block; the last chunk is partial
-    n, chunk = 1001, 64
-    whole = RngStream(11, 0, counter).words(n)
-    s = RngStream(11, 0, counter)
-    chunks = [s.words(min(chunk, n - c)) for c in range(0, n, chunk)]
-    assert np.array_equal(np.concatenate(chunks), whole)
+    for counter in (0, 2**256 - 1):
+        whole = RngStream(11, 0, counter).words(n)
+        s = RngStream(11, 0, counter)
+        computed = [s.after(c).words(min(chunk, n - c)) for c in range(0, n, chunk)]
+        read_on = [s.words(min(chunk, n - c)) for c in range(0, n, chunk)]
+        assert np.array_equal(np.concatenate(computed), whole)
+        assert np.array_equal(np.concatenate(read_on), whole)
 
 
 @pytest.mark.parametrize("n", [1, 4, 7, 1000])
@@ -194,4 +188,3 @@ def test_after_rejects_a_negative_draw_count(n):
     # after(-8) stood at counter 3 of a stream at counter 5
     with pytest.raises(ValueError):
         RngStream(1, 0, 5).after(n)
-
