@@ -7,13 +7,14 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from boolebell import MODEL_NAMES, SignSequence, correlation
-from boolebell.cli import run
+from boolebell.cli import _write_files, run
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -320,23 +321,71 @@ def test_lambda_dump_in_pieces_has_the_bytes_of_one_piece(capsys, monkeypatch, t
     assert len(whole.read_text().splitlines()) == 51
 
 
-def _lambdas_that_run_out(hidden, start=0, stop=None):
-    """n x 3 zeros for the first piece; the pieces after it cannot be allocated."""
-    if start:
-        raise MemoryError("Unable to allocate the next chunk")
-    return np.zeros((min(stop, len(hidden)), 3))
+@pytest.mark.parametrize(
+    "failure, message",
+    [
+        (MemoryError("Unable to allocate the next chunk"),
+         "error: out of memory (Unable to allocate the next chunk)"),
+        (OSError(28, "No space left on device"),
+         "error: cannot write --dump-lambdas file l.csv: [Errno 28] No space left on device"),
+    ],
+    ids=["memory", "disk-full"],
+)
+def test_dump_that_fails_midway_leaves_no_new_file(capsys, monkeypatch, tmp_path, failure,
+                                                   message):
+    # the dump's file is open, its first piece written, when the second
+    # fails; the run removes it and the --out file, as when a write fails
+    def lambdas_that_fail(hidden, start=0, stop=None):
+        if start:
+            raise failure
+        return np.zeros((min(stop, len(hidden)), 3))
 
-
-def test_dump_that_fails_midway_leaves_no_new_file(capsys, monkeypatch, tmp_path):
-    # the dump's first piece is on disk when its second fails; the run
-    # removes it and the --out file, as when a write fails
     monkeypatch.chdir(tmp_path)
     monkeypatch.setattr("boolebell.cli._DUMP_ROWS", 16)
-    monkeypatch.setattr("boolebell.realism._CircleDraws.lambdas", _lambdas_that_run_out)
+    monkeypatch.setattr("boolebell.realism._CircleDraws.lambdas", lambdas_that_fail)
     code, out, err = invoke(capsys, *LHV, "--out", "x.txt", "--dump-lambdas", "l.csv")
     assert (code, out) == (2, "")
-    assert err.startswith("error: out of memory (Unable to allocate the next chunk)")
+    assert err.startswith(message)
     assert list(tmp_path.iterdir()) == []
+
+
+class TestDumpMemory:
+    """A dump builds and writes its lambdas a piece at a time, so the memory
+    it adds to a run holds about one piece's rows, whatever n is."""
+
+    ROWS = 4_096
+
+    def dump_peak(self, monkeypatch, model, n, path):
+        # the traced peak while the files are written, above the memory the
+        # run holds when writing starts (its sign sequences and hidden state)
+        held = []
+
+        def traced_write_files(files, inputs=()):
+            held.append(tracemalloc.get_traced_memory()[0])
+            tracemalloc.reset_peak()
+            _write_files(files, inputs)
+
+        monkeypatch.setattr("boolebell.cli._write_files", traced_write_files)
+        tracemalloc.start()
+        try:
+            code = run(["lhv", "--model", model, "--alpha", "[1,2,3]", "--beta", "[0,-1,2]",
+                        "--n", str(n), "--dump-lambdas", str(path)])
+            assert code == 0
+            return tracemalloc.get_traced_memory()[1] - held[0]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("model", MODEL_NAMES)
+    def test_dump_adds_one_piece_at_any_n(self, capsys, monkeypatch, tmp_path, model):
+        # a piece's rows, Python lists of three floats, and the array they
+        # are made from take about 210 B a row; a piece's csv text held
+        # beside them, or a second piece's rows, would more than double it
+        monkeypatch.setattr("boolebell.cli._DUMP_ROWS", self.ROWS)
+        self.dump_peak(monkeypatch, model, 1_000, tmp_path / "warm.csv")
+        four, sixteen = (self.dump_peak(monkeypatch, model, m * self.ROWS, tmp_path / f"{m}.csv")
+                         for m in (4, 16))
+        assert abs(sixteen - four) <= 0.03 * four
+        assert four <= 256 * self.ROWS
 
 
 class TestCertifyAndExperiment:
