@@ -53,7 +53,7 @@ from .sequences import (
 )
 
 # Pairs per chunk, a multiple of 256 (see above); a chunk's outcome words
-# take 128 KiB, and a sphere-law chunk's state 768 KiB.
+# take 128 KiB, and a sphere-law chunk's state 640 KiB.
 _CHUNK = 1 << 15
 
 # measures committed signs along a chosen direction: (u, alpha) -> x

@@ -7,20 +7,19 @@ sequences.  Any triple of such sequences therefore satisfies the
 three-sequence bound exactly; what such a model cannot do is reproduce the
 cosine correlations, and the experiments module quantifies that failure.
 
-A block's hidden state is kept in angle form, not as an n x 3 array: the
+A block's hidden state is kept compactly, not as an n x 3 array: the
 great-circle law keeps a 32-bit cell w per pair (lambda at its midpoint
 angle psi in the plane frame) and answers by testing w against a wrapped
-half turn of cells.  The sphere law keeps lambda's z and azimuth phi in
-float64 and r cos phi, r sin phi in float32 from float32 trig; a response
-takes the sign of a float32 projection and recomputes with the exact
-float64 coordinates only the answers within ``_TAU`` of the boundary, so
-it gives the bytes of the exact law with almost no float64 trig.  This
-state is the only record a run retains: :func:`sample_lhv` returns it,
-its arrays read-only, and counterfactual queries replay from it.  The
-n x 3 lambdas are built, exactly, only on request, by the state's
-``lambdas()`` (``lhv --dump-lambdas``).  The plane frame is plain floats
-and the array work elementwise, so no byte depends on the CPU's BLAS
-kernel.
+half turn of cells.  The sphere law keeps its pairs' 64-bit words and a
+float32 filter of lambda; a response takes the sign of the filter's
+projection and decodes the exact float64 coordinates from the words only
+for the answers within ``_TAU`` of the boundary, so it gives the bytes of
+the exact law with almost no float64 work.  This state is the only record
+a run retains: :func:`sample_lhv` returns it, its arrays read-only, and
+counterfactual queries replay from it.  The n x 3 lambdas are built,
+exactly, only on request, by the state's ``lambdas()`` (``lhv
+--dump-lambdas``).  The plane frame is plain floats and the array work
+elementwise, so no byte depends on the CPU's BLAS kernel.
 
 Pair i of a stream reads word i alone, through 32-bit halves taken by
 value: the circle law's w is the low half, and the sphere law's
@@ -92,69 +91,87 @@ class _CircleDraws:
         return np.cos(psi)[:, None] * e1 + np.sin(psi)[:, None] * e2
 
 
-def _sphere_xy(z: np.ndarray, phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # the exact float64 x and y of a sphere point from its z and phi
+def _sphere_angles(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # the exact float64 z and phi of these words, halves taken by value
+    halves = words.astype("<u8", copy=False).view("<u4")
+    z = halves[0::2] * 2.0**-31
+    z += 2.0**-32 - 1.0  # (lo + 1/2) 2**-31 - 1, exactly
+    phi = halves[1::2] + 0.5
+    phi *= 2.0 * math.pi * 2.0**-32  # rounded once
+    return z, phi
+
+
+def _sphere_xyz(words: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # the exact float64 coordinates of the sphere points of these words
+    z, phi = _sphere_angles(words)
     r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
     x = np.cos(phi)
     x *= r
     y = np.sin(phi)
     y *= r
-    return x, y
+    return x, y, z
 
 
-# Half-width of the band around d . lambda = 0 that the float32 filter
-# leaves to the exact expression.  The filter's error is about 5e-7 at
-# most (3.5e-7 measured over 5e7 answers), and a uniform-sphere
-# projection falls in the band with probability _TAU, so about one
-# answer in 1e5 is recomputed.
+# Half-width of the band around d . lambda = 0 left to the exact expression:
+# the float32 filter errs by about 1e-6 at most (6.3e-7 measured over 6.7e7
+# answers), and a uniform-sphere projection falls in the band with
+# probability _TAU, so about one answer in 1e5 is recomputed.
 _TAU = 1e-5
 
 
 class _SphereDraws:
-    """Uniform-sphere hidden state: exact (z, phi) plus a float32 filter.
+    """Uniform-sphere hidden state: the pairs' words plus a float32 filter.
 
-    lambda = (r cos phi, r sin phi, z) with r = sqrt(1 - z^2).  z and phi
-    are kept in float64; xf and yf are r cos phi and r sin phi in float32,
-    from float32 trig, so the state takes 24 B per pair.  A response takes
-    the sign of xf dx + yf dy + z dz summed in float32 and recomputes every
-    answer whose sum is within ``_TAU`` of 0 from z and phi with the exact
-    float64 expression; the answers are therefore those of the exact
-    coordinates that ``lambdas`` returns.
+    The filter, xy = r (cos phi, sin phi) and zf = z, takes 12 of the 20 B a
+    pair.  It is built in float32 from the halves: r^2's factors 1 + z =
+    (2 lo + 1) 2**-32 and 1 - z = (2 (~lo) + 1) 2**-32 are integers rounded
+    once, so r keeps its precision at the poles; phi = (hi + 1/2) float32(2 pi
+    2**-32).  Answers whose float32 sum is within ``_TAU`` of 0 are recomputed
+    from the decoded words in float64, so all are those of ``lambdas``.
     """
 
-    __slots__ = ("z", "phi", "xf", "yf")
+    __slots__ = ("words", "xy", "zf")
 
-    def __init__(self, z: np.ndarray, phi: np.ndarray):
-        self.z = z
-        self.phi = phi
-        # r from 1 - z^2 taken in float64: in float32 its rounding near the
-        # poles would put up to 2e-4 into r
-        r = np.subtract(1.0, z * z, out=np.empty(len(z), np.float32), casting="same_kind")
+    def __init__(self, words: np.ndarray):
+        halves = words.astype("<u8", copy=False).view("<u4")
+        twice = np.left_shift(halves[0::2], 1, dtype=np.uint64)
+        twice |= 1  # 2 lo + 1
+        r = twice.astype(np.float32)  # 2**32 (1 + z)
+        np.subtract(2**33, twice, out=twice)  # 2 (~lo) + 1
+        minus = twice.astype(np.float32)  # 2**32 (1 - z)
+        del twice
+        self.zf = r - minus
+        self.zf *= np.float32(2.0**-33)
+        r *= minus
+        del minus
         np.sqrt(r, out=r)
-        self.xf = phi.astype(np.float32)
-        self.yf = np.sin(self.xf)
-        np.cos(self.xf, out=self.xf)
-        self.xf *= r
-        self.yf *= r
-        for column in (z, phi, self.xf, self.yf):
+        r *= np.float32(2.0**-32)
+        # x and y in one block: measured to take fewer page faults than two
+        x, y = self.xy = np.empty((2, len(words)), np.float32)
+        np.add(halves[1::2], np.float32(0.5), out=x, dtype=np.float32)  # phi
+        x *= np.float32(2.0 * math.pi * 2.0**-32)
+        np.sin(x, out=y)
+        np.cos(x, out=x)
+        self.xy *= r
+        self.words = words
+        for column in (words, self.xy, self.zf):
             column.setflags(write=False)  # retained draws are frozen
 
     def __len__(self) -> int:
-        return len(self.z)
+        return len(self.words)
 
     def nonnegative(self, direction: UnitVector3) -> np.ndarray:
-        s = self.xf * np.float32(direction.x)
-        s += self.yf * np.float32(direction.y)
-        t = self.z.astype(np.float32)
-        t *= np.float32(direction.z)
+        s = self.xy[0] * np.float32(direction.x)
+        t = self.xy[1] * np.float32(direction.y)
+        s += t
+        np.multiply(self.zf, np.float32(direction.z), out=t)
         s += t
         signs = s >= 0.0
         near = np.flatnonzero(np.abs(s, out=t) < _TAU)
         if near.size:
-            z = self.z[near]
             # d . lambda from the exact coordinates, in the one order every
             # exact answer uses
-            s, y = _sphere_xy(z, self.phi[near])
+            s, y, z = _sphere_xyz(self.words[near])
             s *= direction.x
             s += y * direction.y
             s += z * direction.z
@@ -162,8 +179,7 @@ class _SphereDraws:
         return signs
 
     def lambdas(self, start: int = 0, stop: int | None = None) -> np.ndarray:
-        z = self.z[start:stop]
-        return np.column_stack((*_sphere_xy(z, self.phi[start:stop]), z))
+        return np.column_stack(_sphere_xyz(self.words[start:stop]))
 
 
 HiddenDraws = _CircleDraws | _SphereDraws
@@ -187,13 +203,7 @@ def _circle_points(frame: tuple[UnitVector3, UnitVector3], n: int, rng: RngStrea
 
 
 def _sphere_points(n: int, rng: RngStream) -> _SphereDraws:
-    # pair i reads word i, its 32-bit halves in the same order on any CPU
-    halves = rng.words(n).astype("<u8", copy=False).view("<u4")
-    z = halves[0::2] * 2.0**-31
-    z += 2.0**-32 - 1.0  # (lo + 1/2) 2**-31 - 1, exactly
-    phi = halves[1::2] + 0.5
-    phi *= 2.0 * math.pi * 2.0**-32  # rounded once
-    return _SphereDraws(z, phi)
+    return _SphereDraws(rng.words(n))
 
 
 @dataclass(frozen=True)

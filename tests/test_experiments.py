@@ -374,13 +374,15 @@ class TestChunkMemory:
             tracemalloc.stop()
 
     def test_sphere_peak_holds_two_chunks_at_any_n(self):
-        # a sphere-law chunk's state takes 24 B per pair, 768 KiB at the
-        # shipped chunk, and the next chunk (about 1.2 MiB while it is
-        # built) is drawn while it lives; nothing else may grow with n
+        # a sphere-law chunk's state takes 20 B per pair, 640 KiB at the
+        # shipped chunk, and the next chunk is drawn and answered while it
+        # lives: 1.58 MiB measured at the peak.  The bound leaves 0.12 MiB,
+        # less than one float32 column of a chunk (128 KiB), so one more live
+        # chunk-sized array fails it; nothing else may grow with n
         self.traced_peak(1_000)  # first-call allocations out of the way
         four, sixteen = (self.traced_peak(m * experiments._CHUNK) for m in (4, 16))
         assert abs(sixteen - four) <= 0.02 * four
-        assert four <= 2.5 * 2**20
+        assert four <= 1.7 * 2**20
 
 
 def oracle_feasibility(a, b, alpha, n, epsilon):

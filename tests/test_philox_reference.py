@@ -17,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from boolebell.geometry import UnitVector3
-from boolebell.realism import _circle_points, _sphere_points
+from boolebell.realism import _circle_points, _sphere_angles, _sphere_points
 from boolebell.rng import RngStream
 from boolebell.sampler import _events, random_signs
 
@@ -123,16 +123,16 @@ def test_signs_and_events_decode_the_words_as_documented(seed, stream_id, counte
 @given(KEYS, KEYS, COUNTERS, COUNTS)
 @example(3, 5, 2**256 - 1, 9)
 def test_sphere_points_decode_the_words_as_documented(seed, stream_id, counter, n):
-    # pair i reads word i: z = (lo + 1/2) 2**-31 - 1 from its low 32-bit
-    # half, exactly, and phi = (hi + 1/2) (2 pi 2**-32) from its high half,
-    # the exact product rounded once to the nearest double
+    # pair i keeps word i and decodes z = (lo + 1/2) 2**-31 - 1 from its low
+    # 32-bit half, exactly, and phi = (hi + 1/2) (2 pi 2**-32) from its high
+    # half, the exact product rounded once to the nearest double
     words = reference_words(seed, stream_id, counter, n)
     points = _sphere_points(n, RngStream(seed, stream_id, counter))
+    assert points.words.tolist() == words
+    z, phi = _sphere_angles(points.words)
     two_pi_cell = Fraction(2 * math.pi) / 2**32
-    assert points.z.tolist() == [float(Fraction(2 * (w & 0xFFFFFFFF) + 1, 2**32) - 1)
-                                 for w in words]
-    assert points.phi.tolist() == [float(Fraction(2 * (w >> 32) + 1, 2) * two_pi_cell)
-                                   for w in words]
+    assert z.tolist() == [float(Fraction(2 * (w & 0xFFFFFFFF) + 1, 2**32) - 1) for w in words]
+    assert phi.tolist() == [float(Fraction(2 * (w >> 32) + 1, 2) * two_pi_cell) for w in words]
 
 
 @FAST

@@ -110,7 +110,7 @@ class TestModels:
         again = sample_lhv(model, X_HAT, Z_HAT, 1000, RngStream(24))
         assert (a_seq, b_seq) == again[:2]
         assert np.array_equal(lam.lambdas(), again[2].lambdas())
-        columns = {"sign-circle": ("w",), "sign-sphere": ("z", "phi", "xf", "yf")}[name]
+        columns = {"sign-circle": ("w",), "sign-sphere": ("words", "xy", "zf")}[name]
         for column in columns:
             with pytest.raises(ValueError):
                 getattr(lam, column)[0] = 0  # retained draws are frozen
@@ -201,7 +201,7 @@ class TestLaws:
 
         def draw(seed):
             hidden = model.draw_lambdas(X_HAT, Z_HAT, self.N, RngStream(seed, 71))
-            z, phi = hidden.z, hidden.phi
+            z, phi = realism._sphere_angles(hidden.words)
             a = model.response_a(hidden, d)
             return [
                 (int(np.count_nonzero(z < -0.5)), self.N),
@@ -323,6 +323,27 @@ def edge_directions() -> list[UnitVector3]:
     return random_dirs + axes + in_plane + [UnitVector3(0.6, 0.0, 0.8)]
 
 
+def sphere_words(lo, hi) -> np.ndarray:
+    """The words of the sphere points in cells lo (of z) and hi (of phi)."""
+    return np.asarray(lo, np.uint64) | np.asarray(hi, np.uint64) << np.uint64(32)
+
+
+def exact_sum(xyz: tuple[np.ndarray, np.ndarray, np.ndarray], d: UnitVector3) -> np.ndarray:
+    """d . lambda by the exact column expression."""
+    s = xyz[0] * d.x
+    s += xyz[1] * d.y
+    s += xyz[2] * d.z
+    return s
+
+
+def filter_sum(hidden, d: UnitVector3) -> np.ndarray:
+    """d . lambda as the float32 filter sums it."""
+    s = hidden.xy[0] * np.float32(d.x)
+    s += hidden.xy[1] * np.float32(d.y)
+    s += hidden.zf * np.float32(d.z)
+    return s
+
+
 class TestSphereFilter:
     """The float32 filter of the sphere law against the exact float64 law."""
 
@@ -336,11 +357,56 @@ class TestSphereFilter:
             error = np.max(np.abs(f(phi32).astype(np.float64) - f(phi)))
             assert error <= realism._TAU / 8, f.__name__
 
+    def test_float32_phi_formation_error_is_well_inside_the_band(self):
+        # the filter forms phi = (hi + 1/2) float32(2 pi 2**-32) in float32;
+        # on the equator cells lo = 2**31, where the filter's r is exactly 1,
+        # its x and y are float32 cos and sin of that phi and must lie within
+        # _TAU / 8 of the exact float64 cos and sin of the exact phi
+        hi = np.append(np.linspace(0, 2**32 - 1, 1 << 22).astype(np.uint64), 2**32 - 1)
+        words = sphere_words(2**31, hi)
+        hidden = realism._SphereDraws(words)
+        _, phi = realism._sphere_angles(words)
+        for row, f in zip(hidden.xy, (np.cos, np.sin)):
+            assert np.max(np.abs(row - f(phi))) <= realism._TAU / 8, f.__name__
+
+    def test_filter_radius_keeps_float32_precision_at_the_poles(self):
+        # r = sqrt((1 + z)(1 - z)) from factors rounded once each: relative
+        # error near float32's, where float32 1 - z^2 would lose most digits
+        cells = np.arange(1 << 16, dtype=np.uint64)
+        lo = np.concatenate([cells, 2**32 - 1 - cells, 2**31 - (1 << 15) + cells])
+        words = sphere_words(lo, np.uint64(12345))
+        hidden = realism._SphereDraws(words)
+        z, _ = realism._sphere_angles(words)
+        r = np.sqrt((1.0 - z) * (1.0 + z))
+        radius = np.hypot(hidden.xy[0].astype(np.float64), hidden.xy[1])
+        assert np.max(np.abs(radius / r - 1.0)) <= 2**-21
+        # zf = ((1 + z) - (1 - z)) / 2 from the same factors, within 2**-23
+        assert np.max(np.abs(hidden.zf - z)) <= 2**-23
+
+    def test_filter_sum_is_within_an_eighth_of_the_band(self):
+        # the budget behind _TAU: over 2**22 drawn words, for every edge
+        # direction, |float32 sum - exact sum| <= _TAU / 8
+        rng = RngStream(53)
+        for _ in range(4):
+            words = rng.words(1 << 20)
+            hidden, xyz = realism._SphereDraws(words), realism._sphere_xyz(words)
+            for d in edge_directions():
+                error = np.max(np.abs(filter_sum(hidden, d) - exact_sum(xyz, d)))
+                assert error <= realism._TAU / 8, d
+
+    def test_state_holds_at_most_20_bytes_a_pair(self):
+        n = 1000
+        hidden = make_lhv_model("sign-sphere").draw_lambdas(X_HAT, Z_HAT, n, RngStream(54))
+        assert sum(getattr(hidden, name).nbytes for name in hidden.__slots__) <= 20 * n
+
     @pytest.mark.parametrize("d", edge_directions(), ids=str)
     def test_near_boundary_states_give_the_exact_answers(self, d):
-        # points with d . lambda = eps for eps from 1e-6 down to 0, both
-        # signs, at random azimuths about d, then states whose exact sum is
-        # +0.0 or -0.0: the poles, the equator and phi on the axes
+        # the cells nearest to points with d . lambda = eps, for eps from
+        # 1e-6 down to 0, both signs, at random azimuths about d, with their
+        # 3 x 3 neighbourhoods of cells; then the cells nearest to the poles,
+        # the equator and phi on the axes.  Words cannot put lambda exactly
+        # on the boundary, but many of these lie within 1e-9 of it, on both
+        # sides, where only the exact expression decides
         gen = np.random.default_rng(51)
         dv = d.as_array()
         eps = np.concatenate([[0.0], np.logspace(-6, -17, 23)])
@@ -349,13 +415,23 @@ class TestSphereFilter:
         w -= (w @ dv)[:, None] * dv
         w /= np.linalg.norm(w, axis=1)[:, None]
         lam = eps[:, None] * dv + np.sqrt(1.0 - eps * eps)[:, None] * w
-        z = lam[:, 2].copy()
-        phi = np.arctan2(lam[:, 1], lam[:, 0]) % (2.0 * math.pi)
-        corners = [(zc, pc) for zc in (1.0, -1.0, 0.0, -0.0)
-                   for pc in (0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi, 1.0)]
-        z = np.concatenate([z, [zc for zc, _ in corners]])
-        phi = np.concatenate([phi, [pc for _, pc in corners]])
-        hidden = realism._SphereDraws(z, phi)
+        lo = np.rint((lam[:, 2] + 1.0) * 2**31 - 0.5)
+        turns = np.arctan2(lam[:, 1], lam[:, 0]) / (2.0 * math.pi) % 1.0
+        hi = np.rint(turns * 2**32 - 0.5)
+        step = np.array([-1, 0, 1])
+        lo, hi = np.broadcast_arrays(lo[:, None, None] + step[:, None], hi[:, None, None] + step)
+        lo, hi = np.clip(lo, 0, 2**32 - 1).ravel(), (hi % 2**32).ravel()
+        axes = [(k * 2**30 + j) % 2**32 for k in range(4) for j in (-1, 0)]
+        edges = [(zc, pc) for zc in (0, 1, 2**31 - 1, 2**31, 2**32 - 2, 2**32 - 1) for pc in axes]
+        lo = np.concatenate([lo, [zc for zc, _ in edges]])
+        hi = np.concatenate([hi, [pc for _, pc in edges]])
+        words = sphere_words(lo.astype(np.uint64), hi.astype(np.uint64))
+        s = exact_sum(realism._sphere_xyz(words), d)
+        close = np.abs(s) <= 1e-9
+        assert np.count_nonzero(close & (s > 0)) >= 1000
+        assert np.count_nonzero(close & (s < 0)) >= 1000
+        hidden = realism._SphereDraws(words)
+        z, phi = realism._sphere_angles(words)
         exact = exact_nonnegative(z, phi, d)
         assert np.array_equal(realism._sign_response(hidden, d), exact)
         assert np.array_equal(make_lhv_model("sign-sphere").response_b(hidden, d), ~exact)
@@ -371,15 +447,14 @@ class TestSphereFilter:
             model.draw_lambdas(X_HAT, Z_HAT, min(chunk, block - start), rng.after(start))
             for start in range(0, block, chunk)
         ]
-        z, phi = whole.z, whole.phi
+        z, phi = realism._sphere_angles(whole.words)
         in_band = 0
         for d in edge_directions():
             exact = exact_nonnegative(z, phi, d)
             chunked = np.concatenate([model.response_a(part, d) for part in parts])
             assert np.count_nonzero(chunked != exact) == 0, d
             assert np.count_nonzero(model.response_a(whole, d) != exact) == 0, d
-            s = np.column_stack((whole.xf, whole.yf, z.astype(np.float32))) @ d.as_array()
-            in_band += np.count_nonzero(np.abs(s) < realism._TAU)
+            in_band += np.count_nonzero(np.abs(filter_sum(whole, d)) < realism._TAU)
         # about 1e-5 of the 1.6e7 answers fall back: the exact path ran
         assert in_band > 0
 
