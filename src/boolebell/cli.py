@@ -466,8 +466,7 @@ _REPORT_FIELDS = ["section", "label", "direction", "target", "estimate", "stderr
 
 def _certificate_rows(cert, which: str) -> list[dict]:
     return [
-        dict(row.to_dict(), section=f"certificate_{which}", label="", direction=row.direction,
-             gap=row.gap)
+        dict(row.to_dict(), section=f"certificate_{which}", label="", gap=row.gap)
         for row in cert.rows
     ]
 

@@ -20,14 +20,15 @@ a chunk's LHV pairs (one per word), signs (64 per word) and cosine-law
 outcomes (two per word) then take whole Philox counter blocks.
 
 The config and result records turn into dicts by one rule,
-:meth:`_Record.to_dict`, which writes each dataclass field under its name,
-so a field reaches the JSON output when it is declared.
+:meth:`_Record.to_dict`, :func:`dataclasses.asdict` with ``passed`` as
+"pass", so a field reaches the JSON output when it is declared; a
+direction stays a :class:`UnitVector3`, which the CLI decides how to write.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, replace
 from fractions import Fraction
 from functools import cache
 from typing import Callable, Iterator
@@ -58,9 +59,9 @@ _CHUNK = 1 << 15
 
 # measures committed signs along a chosen direction: (u, alpha) -> x
 Sampler = Callable[[SignSequence, UnitVector3], SignSequence]
-# a block's chunk source, called in pair order within each block: (j, first
-# pair, pair count) -> (the pairs' committed signs u, a sampler of the pairs)
-ChunkSource = Callable[[int, int, int], tuple[SignSequence, Sampler]]
+# a block's chunk source, called in pair order within each block: (j, pair
+# count) -> (the committed signs u of block j's next pairs, a sampler of them)
+ChunkSource = Callable[[int, int], tuple[SignSequence, Sampler]]
 
 
 def _chunks(n: int) -> Iterator[tuple[int, int]]:
@@ -69,27 +70,13 @@ def _chunks(n: int) -> Iterator[tuple[int, int]]:
         yield start, min(_CHUNK, n - start)
 
 
-def _plain(value):
-    """A record field as JSON holds it: records as dicts, tuples and
-    directions as lists."""
-    if isinstance(value, _Record):
-        return value.to_dict()
-    if isinstance(value, tuple):
-        return [_plain(item) for item in value]
-    if isinstance(value, UnitVector3):
-        return value.as_list()
-    return value
-
-
 class _Record:
     """A dataclass whose ``to_dict`` writes every field under its name,
-    ``passed`` under "pass"."""
+    ``passed`` under "pass"; directions stay :class:`UnitVector3`."""
 
     def to_dict(self) -> dict:
-        return {
-            "pass" if f.name == "passed" else f.name: _plain(getattr(self, f.name))
-            for f in fields(self)
-        }
+        return asdict(self, dict_factory=lambda kv: {
+            "pass" if k == "passed" else k: v for k, v in kv})
 
 
 @dataclass(frozen=True)
@@ -214,7 +201,7 @@ def certify_ap(source: ChunkSource, a: UnitVector3, cfg: ExperimentConfig) -> Ap
     for j, direction in enumerate(cfg.directions):
         total = 0
         for start, count in _chunks(cfg.n):
-            u, sampler = source(j, start, count)
+            u, sampler = source(j, count)
             if u.length != count:
                 raise LengthMismatch(
                     f"block {j} chunk at {start} needs {count} committed signs, got {u.length}"
@@ -241,14 +228,14 @@ def certify_ap(source: ChunkSource, a: UnitVector3, cfg: ExperimentConfig) -> Ap
     )
 
 
-def _quantum(axis: UnitVector3, cfg: ExperimentConfig, measure: Callable) -> ApCertificate:
+def _quantum(axis: UnitVector3, cfg: ExperimentConfig, sample: Callable) -> ApCertificate:
     """:func:`certify_ap` of block j's committed fair signs u from substream
-    2 j, measured by ``measure(u, alpha, rng)`` with substream 2 j + 1."""
+    2 j, measured by ``sample(u, alpha, rng)`` with substream 2 j + 1."""
     stream = cache(RngStream(cfg.seed).substream)  # each read on, chunk by chunk
 
-    def source(j: int, start: int, count: int) -> tuple[SignSequence, Sampler]:
+    def source(j: int, count: int) -> tuple[SignSequence, Sampler]:
         rng = stream(2 * j + 1)
-        return random_signs(count, stream(2 * j)), lambda uu, alpha: measure(uu, alpha, rng)
+        return random_signs(count, stream(2 * j)), lambda uu, alpha: sample(uu, alpha, rng)
 
     return certify_ap(source, axis, cfg)
 
@@ -344,7 +331,7 @@ def no_apbp_experiment(
     k = len(cert_cfg.directions)
 
     def certificate(axis: UnitVector3, first: int) -> ApCertificate:
-        def source(j: int, start: int, count: int) -> tuple[SignSequence, Sampler]:
+        def source(j: int, count: int) -> tuple[SignSequence, Sampler]:
             state = hidden(first + j, count)
             u = SignSequence.from_array(model.response_b(state, -axis))
             return u, lambda uu, alpha: SignSequence.from_array(model.response_a(state, alpha))

@@ -522,6 +522,10 @@ class TestBadInputExitsTwo:
         assert (code, out) == (2, "")
         assert err == "error: expected three numbers, got '[1,2,null]'\n"
 
+    def test_lhv_needs_at_least_one_pair(self, capsys):
+        code, out, err = invoke(capsys, *LHV[:-1], "0")
+        assert (code, out, err) == (2, "", "error: need at least one pair\n")
+
     def test_directions_flag_that_is_one_vector(self, capsys):
         code, out, err = invoke(
             capsys, "certify-ap", "--axis", "[1,0,0]", "--directions", "[1,2,3]"

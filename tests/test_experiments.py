@@ -1,6 +1,7 @@
 import math
 import random
 import tracemalloc
+from dataclasses import fields, is_dataclass
 from fractions import Fraction
 from itertools import product
 
@@ -10,7 +11,11 @@ from boolebell import experiments
 from boolebell.experiments import (
     FEASIBILITY_MAX_LENGTH,
     ApCertificate,
+    ApRow,
     ExperimentConfig,
+    InequalityReport,
+    NoApBpResult,
+    TriangleLeg,
     _row_passes,
     certify_ap,
     feasibility_bruteforce,
@@ -81,7 +86,10 @@ class TestCertifyAp:
         real_u = random_signs(cfg.n * 12, base.substream(0))
         unrelated = random_signs(cfg.n * 12, base.substream(99))
 
-        def source(j, start, count):
+        read = [0] * len(cfg.directions)  # pairs of each block handed out so far
+
+        def source(j, count):
+            start, read[j] = read[j], read[j] + count
             first = j * cfg.n + start
             src = PreparedSource(X_HAT, real_u[first : first + count])
             rng = base.substream(1 + j).after(start)
@@ -94,17 +102,42 @@ class TestCertifyAp:
                 assert not row.passed
                 assert abs(row.estimate) < 0.1  # independence drives it to zero
 
-    def test_wrong_u_length_rejected(self):
-        cfg = ExperimentConfig(seed=1, n=100, directions=(X_HAT,))
-        u = random_signs(50, RngStream(0))
-        with pytest.raises(LengthMismatch):
-            certify_ap(lambda j, start, count: (u, lambda ub, al: ub), X_HAT, cfg)
+    def test_wrong_u_length_rejected(self, monkeypatch):
+        monkeypatch.setattr(experiments, "_CHUNK", 256)
+        cfg = ExperimentConfig(seed=1, n=600, directions=(X_HAT, Z_HAT))
+        full = random_signs(256, RngStream(0))
+
+        def source(j, count):  # block 1's last chunk comes up 8 pairs short
+            u = full[:80] if (j, count) == (1, 88) else full[:count]
+            return u, lambda ub, al: ub
+
+        with pytest.raises(LengthMismatch, match="block 1 chunk at 512 needs 88 .* got 80"):
+            certify_ap(source, X_HAT, cfg)
 
     def test_needs_directions(self):
         cfg = ExperimentConfig(seed=1, n=100)
         u = random_signs(100, RngStream(0))
         with pytest.raises(ValueError):
-            certify_ap(lambda j, start, count: (u, lambda ub, al: ub), X_HAT, cfg)
+            certify_ap(lambda j, count: (u, lambda ub, al: ub), X_HAT, cfg)
+
+    def test_source_gets_each_blocks_counts_in_direction_order(self, monkeypatch):
+        monkeypatch.setattr(experiments, "_CHUNK", 256)
+        cfg = ExperimentConfig(seed=1, n=600, directions=(X_HAT, Z_HAT, -X_HAT))
+        calls = []
+
+        def source(j, count):
+            def sampler(u, alpha):
+                calls.append((j, count, alpha))
+                return u
+
+            return random_signs(count, RngStream(j)), sampler
+
+        certify_ap(source, X_HAT, cfg)
+        assert calls == [
+            (j, count, direction)
+            for j, direction in enumerate(cfg.directions)
+            for count in (256, 256, 88)
+        ]
 
     def test_reproducible(self):
         cfg = ExperimentConfig(seed=31, n=1500, directions=XY_SWEEP[:5])
@@ -187,6 +220,38 @@ class TestNoApBp:
         first = no_apbp_experiment(X_HAT, xy_direction(90), model, cfg)
         second = no_apbp_experiment(X_HAT, xy_direction(90), model, cfg)
         assert first == second
+
+
+class TestRecordDicts:
+    """``to_dict`` writes every field under its name, ``passed`` as "pass",
+    nested records as dicts and everything else, directions included, as is."""
+
+    @staticmethod
+    def key(name):
+        return "pass" if name == "passed" else name
+
+    def assert_written(self, record, doc, seen):
+        seen.add(type(record))
+        assert list(doc) == [self.key(f.name) for f in fields(record)]
+        for f in fields(record):
+            value, written = getattr(record, f.name), doc[self.key(f.name)]
+            assert type(written) is (dict if is_dataclass(value) else type(value))
+            pairs = zip(value, written) if isinstance(value, tuple) else [(value, written)]
+            for item, out in pairs:
+                if is_dataclass(item):
+                    self.assert_written(item, out, seen)
+                else:
+                    assert type(out) is type(item) and out == item
+
+    def test_every_record(self):
+        cfg = ExperimentConfig(seed=3, n=1000, directions=(Z_HAT,))
+        result = no_apbp_experiment(X_HAT, xy_direction(70), make_lhv_model("sign-circle"), cfg)
+        seen = set()
+        self.assert_written(cfg, cfg.to_dict(), seen)
+        self.assert_written(result, result.to_dict(), seen)
+        assert seen == {
+            ExperimentConfig, ApRow, ApCertificate, InequalityReport, TriangleLeg, NoApBpResult
+        }
 
 
 class TestChunkInvariance:

@@ -115,6 +115,11 @@ class TestModels:
             with pytest.raises(ValueError):
                 getattr(lam, column)[0] = 0  # retained draws are frozen
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_needs_at_least_one_pair(self, name, n):
+        with pytest.raises(ValueError, match="^need at least one pair$"):
+            sample_lhv(make_lhv_model(name), X_HAT, Z_HAT, n, RngStream(26))
+
     def test_boole_compliance_of_any_triple(self, name):
         model = make_lhv_model(name)
         a_seq, b_seq, lam = sample_lhv(model, X_HAT, plane_direction(70), 3000, RngStream(25))

@@ -111,6 +111,12 @@ def test_after_stands_where_a_draw_leaves_the_stream(n):
     assert np.array_equal(moved.uniforms(9), s.uniforms(9))
 
 
+def test_repr_names_seed_stream_and_counter():
+    s = RngStream(8, 2)
+    s.words(5)  # two counter blocks of four words
+    assert repr(s) == "RngStream(seed=8, stream_id=2, counter=2)"
+
+
 def test_run_read_in_chunks_equals_run_drawn_at_once():
     # chunks of whole counter blocks, read from computed counters, or read
     # on from one stream as experiments read a block, across the counter's

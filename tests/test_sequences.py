@@ -94,6 +94,10 @@ class TestSignSequence:
         with pytest.raises(ValueError):
             SignSequence.from_array(np.array([1, 2, -1]))
 
+    def test_from_array_rejects_a_two_dimensional_array(self):
+        with pytest.raises(ValueError, match="^expected a one-dimensional array$"):
+            SignSequence.from_array(np.ones((2, 3), dtype=np.int8))
+
     def test_stray_high_bits_are_cleared(self):
         assert SignSequence(3, 0b11111) == SignSequence(3, 0b111)
 

@@ -2,15 +2,26 @@
 
 The benchmark's tracer (perfbench/tracer.py) wraps library functions by
 name; a name that no longer resolves breaks every traced benchmark run, so
-deleting or renaming one of them must fail here first.
+deleting or renaming one of them must fail here first.  It also reads work
+counts by argument position or from a result, so the tests below run each
+traced layer and check the counts it recorded against the work done.
 """
 
 import importlib.util
+from collections import defaultdict
 from pathlib import Path
 
+import pytest
+
+from boolebell import experiments
+from boolebell.experiments import (
+    ExperimentConfig, no_apbp_experiment, prepared_ap_experiment, singlet_ap_experiment,
+)
 from boolebell.geometry import UnitVector3
 from boolebell.realism import MODEL_NAMES, make_lhv_model
 from boolebell.rng import RngStream
+
+X_HAT, Y_HAT, Z_HAT = UnitVector3(1, 0, 0), UnitVector3(0, 1, 0), UnitVector3(0, 0, 1)
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -31,19 +42,73 @@ def test_every_traced_name_resolves():
     assert missing == []
 
 
-def test_traced_lhv_draws_record_their_pair_count():
-    # the tracer reads n by position (a[1] of _circle_points, a[0] of
-    # _sphere_points), so an argument reorder would corrupt the metric
+def _traced(run):
+    """``run()``'s result, and the work counts of the spans the tracer
+    recorded while it ran, listed in call order under each span name."""
     tracing = _load_tracer()
     tracer = tracing.Tracer()
     saved = tracing.install(tracer)
     try:
-        for n, name in enumerate(MODEL_NAMES, start=1001):
-            make_lhv_model(name).draw_lambdas(UnitVector3(1, 0, 0), UnitVector3(0, 1, 0), n,
-                                              RngStream(1))
+        result = run()
     finally:
         tracing.uninstall(saved)
-    spans = [span for span in tracer.spans() if span["name"] == "realism.draw_lambdas"]
-    assert [span["counts"] for span in spans] == [
+    counts = defaultdict(list)
+    for span in tracer.spans():
+        counts[span["name"]].append(span["counts"])
+    return result, counts
+
+
+def test_traced_lhv_draws_record_their_pair_count():
+    # the tracer reads n by position (a[1] of _circle_points, a[0] of
+    # _sphere_points), so an argument reorder would corrupt the metric
+    def draw():
+        for n, name in enumerate(MODEL_NAMES, start=1001):
+            make_lhv_model(name).draw_lambdas(X_HAT, Y_HAT, n, RngStream(1))
+
+    _, counts = _traced(draw)
+    assert counts["realism.draw_lambdas"] == [
         {"points": n} for n, _ in enumerate(MODEL_NAMES, start=1001)
     ]
+
+
+# the pair counts of one block's chunks at n = 600 in chunks of 256
+CHUNKS = [256, 256, 88]
+
+
+@pytest.mark.parametrize("mode", ["prepared", "singlet"])
+def test_traced_quantum_certificates_record_their_pairs_and_rows(monkeypatch, mode):
+    # the tracer reads random_signs's pairs from its first argument, the
+    # samplers' from their result's length and certify_ap's rows from its
+    # result, so a reordered argument or a changed return would corrupt them
+    monkeypatch.setattr(experiments, "_CHUNK", 256)
+    cfg = ExperimentConfig(seed=7, n=600, directions=(X_HAT, Y_HAT, -Z_HAT))
+    run, sampler = {
+        "prepared": (lambda: prepared_ap_experiment(X_HAT, cfg), "sampler.sample_prepared"),
+        "singlet": (lambda: singlet_ap_experiment(Z_HAT, cfg), "sampler.sample_singlet_partner"),
+    }[mode]
+    cert, counts = _traced(run)
+    pairs = [{"pairs": count} for count in CHUNKS * len(cfg.directions)]
+    assert counts["sampler.random_signs"] == pairs
+    assert counts[sampler] == pairs
+    assert counts["experiments.certify_ap"] == [
+        {"rows": len(cert.rows), "rows_failed": len(cert.failing_rows())}
+    ]
+
+
+@pytest.mark.parametrize("name", MODEL_NAMES)
+def test_traced_lhv_responses_and_certificates_record_points_and_rows(monkeypatch, name):
+    # the tracer reads a response's points as len(a[0]) of _sign_response;
+    # the witness chunk answers three times (x, u and the counterfactual v)
+    # and a certificate chunk twice (u, then x)
+    monkeypatch.setattr(experiments, "_CHUNK", 256)
+    cfg = ExperimentConfig(seed=7, n=600)
+    result, counts = _traced(lambda: no_apbp_experiment(X_HAT, Y_HAT, make_lhv_model(name), cfg))
+    k = len(result.certificate_u.rows)
+    witness = [count for count in CHUNKS for _ in range(3)]
+    certificates = [count for _ in range(2 * k) for count in CHUNKS for _ in range(2)]
+    assert counts["realism.response"] == [{"points": n} for n in witness + certificates]
+    certs = (result.certificate_u, result.certificate_v)
+    assert counts["experiments.certify_ap"] == [
+        {"rows": k, "rows_failed": len(cert.failing_rows())} for cert in certs
+    ]
+    assert sum(len(cert.failing_rows()) for cert in certs) > 0
