@@ -456,7 +456,7 @@ def _build_config(settings: dict) -> ExperimentConfig:
     return ExperimentConfig(
         seed=_seed(settings.get("seed", 0), from_file=True),
         n=_config_value(settings, "n", 100_000, int),
-        sigma_k=float(_config_value(settings, "sigma_k", 4.0, int, float)),
+        sigma_k=float(_config_value(settings, "sigma_k", ExperimentConfig.sigma_k, int, float)),
         directions=tuple(map(_parse_vector, _config_value(settings, "directions", [], list))),
     )
 

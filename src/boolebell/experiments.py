@@ -173,16 +173,14 @@ class NoApBpResult(_Record):
     contradiction_closed: bool
 
 
-# With stderr 0 the estimate is exactly +-1, and an own-axis target
-# a . a = 1 can miss it by rounding dust of up to a few ulps; measured
-# worst case 3 ulps of 1.0 over 2e5 random axes.
+# With stderr 0 the estimate is exactly +-1, and an own-axis target a . a = 1 can miss it
+# by rounding dust of up to a few ulps (measured worst case 3 ulps of 1.0 over 2e5 random
+# axes).  A positive stderr is at least about 2/n, so sigma_k * stderr >= 4/n > _DUST to n = 2e15.
 _DUST = 8 * math.ulp(1.0)
 
 
 def _row_passes(estimate: float, target: float, stderr: float, sigma_k: float) -> bool:
-    if stderr == 0.0:
-        return abs(estimate - target) <= _DUST
-    return abs(estimate - target) <= sigma_k * stderr
+    return abs(estimate - target) <= max(sigma_k * stderr, _DUST)
 
 
 def certify_ap(source: ChunkSource, a: UnitVector3, cfg: ExperimentConfig) -> ApCertificate:
@@ -327,7 +325,7 @@ def no_apbp_experiment(
         verdict="contradiction" if witness.lhs_value > 1.0 >= empirical else "consistent",
     )
 
-    cert_cfg = replace(cfg, directions=(a, b, witness.alpha) + tuple(cfg.directions))
+    cert_cfg = replace(cfg, directions=(a, b, witness.alpha) + cfg.directions)
     k = len(cert_cfg.directions)
 
     def certificate(axis: UnitVector3, first: int) -> ApCertificate:

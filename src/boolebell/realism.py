@@ -210,6 +210,12 @@ def _sphere_points(n: int, rng: RngStream) -> _SphereDraws:
 class LhvModel:
     """Hidden-variable law plus one deterministic response map per wing.
 
+    Built-in models: "sign-circle" and "sign-sphere".  Both answer
+    sign(direction . lambda) on one wing and its negation on the other;
+    they differ in the lambda law (great circle through the two queried
+    directions vs uniform sphere).  Either way the pair correlation at
+    angle theta is -1 + 2 theta/pi.
+
     ``draw_lambdas(alpha, beta, n, rng)`` returns the compact hidden state
     (see the module docstring) of the n pairs that start where ``rng``
     stands, pair i from word i; ``len`` of it is the number of pairs.  The
@@ -239,15 +245,7 @@ class LhvModel:
         return ~_sign_response(hidden, direction)
 
 
-def make_lhv_model(name: str) -> LhvModel:
-    """Built-in models: "sign-circle" and "sign-sphere".
-
-    Both answer sign(direction . lambda) on one wing and its negation on
-    the other; they differ in the lambda law (great circle through the two
-    queried directions vs uniform sphere).  Either way the pair correlation
-    at angle theta is -1 + 2 theta/pi.
-    """
-    return LhvModel(name)
+make_lhv_model = LhvModel
 
 
 def sign_model_correlation(theta: float) -> float:
@@ -296,22 +294,18 @@ def counterfactual_values(
     raise ValueError("side must be 'A' or 'B'")
 
 
-_COMMITTED = "committed"
-_DIRECTION_CHOSEN = "direction-chosen"
-_MEASURED = "measured"
-
-
 class CommitmentToken:
-    """Single-use record of the commit -> choose -> measure chain."""
+    """Single-use record of the commit -> choose -> measure chain: ``alpha``
+    is None until a direction is chosen, and ``spent`` is set by measuring."""
 
-    __slots__ = ("u", "alpha", "_state")
+    __slots__ = ("u", "alpha", "spent")
 
     def __init__(self, u: SignSequence):
         if not isinstance(u, SignSequence):
             raise OrderingViolation("commitment requires a sign sequence")
         self.u = u
         self.alpha: UnitVector3 | None = None
-        self._state = _COMMITTED
+        self.spent = False
 
 
 def commit(u: SignSequence) -> CommitmentToken:
@@ -323,10 +317,9 @@ def choose_direction(token: CommitmentToken, alpha: UnitVector3) -> CommitmentTo
     """Attach a measurement direction to an already-committed token."""
     if not isinstance(token, CommitmentToken):
         raise OrderingViolation("direction chosen before any signs were committed")
-    if token._state != _COMMITTED:
-        raise OrderingViolation(f"cannot choose a direction on a {token._state} token")
+    if token.alpha is not None:
+        raise OrderingViolation("a direction was already chosen on this token")
     token.alpha = alpha
-    token._state = _DIRECTION_CHOSEN
     return token
 
 
@@ -336,9 +329,9 @@ def measure(
     """Spend the token: run the sampler on (u, alpha) exactly once."""
     if not isinstance(token, CommitmentToken):
         raise OrderingViolation("measurement attempted without a committed token")
-    if token._state == _COMMITTED:
+    if token.alpha is None:
         raise OrderingViolation("measurement attempted before choosing a direction")
-    if token._state == _MEASURED:
+    if token.spent:
         raise OrderingViolation("token already spent by a measurement")
-    token._state = _MEASURED
+    token.spent = True
     return sampler(token.u, token.alpha)

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from boolebell import MODEL_NAMES, SignSequence, correlation
+from boolebell import MODEL_NAMES, ExperimentConfig, SignSequence, correlation
 from boolebell.cli import _write_files, run
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -429,6 +429,22 @@ class TestCertifyAndExperiment:
         assert code == 0
         doc = json.loads(out)
         assert doc["seed"] == 99
+
+    @pytest.mark.parametrize("settings, flags, sigma_k", [
+        ({}, [], 4.0),
+        ({"sigma_k": 3}, [], 3.0),
+        ({"sigma_k": 3}, ["--sigma-k", "2.5"], 2.5),
+        ({}, ["--sigma-k", "6"], 6.0),
+    ], ids=["default", "file", "flag-over-file", "flag"])
+    def test_sigma_k_default_is_the_config_records(self, capsys, tmp_path, settings, flags,
+                                                   sigma_k):
+        assert ExperimentConfig.sigma_k == 4.0
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": 1, "n": 200, "directions": [[0, 0, 1]], **settings}))
+        code, out, _ = invoke(capsys, "certify-ap", "--axis", "[0,0,1]", "--config", str(cfg),
+                              *flags, "--format", "json")
+        assert code == 0
+        assert json.loads(out)["certificate"]["sigma_k"] == sigma_k
 
     @pytest.mark.parametrize("key", ["sigmak", "threads", "scenario"])
     @pytest.mark.parametrize("command", ["certify-ap", "experiment"])

@@ -504,6 +504,9 @@ class TestModelFactory:
         with pytest.raises(ValueError, match="unknown model 'sign-cube'"):
             build("sign-cube")
 
+    def test_one_constructor(self):
+        assert make_lhv_model is LhvModel
+
     def test_model_is_a_record_of_its_name(self):
         assert [f.name for f in dataclasses.fields(LhvModel)] == ["name"]
         assert make_lhv_model("sign-circle") == LhvModel("sign-circle")
@@ -591,3 +594,35 @@ class TestCommitmentProtocol:
         with pytest.raises(OrderingViolation):
             commit("++--")
         assert isinstance(commit(SignSequence.from_text("+")), CommitmentToken)
+
+    def test_token_fields_are_its_state(self):
+        token = commit(SignSequence.from_text("+-"))
+        assert CommitmentToken.__slots__ == ("u", "alpha", "spent")
+        assert (token.alpha, token.spent) == (None, False)
+        choose_direction(token, X_HAT)
+        assert (token.alpha, token.spent) == (X_HAT, False)
+        measure(token, self.fair_sampler)
+        assert (token.alpha, token.spent) == (X_HAT, True)
+
+    @pytest.mark.parametrize("state, act, match", [
+        ("chosen", lambda token, run: choose_direction(token, Z_HAT), "already chosen"),
+        ("spent", lambda token, run: choose_direction(token, Z_HAT), "already chosen"),
+        ("committed", lambda token, run: measure(token, run), "before choosing a direction"),
+        ("spent", lambda token, run: measure(token, run), "already spent"),
+        ("committed", lambda token, run: choose_direction(token.u, Z_HAT), "before any signs"),
+        ("committed", lambda token, run: measure(token.u, run), "without a committed token"),
+        ("committed", lambda token, run: commit([1, -1]), "requires a sign sequence"),
+    ], ids=["choose-twice", "choose-after-measuring", "measure-before-choosing",
+            "measure-twice", "choose-on-non-token", "measure-non-token", "commit-non-signs"])
+    def test_each_violation_is_refused_before_any_change(self, state, act, match):
+        token = commit(SignSequence.from_text("+-"))
+        if state != "committed":
+            choose_direction(token, X_HAT)
+        if state == "spent":
+            measure(token, self.fair_sampler)
+        before = (token.u, token.alpha, token.spent)
+        ran = []
+        with pytest.raises(OrderingViolation, match=match):
+            act(token, lambda u, alpha: ran.append(alpha) or u)
+        assert (token.u, token.alpha, token.spent) == before
+        assert ran == []

@@ -42,9 +42,8 @@ def test_every_traced_name_resolves():
     assert missing == []
 
 
-def _traced(run):
-    """``run()``'s result, and the work counts of the spans the tracer
-    recorded while it ran, listed in call order under each span name."""
+def _traced_spans(run):
+    """``run()``'s result, and the spans the tracer recorded while it ran."""
     tracing = _load_tracer()
     tracer = tracing.Tracer()
     saved = tracing.install(tracer)
@@ -52,8 +51,15 @@ def _traced(run):
         result = run()
     finally:
         tracing.uninstall(saved)
+    return result, tracer.spans()
+
+
+def _traced(run):
+    """``run()``'s result, and the work counts of the spans the tracer
+    recorded while it ran, listed in call order under each span name."""
+    result, spans = _traced_spans(run)
     counts = defaultdict(list)
-    for span in tracer.spans():
+    for span in spans:
         counts[span["name"]].append(span["counts"])
     return result, counts
 
@@ -112,3 +118,28 @@ def test_traced_lhv_responses_and_certificates_record_points_and_rows(monkeypatc
         {"rows": k, "rows_failed": len(cert.failing_rows())} for cert in certs
     ]
     assert sum(len(cert.failing_rows()) for cert in certs) > 0
+
+
+@pytest.mark.parametrize("mode", ["prepared", "singlet", *MODEL_NAMES])
+def test_every_certificate_chunk_passes_through_the_traced_protocol(monkeypatch, mode):
+    # commit, choose_direction and measure are traced by name: each chunk of
+    # each certificate block must call all three, in that order, with the
+    # sampler running inside measure (the only one of the three with children)
+    monkeypatch.setattr(experiments, "_CHUNK", 256)
+    cfg = ExperimentConfig(seed=7, n=600, directions=(X_HAT, Y_HAT, -Z_HAT))
+
+    def run():
+        if mode == "prepared":
+            return (prepared_ap_experiment(X_HAT, cfg),)
+        if mode == "singlet":
+            return (singlet_ap_experiment(Z_HAT, cfg),)
+        result = no_apbp_experiment(X_HAT, Y_HAT, make_lhv_model(mode), cfg)
+        return result.certificate_u, result.certificate_v
+
+    certs, spans = _traced_spans(run)
+    blocks = sum(len(cert.rows) for cert in certs)
+    protocol = [i for i, span in enumerate(spans) if span["name"] == "realism.protocol"]
+    assert len(protocol) == 3 * len(CHUNKS) * blocks
+    parents = {span["parent"] for span in spans}
+    assert [i in parents for i in protocol] == [False, False, True] * len(CHUNKS) * blocks
+    assert all(spans[spans[i]["parent"]]["name"] == "experiments.certify_ap" for i in protocol)
