@@ -62,6 +62,8 @@ def _json(text: str, source: str):
         return json.loads(text)
     except ValueError as exc:  # a JSONDecodeError, or an integer past Python's digit limit
         raise ValueError(f"{source} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:  # lists or objects nested past the recursion limit
+        raise ValueError(f"{source} is nested too deeply to parse: {exc}") from exc
 
 
 def _parse_vector(value) -> UnitVector3:

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field, replace
-from fractions import Fraction
 from functools import cache
 from typing import Callable, Iterator
 
@@ -391,6 +390,7 @@ def feasibility_bruteforce(
     verdict is exact.  The witness is x = all +1 with u and v set to the
     ux and vx products.
     """
+    from fractions import Fraction
     if not math.isfinite(epsilon):
         raise ValueError(f"epsilon must be finite, got {epsilon}")
     targets = cosine_targets(a, b, alpha)

@@ -2,18 +2,20 @@
 
 Streams are keyed by (seed, stream_id) and advance a block counter, so a
 stream can be reconstructed from three integers anywhere in a run and
-replays identically on any platform and in any order of reads.  Each
-draw call builds a fresh Philox generator opened at the current counter;
-Philox emits four 64-bit words per counter block, so consumption rounds
-up to whole blocks.  Any stretch of a run can therefore be read on its
-own, from a computed counter (Salmon et al., "Parallel random numbers: as
-easy as 1, 2, 3", SC'11), and whole blocks read on from one stream are the
-words of one draw: experiments read each block so, chunk by chunk.  Samplers
-split raw 64-bit words into the bits they need: LHV pair i reads word
-i, the circle law its low half and the sphere law both 32-bit halves
-(:mod:`boolebell.realism`); the quantum samplers take 64 fair signs or
-two cosine-law outcomes per word (:mod:`boolebell.sampler`).  No command
-reads :meth:`RngStream.uniforms`, the double (w >> 11) * 2**-53 of word w.
+replays identically on any platform and in any order of reads.  Philox
+emits four 64-bit words per counter block, so consumption rounds up to
+whole blocks.  Any stretch of a run can therefore be read on its own, from
+a computed counter (Salmon et al., "Parallel random numbers: as easy as
+1, 2, 3", SC'11), and whole blocks read on from one stream are the words of
+one draw: experiments read each block so, chunk by chunk, and a stream
+keeps the Philox of its last whole-block read to read on from while its
+counter stands where that read left it; any other read (after a partial
+block, a counter set by hand, a copy) opens a Philox at the counter.
+Samplers split raw 64-bit words into the bits they need: LHV pair i reads
+word i, the circle law its low half and the sphere law both 32-bit halves
+(:mod:`boolebell.realism`); the quantum samplers take 64 fair signs or two
+cosine-law outcomes per word (:mod:`boolebell.sampler`).  No command reads
+:meth:`RngStream.uniforms`, the double (w >> 11) * 2**-53 of word w.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from __future__ import annotations
 import operator
 
 import numpy as np
-from numpy.random import Generator, Philox
+from numpy.random import Philox
 
 _MASK64 = (1 << 64) - 1
 _DRAWS_PER_BLOCK = 4  # 64-bit outputs per Philox counter increment
@@ -52,27 +54,31 @@ class RngStream:
     same state produce the same values in the same order.
     """
 
-    __slots__ = ("seed", "stream_id", "counter")
+    __slots__ = ("seed", "stream_id", "counter", "_kept")
 
     def __init__(self, seed: int, stream_id: int = 0, counter: int = 0):
         self.seed = _key("seed", seed)
         self.stream_id = _key("stream_id", stream_id)
         self.counter = _key("counter", counter, 256)  # Philox's counter wraps at 2**256
-
-    def _draw(self, n: int) -> Philox:
-        """A Philox standing at the counter, which moves past the n draws."""
-        bg = Philox(key=np.array([self.seed, self.stream_id], dtype=np.uint64),
-                    counter=self.counter)
-        self.counter = self.after(n).counter
-        return bg
+        self._kept = (None, None)  # (a Philox, the counter it stands at); no state
 
     def uniforms(self, n: int) -> np.ndarray:
-        """n doubles in [0, 1); advances the counter by ceil(n/4) blocks."""
-        return Generator(self._draw(n)).random(n)
+        """n doubles in [0, 1), (w >> 11) * 2**-53 of each word w as numpy's
+        Philox gives them; advances the counter by ceil(n/4) blocks."""
+        return (self.words(n) >> 11) * 2.0**-53
 
     def words(self, n: int) -> np.ndarray:
-        """The n raw uint64 words behind :meth:`uniforms`, with the same advance."""
-        return self._draw(n).random_raw(n)
+        """n raw uint64 words; advances the counter by ceil(n/4) blocks, and
+        keeps the Philox for the next read when they end a counter block."""
+        end = self.after(n).counter
+        bg, at = self._kept
+        if at != self.counter:
+            bg = Philox(key=np.array([self.seed, self.stream_id], dtype=np.uint64),
+                        counter=self.counter)
+        values = bg.random_raw(n)  # all n words or, on an error, none
+        self.counter = end
+        self._kept = (bg, end) if n % _DRAWS_PER_BLOCK == 0 else (None, None)
+        return values
 
     def after(self, n: int) -> "RngStream":
         """A copy standing where this stream will after drawing n values.
@@ -91,6 +97,10 @@ class RngStream:
         index = _key("substream index", index)
         child = _splitmix64((self.stream_id * 0x9E3779B97F4A7C15 + index + 1) & _MASK64)
         return RngStream(self.seed, child)
+
+    def __reduce__(self):
+        # copies and pickles carry the state, not the kept Philox it would share
+        return RngStream, (self.seed, self.stream_id, self.counter)
 
     def __repr__(self) -> str:
         return f"RngStream(seed={self.seed}, stream_id={self.stream_id}, counter={self.counter})"

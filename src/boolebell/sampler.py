@@ -18,7 +18,9 @@ rounded to the nearest integer (ties to even) and clipped to [0, 2**32].
 The event's probability is then p rounded to the nearest 2**-32, off by
 at most 2**-33; a p within 2**-33 of 0 or 1 decides as 0 or 1 does, so a
 source measured along its own axis still returns u exactly through float
-dust in a.alpha.
+dust in a.alpha.  Such certain events read no words, but they still move
+the stream's counter past the words they would have read, so every later
+draw is the one a drawing call would leave.
 """
 
 from __future__ import annotations
@@ -56,10 +58,14 @@ def _threshold(p: float) -> int:
 def _events(n: int, p: float, rng: RngStream) -> int:
     """n independent events of probability K(p) / 2**32, as bits: bit i
     is set when 32-bit half i of the drawn words, low half first, is below
-    K(p)."""
-    words = rng.words(-(-n // _OUTCOMES_PER_WORD))
-    halves = words.astype("<u8", copy=False).view("<u4")[:n]
-    return SignSequence.from_array(halves < _threshold(p)).bits
+    K(p).  At K(p) = 0 or 2**32 no half can change an event, so none is
+    drawn; the stream still moves past the words they would have taken."""
+    count, k = -(-n // _OUTCOMES_PER_WORD), _threshold(p)
+    if k in (0, _HALF):
+        rng.counter = rng.after(count).counter
+        return (1 << n) - 1 if k else 0
+    halves = rng.words(count).astype("<u8", copy=False).view("<u4")[:n]
+    return SignSequence.from_array(halves < k).bits
 
 
 def random_signs(n: int, rng: RngStream) -> SignSequence:

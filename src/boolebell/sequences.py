@@ -16,16 +16,19 @@ class-count scan, capped at :data:`BRUTE_FORCE_MAX_LENGTH`, with the
 feasibility search of :mod:`.experiments`.
 
 numpy is imported only by :meth:`SignSequence.from_array` and
-:meth:`SignSequence.to_array`, so the exact commands start without it.
+:meth:`SignSequence.to_array`, and ``fractions`` only where a Fraction is
+built, so the exact commands start without numpy and the quantum sampling
+commands without ``fractions`` (and the ``decimal`` it loads).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable, Iterator
 
 if TYPE_CHECKING:
+    from fractions import Fraction
+
     import numpy as np
 
 
@@ -180,6 +183,7 @@ class CorrelationEstimate:
         return cls(value=value, n=n, stderr=stderr, sum_products=sum_products)
 
     def as_fraction(self) -> Fraction:
+        from fractions import Fraction
         return Fraction(self.sum_products, self.n)
 
 
@@ -205,6 +209,7 @@ def coincidence_probability(f: SignSequence, g: SignSequence) -> Fraction:
     Equals (1 + <f,g>)/2, the identity relating matching frequency to
     correlation; see the tests for the rational-arithmetic check.
     """
+    from fractions import Fraction
     _require_same_length(f, g)
     agreements = f.length - (f.bits ^ g.bits).bit_count()
     return Fraction(agreements, f.length)
@@ -212,6 +217,7 @@ def coincidence_probability(f: SignSequence, g: SignSequence) -> Fraction:
 
 def boole_bell_lhs_from_sums(s_fg: int, s_fh: int, s_gh: int, n: int) -> Fraction:
     """|<f,g> - <f,h>| + <g,h> from the three products sums of n entries."""
+    from fractions import Fraction
     numerator = abs(s_fg - s_fh) + s_gh
     # holds term by term for any +-1 triple, so for sums added chunk by chunk too
     assert numerator <= n

@@ -631,6 +631,25 @@ class TestBadInputExitsTwo:
         assert err.startswith(f"error: {source} is not valid JSON: Exceeds the limit (4300 digits)")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("place", ["vector", "directions", "config"])
+    def test_json_nested_past_the_recursion_limit_names_its_source(self, capsys, tmp_path, place):
+        # json.loads raises a RecursionError, which is no ValueError, for
+        # lists nested deeper than the interpreter's recursion limit
+        deep = "[" * 1000 + "]" * 1000
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(f'{{"n": 100, "directions": {deep}}}')
+        argv, source = {
+            "vector": (["witness", "--a", deep, "--b", "[0,1,0]"], f"vector {deep!r}"),
+            "directions": (["certify-ap", "--axis", "[0,0,1]", "--directions", deep],
+                           "--directions"),
+            "config": ([*SEEDED_COMMANDS["experiment"], "--config", str(cfg)],
+                       f"config file {cfg}"),
+        }[place]
+        code, out, err = invoke(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {source} is nested too deeply to parse: maximum recursion")
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("name", sorted(BAD_CONFIG_VALUES))
     @pytest.mark.parametrize(
         "argv",

@@ -8,9 +8,12 @@ without numpy, OpenSSL (``_hashlib``) or the sampling layers.  ``geometry``'s
 records are no dataclasses and the CLI imports ``json`` only where it parses
 or writes JSON, so ``--version`` and ``witness`` also start without
 ``dataclasses`` (and the ``inspect`` it loads), and ``--version`` and a csv
-sweep without ``json``.  The load checks run in fresh interpreters, since
-this process has loaded everything; their scripts print with ``repr``, so
-that they load no ``json`` themselves.
+sweep without ``json``.  ``sequences`` and ``experiments`` import
+``fractions`` only where a Fraction is built, so ``certify-ap`` and the
+``simulate`` commands start without it and the ``decimal`` it loads.  The
+load checks run in fresh interpreters, since this process has loaded
+everything; their scripts print with ``repr``, so that they load no
+``json`` themselves.
 """
 
 import ast
@@ -75,6 +78,18 @@ SAMPLING_COMMANDS = {
                    "--n", "2000"],
 }
 
+# the sampling commands that build no Fraction, and so load neither
+# fractions nor the decimal it imports
+NO_FRACTION_COMMANDS = {
+    "certify-ap-prepared": SAMPLING_COMMANDS["certify-ap"],
+    "certify-ap-singlet": ["certify-ap", "--singlet-beta", "[0,0,1]", "--directions",
+                           "[[1,0,0]]", "--n", "2000"],
+    "simulate-prepared": ["simulate-prepared", "--axis", "[0,0,1]", "--alpha", "[1,0,0]",
+                          "--n", "2000"],
+    "simulate-singlet": ["simulate-singlet", "--alpha", "[0,0,1]", "--beta", "[1,0,0]",
+                         "--n", "2000"],
+}
+
 
 # what a geometry command loads on top of that: no dataclasses (which loads
 # inspect, ast, dis and tokenize), and json only in the single-direction
@@ -99,6 +114,13 @@ def test_sampling_commands_load_every_layer(argv):
     result = _fresh(RUN_CLI, *argv)
     assert result["code"] in (0, 1)
     assert [name for name in SAMPLING if name not in result["modules"]] == []
+
+
+@pytest.mark.parametrize("command", NO_FRACTION_COMMANDS)
+def test_sampling_commands_without_a_fraction_load_no_fractions(command):
+    result = _fresh(RUN_CLI, *NO_FRACTION_COMMANDS[command])
+    assert result["code"] == 0
+    assert [name for name in ("fractions", "decimal") if name in result["modules"]] == []
 
 
 def test_bare_import_loads_no_submodule_and_no_numpy():

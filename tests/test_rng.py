@@ -1,5 +1,9 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
+from numpy.random import Generator, Philox
 
 from boolebell.rng import RngStream
 from boolebell.sampler import random_signs
@@ -139,6 +143,8 @@ def test_uniforms_are_the_words_top_53_bits(n):
     assert words.dtype == np.uint64
     assert np.array_equal((words >> 11) * 2**-53, t.uniforms(n))
     assert s.counter == t.counter == 5 + -(-n // 4)
+    numpy_doubles = Generator(Philox(key=np.array([12, 3], dtype=np.uint64), counter=5))
+    assert np.array_equal(RngStream(12, 3, counter=5).uniforms(n), numpy_doubles.random(n))
 
 
 @pytest.mark.parametrize("counter", [2**256, 2**256 + 3, -1])
@@ -194,3 +200,79 @@ def test_after_rejects_a_negative_draw_count(n):
     # after(-8) stood at counter 3 of a stream at counter 5
     with pytest.raises(ValueError):
         RngStream(1, 0, 5).after(n)
+
+
+def _fresh(s: RngStream, n: int) -> np.ndarray:
+    """n words read by a new stream at s's counter; s does not move."""
+    return RngStream(s.seed, s.stream_id, s.counter).words(n)
+
+
+@pytest.mark.parametrize("counter", [0, 7, 2**256 - 3])
+def test_reading_on_equals_fresh_reads_at_the_computed_counters(counter):
+    # whole-block reads keep their Philox; across the wrap too
+    s = RngStream(13, 4, counter)
+    for n in (8, 64, 4, 1000, 12):
+        want, end = _fresh(s, n), s.after(n).counter
+        assert np.array_equal(s.words(n), want)
+        assert s.counter == end
+    assert s.counter == (counter + 272) % 2**256
+
+
+@pytest.mark.parametrize("first", [1, 5, 6, 7])
+def test_a_partial_block_read_is_not_read_on(first):
+    # the Philox stands mid-block, with words of the block still unread
+    s = RngStream(13, 4)
+    s.words(8)
+    s.words(first)
+    assert s.counter == 2 + -(-first // 4)
+    for n in (8, 3, 16):
+        want = _fresh(s, n)
+        assert np.array_equal(s.words(n), want)
+
+
+@pytest.mark.parametrize("counter", [0, 2, 5, 2**256 - 1])
+def test_a_counter_set_by_hand_is_read_from(counter):
+    s = RngStream(13, 4)
+    s.words(8)  # its Philox stands at counter 2
+    s.counter = counter
+    assert np.array_equal(s.words(8), RngStream(13, 4, counter).words(8))
+    assert np.array_equal(s.uniforms(4), RngStream(13, 4, (counter + 2) % 2**256).uniforms(4))
+
+
+@pytest.mark.parametrize("duplicate", [
+    lambda s: s.after(0), copy.copy, copy.deepcopy, lambda s: pickle.loads(pickle.dumps(s)),
+], ids=["after", "copy", "deepcopy", "pickle"])
+def test_copies_share_no_philox(duplicate):
+    s = RngStream(13, 4)
+    s.words(8)
+    t = duplicate(s)
+    assert repr(t) == repr(s)
+    assert np.array_equal(s.words(8), RngStream(13, 4, 2).words(8))
+    assert np.array_equal(t.words(8), RngStream(13, 4, 2).words(8))
+    assert np.array_equal(s.after(4).words(4), RngStream(13, 4, 5).words(4))
+
+
+def test_a_block_read_in_whole_block_chunks_builds_one_philox(monkeypatch):
+    from boolebell import rng
+
+    built, philox = [], rng.Philox
+
+    def counting_philox(*args, **kwargs):
+        built.append(kwargs["counter"])
+        return philox(*args, **kwargs)
+
+    monkeypatch.setattr(rng, "Philox", counting_philox)
+    s = rng.RngStream(13, 4)
+    chunks = [s.words(512) for _ in range(5)] + [s.words(301), s.words(4)]
+    assert built == [0, 5 * 128 + 76]  # the partial chunk leaves its Philox behind
+    assert np.array_equal(np.concatenate(chunks[:6]), RngStream(13, 4).words(5 * 512 + 301))
+
+
+def test_a_read_that_fails_moves_nothing():
+    # numpy refuses the size before it draws a word
+    s = RngStream(13, 4)
+    s.words(8)
+    with pytest.raises((ValueError, MemoryError)):
+        s.words(2**62)
+    assert s.counter == 2
+    assert np.array_equal(s.words(8), RngStream(13, 4, 2).words(8))

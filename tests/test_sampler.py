@@ -302,3 +302,58 @@ class TestIntegerThreshold:
         words = RngStream(34).words(16).tolist()
         want = [1 if words[i // 64] >> (i % 64) & 1 else -1 for i in range(1001)]
         assert list(random_signs(1001, RngStream(34))) == want
+
+
+# (sampler, first direction, second direction, the exact outcome of signs s):
+# the own axis, dusty or clean, and a singlet's equal and opposite wings
+CERTAIN = {
+    "own-axis": (lambda s, d, e, rng: sample_prepared(PreparedSource(d, s), e, rng),
+                 X_HAT, X_HAT, lambda s: s),
+    "dusty-own-axis": (lambda s, d, e, rng: sample_prepared(PreparedSource(d, s), e, rng),
+                       UnitVector3(1, 1, 0), UnitVector3(1, 1, 0), lambda s: s),
+    "opposite-axis": (lambda s, d, e, rng: sample_prepared(PreparedSource(d, s), e, rng),
+                      X_HAT, -X_HAT, lambda s: -s),
+    "singlet-equal": (sample_singlet_partner, Z_HAT, Z_HAT, lambda s: -s),
+    "singlet-opposite": (sample_singlet_partner, Z_HAT, -Z_HAT, lambda s: s),
+}
+
+
+def _no_words(self, n):
+    raise AssertionError(f"a certain outcome drew {n} words")
+
+
+class TestCertainOutcomes:
+    """At K(p) = 0 or 2**32 a sampler draws no word, yet leaves its stream
+    where a drawing call would: at the counter past ceil(n/2) words, so the
+    next words are the ones that follow them."""
+
+    @pytest.mark.parametrize("n", [1, 7, 1001, 1 << 15])
+    @pytest.mark.parametrize("case", CERTAIN)
+    def test_exact_outcomes_from_no_words(self, monkeypatch, case, n):
+        sample, d, e, want = CERTAIN[case]
+        p = 0.5 * (1.0 + clamp_unit_dot(d.dot(e)))
+        assert _threshold(p) in (0, 2**32)
+        s = random_signs(n, RngStream(40))
+        rng = RngStream(41, 2, counter=3)
+        rng.words(8)  # the stream keeps a Philox, which the skip must not read on from
+        with monkeypatch.context() as m:
+            m.setattr(RngStream, "words", _no_words)
+            out = sample(s, d, e, rng)
+        assert out == want(s)
+        drawn = RngStream(41, 2, counter=5)
+        drawn.words(-(-n // 2))  # what a drawing call reads
+        assert rng.counter == drawn.counter
+        assert np.array_equal(rng.words(9), drawn.words(9))
+
+    @pytest.mark.parametrize("case", CERTAIN)
+    def test_draws_after_a_certain_call_are_the_computed_ones(self, case):
+        # a tilted call, a certain one, a tilted one: the last reads the
+        # words at the counter two drawing calls of 1,500 words leave
+        sample, d, e, _ = CERTAIN[case]
+        tilted = plane_direction(50)
+        s = random_signs(3000, RngStream(42))
+        rng = RngStream(43)
+        first, _, last = (sample(s, d, f, rng) for f in (tilted, e, tilted))
+        assert first == sample(s, d, tilted, RngStream(43))
+        assert last == sample(s, d, tilted, RngStream(43, 0, 2 * 375))
+        assert last != first
