@@ -1,9 +1,10 @@
 """Exact arithmetic on finite sequences of +1/-1 outcomes.
 
 A :class:`SignSequence` stores outcomes bit-packed in a single arbitrary
-precision integer (set bit = +1), so correlations and coincidence counts
-reduce to XOR plus popcount and stay exact at any length.  All derived
-quantities are integer or rational until the caller asks for a float.
+precision integer (set bit = +1).  Every pairwise statistic goes through
+one products sum, sum_i f_i g_i = n - 2 popcount(f ^ g), which also checks
+the lengths, so correlations and coincidence counts stay exact at any
+length; derived quantities stay integer or rational until a float is asked for.
 
 The central bound implemented here: for equal-length sequences f, g, h,
 
@@ -169,7 +170,7 @@ class CorrelationEstimate:
     value: float
     n: int
     stderr: float
-    sum_products: int = field(repr=False, default=0)
+    sum_products: int = field(repr=False)
 
     @classmethod
     def from_sum(cls, sum_products: int, n: int) -> "CorrelationEstimate":
@@ -187,19 +188,15 @@ class CorrelationEstimate:
         return Fraction(self.sum_products, self.n)
 
 
-def _require_same_length(f: SignSequence, g: SignSequence) -> None:
+def _products_sum(f: SignSequence, g: SignSequence) -> int:
     if f.length != g.length:
         raise LengthMismatch(f"lengths differ: {f.length} vs {g.length}")
-
-
-def _products_sum(f: SignSequence, g: SignSequence) -> int:
     # sum_i f_i g_i = n - 2 * (number of disagreeing positions)
     return f.length - 2 * (f.bits ^ g.bits).bit_count()
 
 
 def correlation(f: SignSequence, g: SignSequence) -> CorrelationEstimate:
     """Empirical correlation (1/n) sum_i f_i g_i, exact in the numerator."""
-    _require_same_length(f, g)
     return CorrelationEstimate.from_sum(_products_sum(f, g), f.length)
 
 
@@ -210,9 +207,7 @@ def coincidence_probability(f: SignSequence, g: SignSequence) -> Fraction:
     correlation; see the tests for the rational-arithmetic check.
     """
     from fractions import Fraction
-    _require_same_length(f, g)
-    agreements = f.length - (f.bits ^ g.bits).bit_count()
-    return Fraction(agreements, f.length)
+    return Fraction(f.length + _products_sum(f, g), 2 * f.length)
 
 
 def boole_bell_lhs_from_sums(s_fg: int, s_fh: int, s_gh: int, n: int) -> Fraction:
@@ -226,8 +221,6 @@ def boole_bell_lhs_from_sums(s_fg: int, s_fh: int, s_gh: int, n: int) -> Fractio
 
 def boole_bell_lhs_exact(f: SignSequence, g: SignSequence, h: SignSequence) -> Fraction:
     """|<f,g> - <f,h>| + <g,h> as an exact rational."""
-    _require_same_length(f, g)
-    _require_same_length(f, h)
     return boole_bell_lhs_from_sums(
         _products_sum(f, g), _products_sum(f, h), _products_sum(g, h), f.length
     )

@@ -1,5 +1,7 @@
 """End-to-end checks of the command-line front end (in-process)."""
 
+import argparse
+import contextlib
 import csv
 import io
 import json
@@ -7,14 +9,17 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from boolebell import MODEL_NAMES, ExperimentConfig, SignSequence, correlation
-from boolebell.cli import _write_files, run
+from boolebell.cli import _write_files, build_parser, run
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -1046,3 +1051,163 @@ def test_threads_flag_is_gone(capsys, command):
     code, _, err = invoke(capsys, command, "--threads", "2")
     assert code == 2
     assert "unrecognized arguments: --threads" in err
+
+
+# --- a grammar fuzzer ---------------------------------------------------------
+#
+# Every argv is built from the parser's own subcommands and option strings, so
+# a new flag is fuzzed with no edit here.  Each value is drawn from a pool of
+# well-formed edge cases nine times in ten and from one of malformed ones
+# otherwise; "{dir}" in a value stands for a new directory under tmp_path.
+# Sizes stay small: --n at most 10**4 (20 for bruteforce), sweeps of at most
+# about 1,000 rows and config files with n at most 1,000.
+
+DEEP = "[" * 1000 + "]" * 1000
+BIG_INT = "1" + "0" * 400  # past the float range
+LONG_INT = "1" * 5000  # past Python's int-to-text digit limit
+
+FUZZ_CONFIG_TEXTS = [  # the first four are well-formed
+    '{"n": 500, "directions": [[0,0,1],[1,0,0]], "seed": 7, "sigma_k": 3}',
+    '{"a": [1,0,0], "b": [0,1,0], "n": 1000, "model": "sign-sphere"}',
+    '{"a": "[1,0,0]", "b": [0,1,1], "n": 100, "directions": [[0,0,1]]}',
+    '{"n": 1000, "directions": [[1,0,0]]}',
+    '{"a": [1,0,0], "b": [1,0,0], "n": 100}', '{"a": [1,0,0], "b": [0,1,0], "model": "x"}',
+    "{}", "[]", "null", "", '{"n": 0}', '{"n": -5}', '{"n": 1.5}', '{"n": true}',
+    '{"n": "100"}', '{"seed": 5.5}', '{"seed": "5"}', '{"seed": -1}',
+    '{"seed": 18446744073709551616}', '{"sigma_k": 1e400}', f'{{"sigma_k": {BIG_INT}}}',
+    '{"sigma_k": NaN}', '{"directions": "x"}', '{"directions": [[0,0,0]]}', '{"bogus": 1}',
+    DEEP, f'{{"n": 100, "directions": {DEEP}}}',
+]
+_CONFIGS = [f"{{dir}}/config{i}.json" for i in range(len(FUZZ_CONFIG_TEXTS))]
+
+# (well-formed, malformed) values by the str flags' dests, and by int, float and seed
+FUZZ_INTS = (["1", "2", "3", "17", "20", "100", "400", "1000", "4096", "10000"],
+             ["0", "-1", "", "x", "1.5", "1e3", "0x10", " 7", "+5", "1_0", "٣"])  # all <= 20
+FUZZ_POOLS = {
+    "seed": (["0", "1", "42", "18446744073709551615"],
+             ["-1", "18446744073709551616", "1.0", "", "x", "+3", "0x1", "٣"]),
+    "sigma_k": (["4", "2", "3", "0.5"],
+                ["0", "-1", "1e308", "1e-308", "1e400", "nan", "inf", "-inf", "", "x"]),
+    "vector": (["[1,0,0]", "[0,1,0]", "[0,0,1]", "[1,1,0]", "[-1,0,0]", "[0,0,-1]", "[1,1e-9,0]",
+                "[1e-3,0,1]", "[1e-320,0,0]", "[1e308,1e308,0]", "[-0.0,0,1]", " [0,1,0] "],
+               ["[0,0,0]", "[1e400,0,0]", "[NaN,0,0]", "[Infinity,0,0]", f"[{BIG_INT},0,0]",
+                f"[{LONG_INT},0,0]", "[1,2]", "[1,0,0,0]", "[true,0,0]", '["1",0,0]',
+                "[null,0,0]", "1", "{}", "", "[", "[1,0,0]x", DEEP]),
+    "directions": (["[[1,0,0]]", "[[0,0,1]]", "[[1,0,0],[0,1,0],[0,0,1]]", "[[1,1,1],[-1,0,0]]",
+                    "[[1e-3,0,1]]", "[[0,0,-1],[1e-9,1,0]]"],
+                   ["[]", "[[0,0,0]]", "[[1,0]]", "[[1e400,0,0]]", "[[NaN,0,0]]", "[1,0,0]", "1",
+                    "null", "{}", "", DEEP]),
+    "sweep": (["0:90:1", "0:180:0.2", "0:360:0.36", "-10:10:1", "10:10:1", "0:0:1", "0.5:1:0.1"],
+              ["90:0:1", "0:90:0", "0:90:-1", "0:1:1e-300", "0:1e9:1", "1e300:1e300:1",
+               "nan:1:1", "0:inf:1", "0:90", "a:b:c", ""]),
+    # four entries, as in seq.txt, so that most pairs share a length
+    "sequence": (["++--", "+-+-", "----", "+−−+", "−−−+", "@{dir}/seq.txt"],
+                 ["+", "+" * 64, "-" * 65, "", " ", "+ -", "x", "+1", "@{dir}/long.txt",
+                  "@{dir}/latin1.txt", "@{dir}/missing.txt", "@{dir}", "@", "@{dir}/out.txt"]),
+    "output": (["{dir}/out.txt", "{dir}/plot", "{dir}/dump.csv", "{dir}/ünï.txt"],
+               ["{dir}/missing/out.txt", "{dir}", "{dir}/seq.txt", "{dir}/config0.json", ""]),
+    "config": (_CONFIGS[:4], [*_CONFIGS[4:], "{dir}/missing.json", "{dir}", "{dir}/latin1.txt",
+                              "{dir}/seq.txt"]),
+}
+FUZZ_KINDS = {
+    **dict.fromkeys(["a", "b", "axis", "alpha", "beta", "singlet_beta"], "vector"),
+    **dict.fromkeys(["f", "g", "h"], "sequence"),
+    **dict.fromkeys(["out", "plot", "summary", "dump_u", "dump_x", "dump_a", "dump_b",
+                     "dump_lambdas"], "output"),
+}
+FUZZ_JUNK = ["--bogus", "extra", "--", "-n", "--n"]
+
+
+def _one_in(k: int):
+    """True one time in k; it comes last, so a shrunk example makes no odd choice."""
+    return st.sampled_from([False] * (k - 1) + [True])
+
+
+def _mostly(good, bad):
+    """One of ``good`` nine times in ten, else one of ``bad``."""
+    return _one_in(10).flatmap(lambda odd: st.sampled_from(bad if odd else good))
+
+
+def _fuzz_values(command: str, action: argparse.Action):
+    """A strategy for one flag's value, or None for a flag that takes none."""
+    if action.nargs == 0:
+        return None
+    if action.choices:
+        return _mostly(list(action.choices), ["", "A"])
+    if action.type is int:
+        cap = 20 if command == "bruteforce" else 10**4
+        return _mostly([v for v in FUZZ_INTS[0] if int(v) <= cap], FUZZ_INTS[1])
+    pool = FUZZ_POOLS.get(FUZZ_KINDS.get(action.dest, action.dest))
+    if pool is None:  # a flag this table does not know yet
+        return st.text(max_size=20) | _mostly(*FUZZ_POOLS["vector"])
+    if action.dest == "sweep":  # steps of 1.5 degrees or more over 1,440: at most 960 rows
+        return _mostly(*pool) | st.builds("{}:{}:{}".format, st.integers(-720, 720),
+                                          st.integers(-720, 720), st.floats(1.5, 100))
+    return _mostly(*pool)
+
+
+def _grammar() -> dict:
+    """{subcommand: [(option string, value strategy or None, required)]}, from
+    build_parser(); argparse's own --help is left out."""
+    parser = build_parser()
+    (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {
+        command: [(a.option_strings[-1], _fuzz_values(command, a), a.required)
+                  for a in p._actions if a.option_strings and a.dest != "help"]
+        for command, p in sub.choices.items()
+    }
+
+
+GRAMMAR = _grammar()
+
+
+@st.composite
+def fuzz_argvs(draw):
+    command = draw(st.sampled_from(sorted(GRAMMAR)))
+    argv = [command]
+    # a required flag is left out one time in ten, any other flag is given one time in three
+    for flag, values, required in draw(st.permutations(GRAMMAR[command])):
+        if draw(_one_in(10)) if required else not draw(_one_in(3)):
+            continue
+        if values is None:
+            argv.append(flag)
+            continue
+        value = draw(values)
+        # joined with "=", a value that starts with "-" is not read as a flag
+        argv += [f"{flag}={value}"] if value.startswith("-") else [flag, value]
+    if draw(_one_in(20)):
+        argv.append(draw(st.sampled_from(FUZZ_JUNK)))
+    return argv
+
+
+def _fuzz_files(root: Path, argv: list[str]) -> None:
+    """The input files, each config file only where ``argv`` names it."""
+    root.mkdir()
+    (root / "seq.txt").write_text("+-+-\n")
+    (root / "long.txt").write_text("+-" * 40)
+    (root / "latin1.txt").write_bytes(b"+\xff-")
+    for i, text in enumerate(FUZZ_CONFIG_TEXTS):
+        if any(f"/config{i}.json" in value for value in argv):
+            (root / f"config{i}.json").write_text(text)
+
+
+class TestGrammarFuzzer:
+    # tmp_path is only the root: each example writes its files to a new directory in it
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(argv=fuzz_argvs())
+    def test_every_argv_exits_0_1_or_2_with_a_message(self, tmp_path, argv):
+        root = Path(tempfile.mkdtemp(dir=tmp_path)) / "files"
+        argv = [value.replace("{dir}", str(root)) for value in argv]
+        _fuzz_files(root, argv)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = run(argv)  # an exception escaping run fails the example
+        err = err.getvalue()
+        assert code in (0, 1, 2), (argv, code)
+        if code == 2:
+            assert err.startswith(("error:", "usage:")), (argv, err)
+        else:
+            assert err == "", (argv, err)
+        if code == 1:
+            assert argv[0] in ("certify-ap", "experiment"), argv

@@ -170,6 +170,35 @@ class TestCorrelation:
         f, g = random_sequence(51), random_sequence(51)
         assert coincidence_probability(f, g) + coincidence_probability(f, -g) == 1
 
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 1000])
+    def test_coincidence_matches_count_oracle(self, n):
+        # around a 64-bit word boundary, and with the all-agree and all-disagree pairs
+        f, g = random_sequence(n), random_sequence(n)
+        for a, b in [(f, g), (f, f), (f, -f)]:
+            agreements = sum(x == y for x, y in zip(a, b))
+            assert coincidence_probability(a, b) == Fraction(agreements, n)
+
+
+PAIRWISE = [correlation, coincidence_probability]
+TRIPLEWISE = [boole_bell_lhs_exact, boole_bell_lhs, boole_bell_lhs_prob]
+
+
+@pytest.mark.parametrize(
+    "function, lengths",
+    [(fn, lengths) for fn in PAIRWISE for lengths in [(3, 5), (5, 3)]]
+    + [(fn, lengths) for fn in TRIPLEWISE
+       for lengths in [(5, 3, 3), (3, 5, 3), (3, 3, 5), (3, 5, 5), (2, 3, 4), (4, 4, 2)]],
+    ids=lambda v: getattr(v, "__name__", None) or "-".join(map(str, v)),
+)
+def test_length_mismatch_names_the_first_unequal_pair(function, lengths):
+    """Each argument position may carry the odd length; the message names
+    the first pair, in argument order (f,g), (f,h), (g,h), that differs."""
+    args = [random_sequence(n) for n in lengths]
+    a, b = next((a, b) for i, a in enumerate(lengths) for b in lengths[i + 1:] if a != b)
+    with pytest.raises(LengthMismatch) as info:
+        function(*args)
+    assert str(info.value) == f"lengths differ: {a} vs {b}"
+
 
 class TestBooleBound:
     def test_all_equal_saturates(self):
