@@ -54,8 +54,8 @@ def clamp_unit_dot(value: float) -> float:
     place that clamps them.  Adding 0.0 turns a -0.0 into 0.0, so a zero
     cosine never prints as -0.
     """
-    if abs(value) > 1.0 + _DOT_TOL:
-        raise InvalidProbability(f"|{value}| > 1 is not a unit-vector cosine")
+    if not abs(value) <= 1.0 + _DOT_TOL:  # a NaN is no cosine either
+        raise InvalidProbability(f"{value} is not a unit-vector cosine")
     return max(-1.0, min(1.0, value)) + 0.0
 
 

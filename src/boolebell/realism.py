@@ -21,13 +21,13 @@ exactly, only on request, by the state's ``lambdas()`` (``lhv
 --dump-lambdas``).  The plane frame is plain floats and the array work
 elementwise, so no byte depends on the CPU's BLAS kernel.
 
-Pair i of a stream reads word i alone, through 32-bit halves taken by
-value: the circle law's w is the low half, and the sphere law's
-z = (lo + 1/2) 2**-31 - 1 and phi = (hi + 1/2) 2 pi 2**-32 are the cell
-midpoints of the low and high halves.  A block's chunks are read on, in
-order, from the block's stream, so a block's first m pairs are the same
-draws at any n >= m, and experiments hold a chunk or two of hidden state
-at a time, whatever n is; a dump builds its lambdas a slice at a time.
+Pair i of a stream reads word i alone, through the 32-bit halves of the
+little-endian word, low half first: the circle law's w is the low half, and
+the sphere law's z = (lo + 1/2) 2**-31 - 1 and phi = (hi + 1/2) 2 pi 2**-32
+are the cell midpoints of the low and high halves.  A block's chunks are
+read on, in order, from the block's stream, so a block's first m pairs are
+the same draws at any n >= m, and experiments hold a chunk or two of hidden
+state at a time, whatever n is; a dump builds its lambdas a slice at a time.
 
 The commitment protocol is the bookkeeping half: preparation signs must be
 committed before a measurement direction is chosen, and a token is spent
@@ -92,8 +92,8 @@ class _CircleDraws:
 
 
 def _sphere_angles(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # the exact float64 z and phi of these words, halves taken by value
-    halves = words.astype("<u8", copy=False).view("<u4")
+    # the exact float64 z and phi of these little-endian words, low half first
+    halves = words.view("<u4")
     z = halves[0::2] * 2.0**-31
     z += 2.0**-32 - 1.0  # (lo + 1/2) 2**-31 - 1, exactly
     phi = halves[1::2] + 0.5
@@ -133,7 +133,7 @@ class _SphereDraws:
     __slots__ = ("words", "xy", "zf")
 
     def __init__(self, words: np.ndarray):
-        halves = words.astype("<u8", copy=False).view("<u4")
+        halves = words.view("<u4")
         twice = np.left_shift(halves[0::2], 1, dtype=np.uint64)
         twice |= 1  # 2 lo + 1
         r = twice.astype(np.float32)  # 2**32 (1 + z)
@@ -295,7 +295,8 @@ def counterfactual_values(
 
 
 class CommitmentToken:
-    """Single-use record of the commit -> choose -> measure chain: ``alpha``
+    """Single-use record of the commit -> choose -> measure chain: ``commit(u)``
+    fixes the preparation signs; nothing about a direction exists yet, so ``alpha``
     is None until a direction is chosen, and ``spent`` is set by measuring."""
 
     __slots__ = ("u", "alpha", "spent")
@@ -308,9 +309,7 @@ class CommitmentToken:
         self.spent = False
 
 
-def commit(u: SignSequence) -> CommitmentToken:
-    """Fix the preparation signs; nothing about a direction exists yet."""
-    return CommitmentToken(u)
+commit = CommitmentToken
 
 
 def choose_direction(token: CommitmentToken, alpha: UnitVector3) -> CommitmentToken:

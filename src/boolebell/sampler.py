@@ -7,7 +7,7 @@ spin-1/2 cosine law.  A singlet pair measured along (alpha, beta) follows
 the joint law P(A=s, B=t) = (1 - s t (alpha.beta))/4: unbiased marginals,
 E[AB] = -alpha.beta, and perfect anticorrelation at alpha = beta.
 
-Every sampler reads raw 64-bit words from an
+Every sampler reads little-endian 64-bit words from an
 :class:`~boolebell.rng.RngStream`, so runs are reproducible from
 (seed, stream_id, counter) alone, and it reads only the bits an outcome
 needs.  A fair sign is one bit: sign i is bit i mod 64 of word i // 64,
@@ -64,15 +64,14 @@ def _events(n: int, p: float, rng: RngStream) -> int:
     if k in (0, _HALF):
         rng.counter = rng.after(count).counter
         return (1 << n) - 1 if k else 0
-    halves = rng.words(count).astype("<u8", copy=False).view("<u4")[:n]
-    return SignSequence.from_array(halves < k).bits
+    return SignSequence.from_array(rng.words(count).view("<u4")[:n] < k).bits
 
 
 def random_signs(n: int, rng: RngStream) -> SignSequence:
     """n fair independent signs, 64 per drawn word."""
     if n < 1:
         raise ValueError("need at least one sign")
-    words = rng.words(-(-n // _SIGNS_PER_WORD)).astype("<u8", copy=False)
+    words = rng.words(-(-n // _SIGNS_PER_WORD))
     return SignSequence(n, int.from_bytes(words.tobytes(), "little"))
 
 

@@ -7,6 +7,7 @@ import io
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 import tempfile
@@ -1191,6 +1192,34 @@ def _fuzz_files(root: Path, argv: list[str]) -> None:
             (root / f"config{i}.json").write_text(text)
 
 
+class FuzzTimeout(BaseException):
+    """A fuzz case ran past its time cap.  Not a TimeoutError: that is an
+    OSError, which run would report as exit 2 with an error line."""
+
+
+FUZZ_CAP_S = 10.0  # per case; all 300 cases take a few seconds
+
+
+def _run_capped(argv: list[str], cap: float = FUZZ_CAP_S) -> int:
+    """run(argv), failing with an AssertionError that names the argv if it
+    takes more than ``cap`` seconds; uncapped where there is no setitimer."""
+    if not hasattr(signal, "setitimer"):
+        return run(argv)
+
+    def expire(signum, frame):
+        raise FuzzTimeout
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, cap)
+    try:
+        return run(argv)
+    except FuzzTimeout:
+        raise AssertionError(f"{argv} ran past its {cap} s cap") from None
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+
+
 class TestGrammarFuzzer:
     # tmp_path is only the root: each example writes its files to a new directory in it
     @settings(max_examples=300, deadline=None, derandomize=True, database=None,
@@ -1202,7 +1231,7 @@ class TestGrammarFuzzer:
         _fuzz_files(root, argv)
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            code = run(argv)  # an exception escaping run fails the example
+            code = _run_capped(argv)  # an exception escaping run, or a hang, fails the example
         err = err.getvalue()
         assert code in (0, 1, 2), (argv, code)
         if code == 2:
@@ -1211,3 +1240,16 @@ class TestGrammarFuzzer:
             assert err == "", (argv, err)
         if code == 1:
             assert argv[0] in ("certify-ap", "experiment"), argv
+
+    @pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="no interval timer")
+    def test_a_case_past_its_cap_fails_naming_the_argv(self, monkeypatch):
+        def spin(args):
+            while True:
+                pass
+
+        monkeypatch.setattr("boolebell.cli._cmd_bruteforce", spin)
+        handler = signal.getsignal(signal.SIGALRM)
+        with pytest.raises(AssertionError, match=r"\['bruteforce', '--n', '3'\] ran past"):
+            _run_capped(["bruteforce", "--n", "3"], 0.1)
+        assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)
+        assert signal.getsignal(signal.SIGALRM) is handler

@@ -329,8 +329,10 @@ def edge_directions() -> list[UnitVector3]:
 
 
 def sphere_words(lo, hi) -> np.ndarray:
-    """The words of the sphere points in cells lo (of z) and hi (of phi)."""
-    return np.asarray(lo, np.uint64) | np.asarray(hi, np.uint64) << np.uint64(32)
+    """The words of the sphere points in cells lo (of z) and hi (of phi), as
+    little-endian uint64, the form :meth:`RngStream.words` gives them."""
+    words = np.asarray(lo, np.uint64) | np.asarray(hi, np.uint64) << np.uint64(32)
+    return np.asarray(words, "<u8")
 
 
 def exact_sum(xyz: tuple[np.ndarray, np.ndarray, np.ndarray], d: UnitVector3) -> np.ndarray:
@@ -506,6 +508,9 @@ class TestModelFactory:
 
     def test_one_constructor(self):
         assert make_lhv_model is LhvModel
+
+    def test_commit_is_the_token_constructor(self):
+        assert commit is CommitmentToken
 
     def test_model_is_a_record_of_its_name(self):
         assert [f.name for f in dataclasses.fields(LhvModel)] == ["name"]

@@ -239,6 +239,22 @@ def test_a_counter_set_by_hand_is_read_from(counter):
     assert np.array_equal(s.uniforms(4), RngStream(13, 4, (counter + 2) % 2**256).uniforms(4))
 
 
+@pytest.mark.parametrize("n", [0, 1, 5, 8])
+def test_words_are_little_endian_uint64(n):
+    # samplers read the words' bytes, so the stream fixes their order on any CPU
+    fresh = RngStream(13, 4)
+    read_on = RngStream(13, 4)
+    read_on.words(8)  # keeps its Philox at counter 2
+    by_hand = RngStream(13, 4)
+    by_hand.words(8)
+    by_hand.counter = 5
+    key = np.array([13, 4], dtype=np.uint64)
+    for s, counter in ((fresh, 0), (read_on, 2), (by_hand, 5)):
+        words = s.words(n)
+        assert words.dtype.str == "<u8"
+        assert np.array_equal(words, Philox(key=key, counter=counter).random_raw(n))
+
+
 @pytest.mark.parametrize("duplicate", [
     lambda s: s.after(0), copy.copy, copy.deepcopy, lambda s: pickle.loads(pickle.dumps(s)),
 ], ids=["after", "copy", "deepcopy", "pickle"])

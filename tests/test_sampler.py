@@ -217,10 +217,10 @@ class TestClamp:
         assert clamp_unit_dot(0.25) == 0.25
 
     def test_rejects_real_excursions(self):
-        with pytest.raises(InvalidProbability):
-            clamp_unit_dot(1.1)
-        with pytest.raises(InvalidProbability):
-            clamp_unit_dot(-1.000001)
+        # a NaN fails every comparison, so it must not pass the guard as a cosine
+        for value in (1.1, -1.000001, math.nan, -math.nan):
+            with pytest.raises(InvalidProbability):
+                clamp_unit_dot(value)
 
 
 # own-axis cosines a.a of unit vectors: float dust below 1 (the clamp
