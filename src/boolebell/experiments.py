@@ -5,10 +5,10 @@ A certificate run commits a sign sequence u, then for each measurement
 direction alpha measures a fresh block of n particles and compares the
 empirical correlation <u, x(alpha)> against the target a.alpha at a
 sigma_k threshold.  The headline experiment asks a local deterministic
-model to be axis-prepared for two distinct axes at once: geometry puts the
-target left-hand side above 1, exact arithmetic keeps the empirical one at
-or below 1, so the correlation gaps must absorb the difference and at
-least one certificate fails by a quantifiable margin.
+model, every sign of it read from one map, to be axis-prepared for two
+distinct axes at once: geometry puts the target left-hand side above 1,
+exact arithmetic keeps the empirical one at or below 1, so the correlation
+gaps absorb the difference and at least one certificate fails measurably.
 
 Every block is streamed in chunks of ``_CHUNK`` pairs.  A chunk is drawn
 from the block's streams where its last chunk ended, committed, measured
@@ -265,12 +265,12 @@ def no_apbp_experiment(
     """Ask one local deterministic stream to be prepared along two axes.
 
     One particle stream supplies u (values along a's side), v (the
-    counterfactual values along b's side), and x (outcomes at the witness
-    direction).  The witness geometry targets a left-hand side above 1
-    while the actual triple, being genuine signs, stays at or below 1; the
-    report shows the correlation gaps absorbing the difference and at
-    least one of the two certificates failing by
-    (target_lhs - 1)/3 - sigma_k * stderr or more.
+    counterfactual values along b's side) and x (outcomes at the witness
+    direction), each read from the one map :func:`counterfactual_values`.
+    The witness geometry targets a left-hand side above 1 while the actual
+    triple, being genuine signs, stays at or below 1; the report shows the
+    correlation gaps absorbing the difference and at least one of the two
+    certificates failing by (target_lhs - 1)/3 - sigma_k * stderr or more.
 
     Every block is read by one reader, ``hidden``: block j is drawn from
     substream j with the plane (a, b), so the circle law keeps one plane and
@@ -292,8 +292,8 @@ def no_apbp_experiment(
     for _, count in _chunks(cfg.n):
         state = hidden(0, count)
         chunk = {
-            "x": SignSequence.from_array(model.response_a(state, witness.alpha)),
-            "u": SignSequence.from_array(model.response_b(state, -a)),
+            "x": counterfactual_values(model, state, witness.alpha, "A"),
+            "u": counterfactual_values(model, state, -a, "B"),
             "v": counterfactual_values(model, state, -b, "B"),
         }
         for pair in sums:
@@ -330,8 +330,8 @@ def no_apbp_experiment(
     def certificate(axis: UnitVector3, first: int) -> ApCertificate:
         def source(j: int, count: int) -> tuple[SignSequence, Sampler]:
             state = hidden(first + j, count)
-            u = SignSequence.from_array(model.response_b(state, -axis))
-            return u, lambda uu, alpha: SignSequence.from_array(model.response_a(state, alpha))
+            u = counterfactual_values(model, state, -axis, "B")
+            return u, lambda uu, alpha: counterfactual_values(model, state, alpha, "A")
 
         return certify_ap(source, axis, cert_cfg)
 

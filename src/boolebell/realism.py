@@ -1,11 +1,11 @@
 """Local deterministic response models and the commitment-order protocol.
 
 An :class:`LhvModel` draws a shared hidden unit vector lambda per particle
-pair and answers every direction query with a deterministic sign, so
-measured and counterfactual (unperformed) values all exist as genuine +-1
-sequences.  Any triple of such sequences therefore satisfies the
-three-sequence bound exactly; what such a model cannot do is reproduce the
-cosine correlations, and the experiments module quantifies that failure.
+pair and answers every direction with a deterministic sign; measured and
+counterfactual (unperformed) values are one map, :func:`counterfactual_values`,
+so any triple of its +-1 sequences satisfies the three-sequence bound
+exactly.  What such a model cannot do is reproduce the cosine correlations,
+and the experiments module quantifies that failure.
 
 A block's hidden state is kept compactly, not as an n x 3 array: the
 great-circle law keeps a 32-bit cell w per pair (lambda at its midpoint
@@ -221,9 +221,9 @@ class LhvModel:
     stands, pair i from word i; ``len`` of it is the number of pairs.  The
     circle law draws on the plane of its (alpha, beta), so one stream keeps
     one law by passing the same pair.  ``response_a``/``response_b`` take
-    (hidden state, own direction) only and return a bool array, True for
-    +1, so a wing's values cannot depend on the far setting; that is the
-    locality property the tests check by permuting the far direction.
+    (hidden state, own direction) only and return a bool array, True for +1,
+    which :func:`counterfactual_values` packs; a wing's values cannot depend
+    on the far setting, the locality property the tests check by varying it.
     """
 
     name: str
@@ -266,8 +266,8 @@ def sample_lhv(
     if n < 1:
         raise ValueError("need at least one pair")
     hidden = model.draw_lambdas(alpha, beta, n, rng)
-    a_seq = SignSequence.from_array(model.response_a(hidden, alpha))
-    b_seq = SignSequence.from_array(model.response_b(hidden, beta))
+    a_seq = counterfactual_values(model, hidden, alpha, "A")
+    b_seq = counterfactual_values(model, hidden, beta, "B")
     return a_seq, b_seq, hidden
 
 
@@ -277,21 +277,19 @@ def counterfactual_values(
     direction: UnitVector3,
     side: str,
 ) -> SignSequence:
-    """Signs the model assigns to an unperformed measurement.
+    """Signs the model assigns along ``direction``, measured or not.
 
-    ``side`` picks the wing ("A" or "B") whose response map answers; the
-    result is fully determined by the retained hidden state, as
-    :func:`sample_lhv` or ``model.draw_lambdas`` returned it.  The state
-    goes to the response maps as it is, so a model may bring its own.
+    Every LHV sign sequence in the package comes from here: ``side`` ("A" or
+    "B") picks the wing whose response map answers, packed once.  The signs
+    are fixed by the retained state that :func:`sample_lhv` or ``draw_lambdas``
+    returned, passed on as it is, so a model may bring a state of its own.
     """
     if hidden is None or len(hidden) == 0:
         raise MissingHiddenState("no retained hidden-variable draws")
-    wing = side.upper()
-    if wing == "A":
-        return SignSequence.from_array(model.response_a(hidden, direction))
-    if wing == "B":
-        return SignSequence.from_array(model.response_b(hidden, direction))
-    raise ValueError("side must be 'A' or 'B'")
+    response = {"A": model.response_a, "B": model.response_b}.get(side.upper())
+    if response is None:
+        raise ValueError("side must be 'A' or 'B'")
+    return SignSequence.from_array(response(hidden, direction))
 
 
 class CommitmentToken:

@@ -7,10 +7,10 @@ identically on any platform and in any order of reads.  Philox emits four
 stretch of a run can therefore be read on its own, from a computed counter
 (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3", SC'11), and
 whole blocks read on from one stream are the words of one draw: experiments
-read each block so, chunk by chunk, and a stream keeps the Philox of its last
-whole-block read to read on from while its counter stands where that read left
-it; any other read (after a partial block, a counter set by hand, a copy)
-opens a Philox at the counter.  Words come as little-endian uint64 on any CPU,
+read each block so, chunk by chunk.  Every read draws whole blocks, so a
+stream keeps the Philox of its last read, to read on from while its counter
+stands where that read left it; a counter set by hand or a copy opens a
+Philox at the counter.  Words come as little-endian uint64 on any CPU,
 and samplers split them into the bits they need: LHV pair i reads word i, the
 circle law its low half and the sphere law both 32-bit halves
 (:mod:`boolebell.realism`); the quantum samplers take 64 fair signs or two
@@ -69,16 +69,16 @@ class RngStream:
 
     def words(self, n: int) -> np.ndarray:
         """n raw words, little-endian uint64 on any CPU; advances the counter by ceil(n/4)
-        blocks, and keeps the Philox for the next read when they end a counter block."""
+        blocks, whole blocks drawn, and keeps the Philox standing there for the next read."""
         end = self.after(n).counter
         bg, at = self._kept
         if at != self.counter:
             bg = Philox(key=np.array([self.seed, self.stream_id], dtype=np.uint64),
                         counter=self.counter)
-        values = bg.random_raw(n).astype("<u8", copy=False)  # all n words or, on an error, none
+        values = bg.random_raw(n + -n % _DRAWS_PER_BLOCK)  # whole blocks or, on an error, none
         self.counter = end
-        self._kept = (bg, end) if n % _DRAWS_PER_BLOCK == 0 else (None, None)
-        return values
+        self._kept = (bg, end)
+        return values[:n].astype("<u8", copy=False)
 
     def after(self, n: int) -> "RngStream":
         """A copy standing where this stream will after drawing n values.

@@ -219,8 +219,9 @@ def test_reading_on_equals_fresh_reads_at_the_computed_counters(counter):
 
 
 @pytest.mark.parametrize("first", [1, 5, 6, 7])
-def test_a_partial_block_read_is_not_read_on(first):
-    # the Philox stands mid-block, with words of the block still unread
+def test_a_partial_block_read_reads_on_from_the_next_block(first):
+    # the read draws its last block whole, so the rest of that block is
+    # skipped and the next read starts at the next counter
     s = RngStream(13, 4)
     s.words(8)
     s.words(first)
@@ -280,7 +281,7 @@ def test_a_block_read_in_whole_block_chunks_builds_one_philox(monkeypatch):
     monkeypatch.setattr(rng, "Philox", counting_philox)
     s = rng.RngStream(13, 4)
     chunks = [s.words(512) for _ in range(5)] + [s.words(301), s.words(4)]
-    assert built == [0, 5 * 128 + 76]  # the partial chunk leaves its Philox behind
+    assert built == [0]  # the partial chunk draws its last block whole, so it is read on
     assert np.array_equal(np.concatenate(chunks[:6]), RngStream(13, 4).words(5 * 512 + 301))
 
 

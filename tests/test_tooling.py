@@ -18,7 +18,7 @@ from boolebell.experiments import (
     ExperimentConfig, no_apbp_experiment, prepared_ap_experiment, singlet_ap_experiment,
 )
 from boolebell.geometry import UnitVector3
-from boolebell.realism import MODEL_NAMES, make_lhv_model
+from boolebell.realism import MODEL_NAMES, make_lhv_model, sample_lhv
 from boolebell.rng import RngStream
 
 X_HAT, Y_HAT, Z_HAT = UnitVector3(1, 0, 0), UnitVector3(0, 1, 0), UnitVector3(0, 0, 1)
@@ -105,7 +105,8 @@ def test_traced_quantum_certificates_record_their_pairs_and_rows(monkeypatch, mo
 def test_traced_lhv_responses_and_certificates_record_points_and_rows(monkeypatch, name):
     # the tracer reads a response's points as len(a[0]) of _sign_response;
     # the witness chunk answers three times (x, u and the counterfactual v)
-    # and a certificate chunk twice (u, then x)
+    # and a certificate chunk twice (u, then x), each answer read through
+    # counterfactual_values, measured or not
     monkeypatch.setattr(experiments, "_CHUNK", 256)
     cfg = ExperimentConfig(seed=7, n=600)
     result, counts = _traced(lambda: no_apbp_experiment(X_HAT, Y_HAT, make_lhv_model(name), cfg))
@@ -113,11 +114,26 @@ def test_traced_lhv_responses_and_certificates_record_points_and_rows(monkeypatc
     witness = [count for count in CHUNKS for _ in range(3)]
     certificates = [count for _ in range(2 * k) for count in CHUNKS for _ in range(2)]
     assert counts["realism.response"] == [{"points": n} for n in witness + certificates]
+    assert len(counts["realism.counterfactual"]) == len(witness + certificates)
     certs = (result.certificate_u, result.certificate_v)
     assert counts["experiments.certify_ap"] == [
         {"rows": k, "rows_failed": len(cert.failing_rows())} for cert in certs
     ]
     assert sum(len(cert.failing_rows()) for cert in certs) > 0
+
+
+@pytest.mark.parametrize("name", MODEL_NAMES)
+def test_traced_sample_lhv_packs_both_wings_inside_counterfactual_values(name):
+    # one counterfactual_values span per wing, and every response and packing
+    # of the run is a child of one of them
+    model = make_lhv_model(name)
+    _, spans = _traced_spans(lambda: sample_lhv(model, X_HAT, Y_HAT, 1000, RngStream(1)))
+    reads = [i for i, span in enumerate(spans) if span["name"] == "realism.counterfactual"]
+    assert len(reads) == 2
+    inner = [span for span in spans
+             if span["name"] in ("realism.response", "sequences.from_array")]
+    assert len(inner) == 4
+    assert all(span["parent"] in reads for span in inner)
 
 
 @pytest.mark.parametrize("mode", ["prepared", "singlet", *MODEL_NAMES])
