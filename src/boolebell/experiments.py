@@ -251,10 +251,10 @@ def singlet_ap_experiment(beta: UnitVector3, cfg: ExperimentConfig) -> ApCertifi
     """Certify the far wing of singlet pairs as prepared along -beta.
 
     The near wing is measured along beta throughout; its outcomes are the
-    committed u, drawn for block j from substream 2 j.  Each direction
-    block uses fresh pairs; the far wing is sampled from substream 2 j + 1
-    conditionally on the committed near-wing outcomes, which realizes the
-    same joint law as sampling the pair at once.
+    committed u, drawn for block j from substream 2 j; each direction block
+    uses fresh pairs.  Given u, the far wing is the source prepared along beta
+    with signs u, negated (substream 2 j + 1): in law the one prepared along
+    -beta, hence tested against -beta, and with u the pair's joint law.
     """
     return _quantum(-beta, cfg, lambda u, alpha, rng: sample_singlet_partner(u, beta, alpha, rng))
 

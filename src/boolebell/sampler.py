@@ -1,11 +1,11 @@
-"""Outcome-sequence samplers with quantum statistics.
+"""Outcome-sequence samplers with quantum statistics, from one measurement law.
 
-Two sources are modeled.  A prepared source carries a fixed axis ``a`` and
-pre-committed signs ``u``; measuring along ``alpha`` yields x_i = +1 with
-probability (1 + u_i (a.alpha))/2 so that E[u_i x_i] = a.alpha, the
-spin-1/2 cosine law.  A singlet pair measured along (alpha, beta) follows
-the joint law P(A=s, B=t) = (1 - s t (alpha.beta))/4: unbiased marginals,
-E[AB] = -alpha.beta, and perfect anticorrelation at alpha = beta.
+A prepared source has an axis ``a`` and committed signs ``u``; along ``alpha``
+it yields x_i = +1 with probability (1 + u_i (a.alpha))/2, so E[u_i x_i] =
+a.alpha, the spin-1/2 cosine law.  A singlet pair along (alpha, beta) is a fair
+coin A and, as B, that law negated: the source prepared along alpha with signs
+A, measured along beta.  Hence P(A=s, B=t) = (1 - s t (alpha.beta))/4: unbiased
+marginals, E[AB] = -alpha.beta, and perfect anticorrelation at alpha = beta.
 
 Every sampler reads little-endian 64-bit words from an
 :class:`~boolebell.rng.RngStream`, so runs are reproducible from
@@ -92,10 +92,10 @@ def sample_singlet(
 ) -> tuple[SignSequence, SignSequence]:
     """One singlet run of n pairs measured along (alpha, beta).
 
-    A is a fair coin per pair (:func:`random_signs`); B then disagrees with
-    A with probability (1 + alpha.beta)/2 (:func:`sample_singlet_partner`),
-    reproducing the joint law with that probability rounded to the
-    nearest 2**-32.
+    A is a fair coin per pair (:func:`random_signs`); B is the source
+    prepared along alpha with signs A, measured along beta and negated
+    (:func:`sample_singlet_partner`), so it disagrees with A with
+    probability (1 + alpha.beta)/2 rounded to the nearest 2**-32.
     """
     if n < 1:
         raise ValueError("need at least one pair")
@@ -111,10 +111,9 @@ def sample_singlet_partner(
 ) -> SignSequence:
     """Other wing of a singlet run whose first wing is already known.
 
-    Conditioned on one wing's outcomes along ``fixed_direction``, the other
-    wing along ``other_direction`` flips each sign with probability
-    (1 + fixed_direction.other_direction)/2.  Sampling A then B this way,
-    or B then A, realizes the same joint law.
+    Given one wing's outcomes s along ``fixed_direction`` (d), the other
+    wing along ``other_direction`` (e) is the source prepared along d with
+    signs s, measured along e and negated: each sign flips with probability
+    (1 + d.e)/2.  Sampling A then B, or B then A, realizes the same joint law.
     """
-    c = clamp_unit_dot(fixed_direction.dot(other_direction))
-    return SignSequence(fixed.length, fixed.bits ^ _events(fixed.length, 0.5 * (1.0 + c), rng))
+    return -sample_prepared(PreparedSource(fixed_direction, fixed), other_direction, rng)

@@ -9,9 +9,10 @@ answers depend on whether, and where, B was asked.  The model has the
 shape of :class:`boolebell.realism.LhvModel`, so ``counterfactual_values``
 and ``no_apbp_experiment`` run it as they run a local model.
 
-The locality check must pass both sign models and flag this one, and the
-headline experiment must not close on it: its certificates answer B first,
-so they see the singlet law and pass, except at a sound source's rate.
+The locality check must pass both sign models and the CHSH adversary
+(:mod:`test_chsh_adversary`) and flag this one, and the headline experiment
+must not close on it: its certificates answer B first, so they see the
+singlet law and pass, except at a sound source's rate.
 """
 
 import math
@@ -24,6 +25,7 @@ from boolebell.geometry import UnitVector3
 from boolebell.realism import MODEL_NAMES, _sphere_xyz, counterfactual_values, make_lhv_model
 from boolebell.rng import RngStream
 from stats import FALSE_FAIL, binomial_tails
+from test_chsh_adversary import ALPHA, ChshAdversary
 
 X_HAT, Y_HAT, Z_HAT = UnitVector3(1, 0, 0), UnitVector3(0, 1, 0), UnitVector3(0, 0, 1)
 
@@ -62,7 +64,11 @@ class OneBitModel:
         return _dot(state.l1, direction) + c * _dot(state.l2, direction) < 0.0
 
 
-MODELS = {**{name: make_lhv_model(name) for name in MODEL_NAMES}, "one-bit": OneBitModel()}
+MODELS = {
+    **{name: make_lhv_model(name) for name in MODEL_NAMES},
+    "chsh-adversary": ChshAdversary(),
+    "one-bit": OneBitModel(),
+}
 
 
 def _a_answers(model, d: UnitVector3, settings, n: int = 4096, seed: int = 5) -> list:
@@ -80,10 +86,14 @@ def _a_answers(model, d: UnitVector3, settings, n: int = 4096, seed: int = 5) ->
 
 
 @pytest.mark.parametrize(
-    "name, local", [(name, True) for name in MODEL_NAMES] + [("one-bit", False)]
+    "name, local",
+    [(name, True) for name in MODEL_NAMES] + [("chsh-adversary", True), ("one-bit", False)],
 )
 def test_a_answers_ignore_whether_and_where_b_was_asked(name, local):
-    answers = _a_answers(MODELS[name], UnitVector3(1, 2, 0.5), (-X_HAT, Y_HAT, -Z_HAT))
+    # the adversary answers +1 everywhere at a direction it does not know, so A
+    # is asked at one of its own
+    d = ALPHA if name == "chsh-adversary" else UnitVector3(1, 2, 0.5)
+    answers = _a_answers(MODELS[name], d, (-X_HAT, Y_HAT, -Z_HAT))
     assert all(a == answers[0] for a in answers) is local
 
 

@@ -101,7 +101,9 @@ class TestModels:
             # same lambda draws by construction, so A must agree bit-for-bit
             assert np.array_equal(lam1.lambdas(), lam2.lambdas())
             assert a1 == a2
-        # with any fixed hidden state, the A response ignores beta entirely
+        # with any fixed hidden state, the A response ignores beta entirely:
+        # a B query at the far setting first leaves A's answers as they were
+        counterfactual_values(model, lam1, plane_direction(140), "B")
         assert counterfactual_values(model, lam1, X_HAT, "A") == a1
 
     def test_determinism_and_immutability(self, name):

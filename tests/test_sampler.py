@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from boolebell.geometry import InvalidProbability, UnitVector3, clamp_unit_dot
@@ -357,3 +357,33 @@ class TestCertainOutcomes:
         assert first == sample(s, d, tilted, RngStream(43))
         assert last == sample(s, d, tilted, RngStream(43, 0, 2 * 375))
         assert last != first
+
+
+# (near-wing direction, far-wing direction): alpha = beta and alpha = -beta,
+# both certain, the dusty colinear [1,1,0] both ways, and two tilted pairs
+PARTNER_PAIRS = [
+    ((0, 0, 1), (0, 0, 1)),
+    ((0, 0, 1), (0, 0, -1)),
+    ((1, 1, 0), (1, 1, 0)),
+    ((1, 1, 0), (-1, -1, 0)),
+    ((1, 0, 0), (1, 1, 0)),
+    ((0.3, 0.4, 0.5), (0.1, -0.9, 0.2)),
+]
+
+
+@pytest.mark.parametrize("n", [1, 7, 1001, 1 << 15])
+@pytest.mark.parametrize("d, e", PARTNER_PAIRS)
+@settings(max_examples=10, deadline=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    # counters from the start and just below 2**256, where a draw wraps to 0
+    counter=st.integers(0, 2**20) | st.integers(2**256 - 2**13, 2**256 - 1),
+)
+def test_singlet_partner_is_the_prepared_source_negated(n, d, e, seed, counter):
+    # the far wing along e, given the near wing's signs s along d, is the source
+    # prepared along d with signs s, measured along e and negated, draw for draw
+    d, e = UnitVector3(*d), UnitVector3(*e)
+    s = random_signs(n, RngStream(seed))
+    rng, twin = RngStream(44, 3, counter), RngStream(44, 3, counter)
+    assert sample_singlet_partner(s, d, e, rng) == -sample_prepared(PreparedSource(d, s), e, twin)
+    assert rng.counter == twin.counter

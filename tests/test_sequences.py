@@ -5,7 +5,6 @@ fractions, independently of the bit-packed implementation.
 """
 
 from fractions import Fraction
-from itertools import product
 
 import numpy as np
 import pytest

@@ -7,6 +7,7 @@ counts by argument position or from a result, so the tests below run each
 traced layer and check the counts it recorded against the work done.
 """
 
+import ast
 import importlib.util
 from collections import defaultdict
 from pathlib import Path
@@ -23,7 +24,8 @@ from boolebell.rng import RngStream
 
 X_HAT, Y_HAT, Z_HAT = UnitVector3(1, 0, 0), UnitVector3(0, 1, 0), UnitVector3(0, 0, 1)
 
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 
 def _load_tracer():
@@ -54,14 +56,19 @@ def _traced_spans(run):
     return result, tracer.spans()
 
 
+def _counts(spans):
+    """The spans' work counts, listed in call order under each span name."""
+    counts = defaultdict(list)
+    for span in spans:
+        counts[span["name"]].append(span["counts"])
+    return counts
+
+
 def _traced(run):
     """``run()``'s result, and the work counts of the spans the tracer
     recorded while it ran, listed in call order under each span name."""
     result, spans = _traced_spans(run)
-    counts = defaultdict(list)
-    for span in spans:
-        counts[span["name"]].append(span["counts"])
-    return result, counts
+    return result, _counts(spans)
 
 
 def test_traced_lhv_draws_record_their_pair_count():
@@ -92,13 +99,21 @@ def test_traced_quantum_certificates_record_their_pairs_and_rows(monkeypatch, mo
         "prepared": (lambda: prepared_ap_experiment(X_HAT, cfg), "sampler.sample_prepared"),
         "singlet": (lambda: singlet_ap_experiment(Z_HAT, cfg), "sampler.sample_singlet_partner"),
     }[mode]
-    cert, counts = _traced(run)
+    cert, spans = _traced_spans(run)
+    counts = _counts(spans)
     pairs = [{"pairs": count} for count in CHUNKS * len(cfg.directions)]
     assert counts["sampler.random_signs"] == pairs
     assert counts[sampler] == pairs
     assert counts["experiments.certify_ap"] == [
         {"rows": len(cert.rows), "rows_failed": len(cert.failing_rows())}
     ]
+    if mode == "singlet":
+        # the far wing is the near wing's prepared source, negated: each partner
+        # span has one prepared child of its pair count, and no other exists
+        partners = [i for i, span in enumerate(spans) if span["name"] == sampler]
+        prepared = [span for span in spans if span["name"] == "sampler.sample_prepared"]
+        assert [span["parent"] for span in prepared] == partners
+        assert [span["counts"] for span in prepared] == pairs
 
 
 @pytest.mark.parametrize("name", MODEL_NAMES)
@@ -159,3 +174,19 @@ def test_every_certificate_chunk_passes_through_the_traced_protocol(monkeypatch,
     parents = {span["parent"] for span in spans}
     assert [i in parents for i in protocol] == [False, False, True] * len(CHUNKS) * blocks
     assert all(spans[spans[i]["parent"]]["name"] == "experiments.certify_ap" for i in protocol)
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "src" / "boolebell").glob("*.py")),
+                         ids=lambda path: path.name)
+def test_every_name_a_module_imports_is_used(path):
+    # an unused import is dead code, and in src/ it also slows every command's start-up
+    tree = ast.parse(path.read_text())
+    imported = {
+        alias.asname or alias.name.split(".")[0]: node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and not (isinstance(node, ast.ImportFrom) and node.module == "__future__")
+        for alias in node.names
+    }
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert {name: line for name, line in imported.items() if name not in used} == {}
