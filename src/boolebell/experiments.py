@@ -10,14 +10,14 @@ distinct axes at once: geometry puts the target left-hand side above 1,
 exact arithmetic keeps the empirical one at or below 1, so the correlation
 gaps absorb the difference and at least one certificate fails measurably.
 
-Every block is streamed in chunks of ``_CHUNK`` pairs.  A chunk is drawn
-from the block's streams where its last chunk ended, committed, measured
-along the block's direction and reduced to integer products sums, which
-add up exactly across chunks; then it is dropped.  Memory therefore stays
-at a few chunks whatever n is, and the results are the ones a whole-block
-run would give, bit for bit, for any chunk size that is a multiple of 256:
-a chunk's LHV pairs (one per word), signs (64 per word) and cosine-law
-outcomes (two per word) then take whole Philox counter blocks.
+Every block is read by one reader, :func:`_block_sums`, in chunks of
+``_CHUNK`` pairs.  A chunk is drawn from the block's streams where its last
+chunk ended, committed, measured along the block's direction and reduced to
+integer products sums, which add up exactly across chunks; then it is dropped.
+Memory therefore stays at a few chunks whatever n is, and the results are the
+ones a whole-block run would give, bit for bit, for any chunk size that is a
+multiple of 256: a chunk's LHV pairs (one per word), signs (64 per word) and
+cosine-law outcomes (two per word) then take whole Philox counter blocks.
 
 The config and result records turn into dicts by one rule,
 :meth:`_Record.to_dict`, :func:`dataclasses.asdict` with ``passed`` as
@@ -29,8 +29,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field, replace
-from functools import cache
-from typing import Callable, Iterator
+from functools import cache, partial
+from typing import Callable
 
 from .geometry import UnitVector3, clamp_unit_dot, cosine_targets, geometric_witness
 from .realism import (
@@ -40,7 +40,7 @@ from .realism import (
     counterfactual_values,
     measure,
 )
-from .rng import RngStream
+from .rng import RngStream, _key
 from .sampler import PreparedSource, random_signs, sample_prepared, sample_singlet_partner
 from .sequences import (
     BRUTE_FORCE_MAX_LENGTH,
@@ -63,10 +63,18 @@ Sampler = Callable[[SignSequence, UnitVector3], SignSequence]
 ChunkSource = Callable[[int, int], tuple[SignSequence, Sampler]]
 
 
-def _chunks(n: int) -> Iterator[tuple[int, int]]:
-    """(first pair, pair count) of each chunk of an n-pair block."""
+def _block_sums(n: int, read: Callable[[int, int], tuple[tuple[int, ...], object]]):
+    """The element-wise total of the integer sums that ``read(first pair, pair
+    count)`` returns, with its chunk's draws, over an n-pair block's chunks in
+    pair order.  A chunk's draws are held until the next chunk's are made, so
+    the allocator reuses their memory: dropped first, it went back to the
+    system and was faulted in again, 8 times the page faults on the sphere law
+    at n = 1e6."""
+    totals = None
     for start in range(0, n, _CHUNK):
-        yield start, min(_CHUNK, n - start)
+        sums, held = read(start, min(_CHUNK, n - start))  # the last chunk's draws go now
+        totals = sums if totals is None else tuple(a + b for a, b in zip(totals, sums))
+    return totals
 
 
 class _Record:
@@ -88,6 +96,8 @@ class ExperimentConfig(_Record):
     directions: tuple[UnitVector3, ...] = ()
 
     def __post_init__(self) -> None:
+        for name in ("seed", "n"):  # a non-integer fails here, by name, not deep in a run
+            _key(name, getattr(self, name), bits=None)
         if self.n < 100:
             raise ValueError("n must be at least 100 per direction")
         if not math.isfinite(self.sigma_k):
@@ -182,6 +192,17 @@ def _row_passes(estimate: float, target: float, stderr: float, sigma_k: float) -
     return abs(estimate - target) <= max(sigma_k * stderr, _DUST)
 
 
+def _row_chunk(source: ChunkSource, j: int, direction: UnitVector3, start: int, count: int):
+    """((products sum,), draws) of block j's ``count`` pairs from ``start``, along ``direction``."""
+    u, sampler = source(j, count)
+    if u.length != count:
+        raise LengthMismatch(
+            f"block {j} chunk at {start} needs {count} committed signs, got {u.length}"
+        )
+    x = measure(choose_direction(commit(u), direction), sampler)
+    return (correlation(u, x).sum_products,), sampler
+
+
 def certify_ap(source: ChunkSource, a: UnitVector3, cfg: ExperimentConfig) -> ApCertificate:
     """Certify that ``source`` behaves as prepared along ``a``.
 
@@ -196,15 +217,7 @@ def certify_ap(source: ChunkSource, a: UnitVector3, cfg: ExperimentConfig) -> Ap
         raise ValueError("certification needs at least one direction")
     rows = []
     for j, direction in enumerate(cfg.directions):
-        total = 0
-        for start, count in _chunks(cfg.n):
-            u, sampler = source(j, count)
-            if u.length != count:
-                raise LengthMismatch(
-                    f"block {j} chunk at {start} needs {count} committed signs, got {u.length}"
-                )
-            x = measure(choose_direction(commit(u), direction), sampler)
-            total += correlation(u, x).sum_products
+        (total,) = _block_sums(cfg.n, partial(_row_chunk, source, j, direction))
         est = CorrelationEstimate.from_sum(total, cfg.n)
         target = clamp_unit_dot(a.dot(direction))
         rows.append(
@@ -272,7 +285,7 @@ def no_apbp_experiment(
     correlation gaps absorbing the difference and at least one of the two
     certificates failing by (target_lhs - 1)/3 - sigma_k * stderr or more.
 
-    Every block is read by one reader, ``hidden``: block j is drawn from
+    Every block is drawn by one function, ``hidden``: block j comes from
     substream j with the plane (a, b), so the circle law keeps one plane and
     one stream one hidden-variable law.  Block 0 is the witness; blocks
     1 .. k are the k rows of u's certificate (a, b, the witness direction,
@@ -287,18 +300,14 @@ def no_apbp_experiment(
     def hidden(j: int, count: int):  # block j's next chunk
         return model.draw_lambdas(a, b, count, stream(j))
 
-    # the witness block: the three pair sums of x, u, v, one chunk at a time
-    sums = {"ux": 0, "vx": 0, "uv": 0}
-    for _, count in _chunks(cfg.n):
+    def witness_sums(start: int, count: int):  # block 0's next chunk: ux, vx, uv sums, draws
         state = hidden(0, count)
-        chunk = {
-            "x": counterfactual_values(model, state, witness.alpha, "A"),
-            "u": counterfactual_values(model, state, -a, "B"),
-            "v": counterfactual_values(model, state, -b, "B"),
-        }
-        for pair in sums:
-            sums[pair] += correlation(chunk[pair[0]], chunk[pair[1]]).sum_products
-    del state, chunk  # the certificates' chunks are drawn without the witness's last one
+        x = counterfactual_values(model, state, witness.alpha, "A")
+        u = counterfactual_values(model, state, -a, "B")
+        v = counterfactual_values(model, state, -b, "B")
+        return tuple(correlation(p, q).sum_products for p, q in ((u, x), (v, x), (u, v))), state
+
+    sums = dict(zip(("ux", "vx", "uv"), _block_sums(cfg.n, witness_sums)))
 
     def pair_sum(p: str, q: str) -> int:
         return sums["".join(sorted(p + q))]

@@ -37,12 +37,12 @@ def _splitmix64(x: int) -> int:
     return x ^ (x >> 31)
 
 
-def _key(name: str, value, bits: int = 64) -> int:
-    """An integer in [0, 2**bits); a larger one would alias a smaller one."""
-    if isinstance(value, bool):  # operator.index would take True as 1
+def _key(name: str, value, bits: int | None = 64) -> int:
+    """An integer, in [0, 2**bits) unless bits is None; a larger one would alias a smaller one."""
+    if isinstance(value, bool) or not hasattr(value, "__index__"):  # operator.index takes True as 1
         raise TypeError(f"{name} must be an integer, got {value!r}")
     key = operator.index(value)
-    if not 0 <= key < 1 << bits:
+    if bits is not None and not 0 <= key < 1 << bits:
         raise ValueError(f"{name} must be in [0, 2**{bits}), got {key}")
     return key
 

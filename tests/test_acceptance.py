@@ -6,7 +6,6 @@ the per-criterion pass/fail report).  Criteria carrying a runtime budget
 assert the elapsed wall-clock time as well.
 """
 
-import json
 import math
 import subprocess
 import sys

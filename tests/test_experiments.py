@@ -1,6 +1,8 @@
 import math
 import random
+import re
 import tracemalloc
+import weakref
 from dataclasses import fields, is_dataclass
 from fractions import Fraction
 from itertools import product
@@ -16,6 +18,7 @@ from boolebell.experiments import (
     InequalityReport,
     NoApBpResult,
     TriangleLeg,
+    _block_sums,
     _row_passes,
     certify_ap,
     feasibility_bruteforce,
@@ -61,6 +64,13 @@ class TestExperimentConfig:
         for sigma_k in (math.nan, math.inf):
             with pytest.raises(ValueError, match="sigma_k must be finite"):
                 ExperimentConfig(seed=1, n=100, sigma_k=sigma_k)
+        # n = 1000.0 built, then failed in the chunk range; seed = 1.0 in the rng;
+        # neither message named the field
+        for value in (1000.0, "1000", True, None):
+            for name in ("seed", "n"):
+                message = re.escape(f"{name} must be an integer, got {value!r}")
+                with pytest.raises(TypeError, match=message):
+                    ExperimentConfig(**{"seed": 1, "n": 1000, name: value})
 
 
 class TestCertifyAp:
@@ -252,6 +262,75 @@ class TestRecordDicts:
         assert seen == {
             ExperimentConfig, ApRow, ApCertificate, InequalityReport, TriangleLeg, NoApBpResult
         }
+
+
+class TestBlockSums:
+    """The one block reader: its reads cover the block once, in pair order,
+    it returns the exact element-wise total of their sums, and it holds one
+    chunk's draws, the last, while the next chunk's are made."""
+
+    SIZES = (1, 255, 256, 257, 600, 10_001)
+
+    @pytest.mark.parametrize("chunk", [256, 4096])
+    @pytest.mark.parametrize("n", SIZES)
+    def test_reads_cover_the_block_once_in_pair_order(self, monkeypatch, chunk, n):
+        monkeypatch.setattr(experiments, "_CHUNK", chunk)
+        calls = []
+        _block_sums(n, lambda start, count: (calls.append((start, count)) or (count,), None))
+        assert calls == [(start, min(chunk, n - start)) for start in range(0, n, chunk)]
+        assert [i for start, count in calls for i in range(start, start + count)] == list(range(n))
+
+    @pytest.mark.parametrize("chunk", [256, 4096])
+    @pytest.mark.parametrize("n", SIZES)
+    def test_total_is_the_element_wise_integer_sum(self, monkeypatch, chunk, n):
+        monkeypatch.setattr(experiments, "_CHUNK", chunk)
+
+        def per_pair(start, count):  # pair i gives (1, i, -(2**64 i + 1)): past float precision
+            pairs = range(start, start + count)
+            return (len(pairs), sum(pairs), -sum((i << 64) + 1 for i in pairs)), None
+
+        total = n * (n - 1) // 2
+        assert _block_sums(n, lambda start, count: ((count,), None)) == (n,)
+        sums = _block_sums(n, per_pair)
+        assert sums == (n, total, -((total << 64) + n))
+        assert all(type(value) is int for value in sums)
+
+    @pytest.mark.parametrize("chunk", [256, 4096])
+    def test_an_error_in_a_read_propagates_unchanged(self, monkeypatch, chunk):
+        monkeypatch.setattr(experiments, "_CHUNK", chunk)
+        error = LengthMismatch("the second chunk came up short")
+        starts = []
+
+        def read(start, count):
+            starts.append(start)
+            if start == chunk:
+                raise error
+            return (count,), None
+
+        with pytest.raises(LengthMismatch) as raised:
+            _block_sums(10_001, read)
+        assert raised.value is error
+        assert starts == [0, chunk]  # nothing is read after the failing chunk
+
+    def test_the_last_chunks_draws_live_until_the_next_are_made(self, monkeypatch):
+        # dropped at once, a sphere-law chunk's draws went back to the system
+        # and were faulted in again by the next chunk
+        monkeypatch.setattr(experiments, "_CHUNK", 256)
+
+        class Draws:
+            pass
+
+        made, alive = [], []
+
+        def read(start, count):
+            alive.append([ref() is not None for ref in made])
+            draws = Draws()
+            made.append(weakref.ref(draws))
+            return (count,), draws
+
+        _block_sums(1_000, read)
+        assert alive == [[], [True], [False, True], [False, False, True]]
+        assert made[-1]() is None  # the block's last draws go with the reader
 
 
 class TestChunkInvariance:

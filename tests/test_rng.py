@@ -99,9 +99,9 @@ def test_keys_at_range_ends_draw(key):
 
 @pytest.mark.parametrize("key", [5.0, True])
 def test_non_integer_keys_are_rejected(key):
-    with pytest.raises(TypeError):
+    with pytest.raises(TypeError, match="seed must be an integer"):
         RngStream(key)
-    with pytest.raises(TypeError):
+    with pytest.raises(TypeError, match="stream_id must be an integer"):
         RngStream(0, key)
 
 
@@ -156,7 +156,7 @@ def test_counters_outside_256_bits_are_rejected(counter):
 
 @pytest.mark.parametrize("counter", [True, False, 3.0, "3", None])
 def test_non_integer_counters_are_rejected(counter):
-    with pytest.raises(TypeError):
+    with pytest.raises(TypeError, match="counter must be an integer"):
         RngStream(1, 0, counter)
 
 
@@ -186,7 +186,7 @@ def test_substream_indices_outside_64_bits_are_rejected(index):
 @pytest.mark.parametrize("index", [True, False, 5.0])
 def test_non_integer_substream_indices_are_rejected(index):
     # True drew the words of index 1
-    with pytest.raises(TypeError):
+    with pytest.raises(TypeError, match="substream index must be an integer"):
         RngStream(1).substream(index)
 
 

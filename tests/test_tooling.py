@@ -176,8 +176,9 @@ def test_every_certificate_chunk_passes_through_the_traced_protocol(monkeypatch,
     assert all(spans[spans[i]["parent"]]["name"] == "experiments.certify_ap" for i in protocol)
 
 
-@pytest.mark.parametrize("path", sorted((ROOT / "src" / "boolebell").glob("*.py")),
-                         ids=lambda path: path.name)
+@pytest.mark.parametrize("path", sorted([*(ROOT / "src" / "boolebell").glob("*.py"),
+                                         *(ROOT / "tests").glob("*.py")]),
+                         ids=lambda path: path.relative_to(ROOT).as_posix())
 def test_every_name_a_module_imports_is_used(path):
     # an unused import is dead code, and in src/ it also slows every command's start-up
     tree = ast.parse(path.read_text())
