@@ -44,13 +44,11 @@ SWEEP_MAX_ROWS = 1_000_000  # a sweep holds its rows in memory until it renders 
 _DUMP_ROWS = 16_384
 
 
-def _seed(value, from_file: bool = False) -> int:
-    """A seed in [0, 2**64), from a flag's ASCII digits or a config file's integer."""
-    text = str(value)  # a config file's 5.5, true or "5" must not pass as 5 or 1
-    if not re.fullmatch(r"-?[0-9]+", text) or from_file and isinstance(value, str):
-        raise argparse.ArgumentTypeError(f"seed must be an integer, got {value!r}")
-    seed = int(text)
-    if not 0 <= seed < SEED_LIMIT:
+def _seed(text: str) -> int:
+    """A ``--seed`` in [0, 2**64), from ASCII digits; a config file's is ExperimentConfig's."""
+    if not re.fullmatch(r"-?[0-9]+", text):
+        raise argparse.ArgumentTypeError(f"seed must be an integer, got {text!r}")
+    if not 0 <= (seed := int(text)) < SEED_LIMIT:
         raise argparse.ArgumentTypeError(f"seed must be in [0, 2**64), got {seed}")
     return seed
 
@@ -418,8 +416,8 @@ _CONFIG_KEYS = ("seed", "n", "sigma_k", "directions")
 
 
 def _settings(args, keys: tuple[str, ...]) -> dict:
-    """The ``--config`` file's keys, each overridden by its flag when given;
-    flags are checked here or by argparse, so a later type error is the file's."""
+    """The ``--config`` file's keys, each overridden by its flag when given.  Flags
+    are typed here or by argparse, so a later TypeError is the file's."""
     path = args.config
     settings = {} if path is None else _json(_read_text(path, "--config"), f"config file {path}")
     if not isinstance(settings, dict):
@@ -441,26 +439,18 @@ def _settings(args, keys: tuple[str, ...]) -> dict:
     return settings
 
 
-def _config_value(settings: dict, key: str, default, *kinds: type):
-    """A setting's value for ``key``, refused unless it is one of ``kinds``."""
-    value = settings.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, kinds):
-        names = " or ".join(kind.__name__ for kind in kinds)
-        raise ValueError(f"config file key {key!r} must be {names}, got {value!r}")
-    if float in kinds and isinstance(value, int) and abs(value) > sys.float_info.max:
-        raise ValueError(f"config file key {key!r} must be within the float range")
-    return value
-
-
 def _build_config(settings: dict) -> ExperimentConfig:
-    """The run's config, from the settings of :func:`_settings`."""
+    """The run's config from :func:`_settings`; ExperimentConfig checks each value."""
     from .experiments import ExperimentConfig
-    return ExperimentConfig(
-        seed=_seed(settings.get("seed", 0), from_file=True),
-        n=_config_value(settings, "n", 100_000, int),
-        sigma_k=float(_config_value(settings, "sigma_k", ExperimentConfig.sigma_k, int, float)),
-        directions=tuple(map(_parse_vector, _config_value(settings, "directions", [], list))),
-    )
+    directions = settings.get("directions", [])
+    if not isinstance(directions, list):
+        raise ValueError(f"config file key 'directions' must be list, got {directions!r}")
+    directions = tuple(map(_parse_vector, directions))
+    given = {key: settings[key] for key in ("seed", "n", "sigma_k") if key in settings}
+    try:
+        return ExperimentConfig(**{"seed": 0, "n": 100_000, **given}, directions=directions)
+    except TypeError as exc:  # a file's value of the wrong type; a flag's has none
+        raise ValueError(str(exc)) from exc
 
 
 _REPORT_FIELDS = ["section", "label", "direction", "target", "estimate", "stderr", "gap", "pass"]

@@ -13,11 +13,12 @@ gaps absorb the difference and at least one certificate fails measurably.
 Every block is read by one reader, :func:`_block_sums`, in chunks of
 ``_CHUNK`` pairs.  A chunk is drawn from the block's streams where its last
 chunk ended, committed, measured along the block's direction and reduced to
-integer products sums, which add up exactly across chunks; then it is dropped.
-Memory therefore stays at a few chunks whatever n is, and the results are the
-ones a whole-block run would give, bit for bit, for any chunk size that is a
-multiple of 256: a chunk's LHV pairs (one per word), signs (64 per word) and
-cosine-law outcomes (two per word) then take whole Philox counter blocks.
+integer products sums, which add up exactly across chunks; its draws are held
+until the next chunk's are made.  Memory therefore stays at a few chunks
+whatever n is, and the results are the ones a whole-block run would give, bit
+for bit, for any chunk size that is a multiple of 256: a chunk's LHV pairs
+(one per word), signs (64 per word) and cosine-law outcomes (two per word)
+then take whole Philox counter blocks.
 
 The config and result records turn into dicts by one rule,
 :meth:`_Record.to_dict`, :func:`dataclasses.asdict` with ``passed`` as
@@ -88,7 +89,7 @@ class _Record:
 
 @dataclass(frozen=True)
 class ExperimentConfig(_Record):
-    """Run parameters; equality of configs means statistical identity."""
+    """Run parameters, checked here and only here; equal configs mean statistical identity."""
 
     seed: int
     n: int
@@ -96,14 +97,23 @@ class ExperimentConfig(_Record):
     directions: tuple[UnitVector3, ...] = ()
 
     def __post_init__(self) -> None:
-        for name in ("seed", "n"):  # a non-integer fails here, by name, not deep in a run
-            _key(name, getattr(self, name), bits=None)
-        if self.n < 100:
+        """Each error names its field: a TypeError for a wrong type, else a ValueError."""
+        _key("seed", self.seed)  # in [0, 2**64): a larger or negative seed would alias
+        if _key("n", self.n, bits=None) < 100:
             raise ValueError("n must be at least 100 per direction")
+        if isinstance(self.sigma_k, bool) or not isinstance(self.sigma_k, (int, float)):
+            raise TypeError(f"sigma_k must be an int or a float, got {self.sigma_k!r}")
+        try:
+            object.__setattr__(self, "sigma_k", float(self.sigma_k))
+        except OverflowError:  # an int past the float range, whose digits are not shown
+            raise ValueError("sigma_k must be within the float range") from None
         if not math.isfinite(self.sigma_k):
             raise ValueError(f"sigma_k must be finite, got {self.sigma_k}")
         if self.sigma_k < 2:
             raise ValueError("sigma_k below 2 would fail sound sources routinely")
+        if not isinstance(self.directions, (tuple, list)) or not all(
+                isinstance(d, UnitVector3) for d in self.directions):
+            raise TypeError(f"directions must be a tuple of UnitVector3, got {self.directions!r}")
         object.__setattr__(self, "directions", tuple(self.directions))
 
 

@@ -525,6 +525,13 @@ BAD_CONFIG_VALUES = {
     "sigma_k-string": {"sigma_k": "4"},
     "scenario-number": {"scenario": 3},
 }
+# the exact message of some of them: ExperimentConfig's, naming the field
+BAD_CONFIG_MESSAGES = {
+    "n-null": "n must be an integer, got None",
+    "n-float": "n must be an integer, got 5000.5",
+    "sigma_k-beyond-float": "sigma_k must be within the float range",
+    "sigma_k-string": "sigma_k must be an int or a float, got '4'",
+}
 
 
 PREPARED = ["simulate-prepared", "--axis", "[0,0,1]", "--alpha", "[1,0,0]", "--n", "100"]
@@ -669,12 +676,22 @@ class TestBadInputExitsTwo:
         code, out, err = invoke(capsys, *argv, "--config", str(cfg))
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1
-        if name == "sigma_k-beyond-float":
-            assert "'sigma_k'" in err
+        if name in BAD_CONFIG_MESSAGES:
+            assert err == f"error: {BAD_CONFIG_MESSAGES[name]}\n"
         if name == "directions-not-a-list":
             # no --directions flag was given, so the message names the file's key
             assert "'directions'" in err and "config file" in err
             assert "--directions" not in err
+
+    def test_type_error_past_the_config_is_no_input_error(self, monkeypatch):
+        # only the ExperimentConfig call reads a TypeError as a config file's bad
+        # value; one from anywhere else in a run is a fault and keeps its traceback
+        def broken(*args):
+            raise TypeError("a fault inside the run")
+
+        monkeypatch.setattr("boolebell.experiments.no_apbp_experiment", broken)
+        with pytest.raises(TypeError, match="a fault inside the run"):
+            run(EXPERIMENT)
 
     @pytest.mark.parametrize(
         "argv, message",
@@ -1076,8 +1093,9 @@ FUZZ_CONFIG_TEXTS = [  # the first four are well-formed
     "{}", "[]", "null", "", '{"n": 0}', '{"n": -5}', '{"n": 1.5}', '{"n": true}',
     '{"n": "100"}', '{"seed": 5.5}', '{"seed": "5"}', '{"seed": -1}',
     '{"seed": 18446744073709551616}', '{"sigma_k": 1e400}', f'{{"sigma_k": {BIG_INT}}}',
-    '{"sigma_k": NaN}', '{"directions": "x"}', '{"directions": [[0,0,0]]}', '{"bogus": 1}',
-    DEEP, f'{{"n": 100, "directions": {DEEP}}}',
+    '{"sigma_k": NaN}', '{"sigma_k": "4"}', '{"sigma_k": true}', '{"sigma_k": null}',
+    '{"n": null}', '{"directions": "x"}', '{"directions": [[0,0,0]]}',
+    '{"directions": [[1,0,0], null]}', '{"bogus": 1}', DEEP, f'{{"n": 100, "directions": {DEEP}}}',
 ]
 _CONFIGS = [f"{{dir}}/config{i}.json" for i in range(len(FUZZ_CONFIG_TEXTS))]
 

@@ -72,6 +72,40 @@ class TestExperimentConfig:
                 with pytest.raises(TypeError, match=message):
                     ExperimentConfig(**{"seed": 1, "n": 1000, name: value})
 
+    @pytest.mark.parametrize("seed", [2**64, -1])
+    def test_seed_outside_the_key_range(self, seed):
+        # both built, and 2**64 failed only inside RngStream
+        with pytest.raises(ValueError, match=re.escape(f"seed must be in [0, 2**64), got {seed}")):
+            ExperimentConfig(seed=seed, n=100)
+
+    @pytest.mark.parametrize("sigma_k", ["4", None, True, Fraction(4)],
+                             ids=["str", "none", "bool", "fraction"])
+    def test_sigma_k_of_the_wrong_type(self, sigma_k):
+        # "4" and None raised math.isfinite's TypeError, which named no field; True was
+        # checked as 1, and Fraction(4) was stored as a Fraction, which JSON cannot write
+        message = re.escape(f"sigma_k must be an int or a float, got {sigma_k!r}")
+        with pytest.raises(TypeError, match=f"^{message}$"):
+            ExperimentConfig(seed=1, n=100, sigma_k=sigma_k)
+
+    def test_sigma_k_past_the_float_range(self):
+        # math.isfinite raised a bare OverflowError; the 401 digits are not printed
+        with pytest.raises(ValueError, match="^sigma_k must be within the float range$"):
+            ExperimentConfig(seed=1, n=100, sigma_k=10**400)
+
+    def test_sigma_k_is_stored_as_a_float_and_directions_as_a_tuple(self):
+        cfg = ExperimentConfig(seed=1, n=100, sigma_k=3, directions=[X_HAT, Z_HAT])
+        assert type(cfg.sigma_k) is float and cfg.sigma_k == 3.0
+        assert type(cfg.to_dict()["sigma_k"]) is float
+        assert cfg.directions == (X_HAT, Z_HAT)
+
+    @pytest.mark.parametrize("directions", [[[1, 0, 0]], (X_HAT, None), 5, None],
+                             ids=["list-of-lists", "none-entry", "int", "none"])
+    def test_directions_of_the_wrong_type(self, directions):
+        # [[1, 0, 0]] built, then a run failed: 'list' object has no attribute 'x'
+        message = re.escape(f"directions must be a tuple of UnitVector3, got {directions!r}")
+        with pytest.raises(TypeError, match=f"^{message}$"):
+            ExperimentConfig(seed=1, n=100, directions=directions)
+
 
 class TestCertifyAp:
     def test_prepared_source_passes_everywhere(self):
