@@ -415,9 +415,12 @@ def _cmd_lhv(args) -> Report:
 _CONFIG_KEYS = ("seed", "n", "sigma_k", "directions")
 
 
-def _settings(args, keys: tuple[str, ...]) -> dict:
-    """The ``--config`` file's keys, each overridden by its flag when given.  Flags
-    are typed here or by argparse, so a later TypeError is the file's."""
+def _run_config(args, keys: tuple[str, ...]) -> tuple[dict, ExperimentConfig]:
+    """The ``--config`` file's keys, each overridden by its flag when given, and the
+    run's config from them.  Only the format is checked here: an object of known keys
+    whose ``directions`` is a list of vectors; ExperimentConfig checks each value.
+    Flags are typed here or by argparse, so a TypeError from it is the file's."""
+    from .experiments import ExperimentConfig
     path = args.config
     settings = {} if path is None else _json(_read_text(path, "--config"), f"config file {path}")
     if not isinstance(settings, dict):
@@ -429,28 +432,19 @@ def _settings(args, keys: tuple[str, ...]) -> dict:
             f"known keys: {', '.join(keys)}"
         )
     for key in keys:
-        value = getattr(args, key)
-        if value is not None and key == "directions":
-            value = _json(value, "--directions")
-            if not isinstance(value, list):
-                raise ValueError("--directions expects a JSON list of vectors")
-        if value is not None:
-            settings[key] = value
-    return settings
-
-
-def _build_config(settings: dict) -> ExperimentConfig:
-    """The run's config from :func:`_settings`; ExperimentConfig checks each value."""
-    from .experiments import ExperimentConfig
+        if (value := getattr(args, key)) is not None:
+            settings[key] = _json(value, "--directions") if key == "directions" else value
     directions = settings.get("directions", [])
     if not isinstance(directions, list):
-        raise ValueError(f"config file key 'directions' must be list, got {directions!r}")
+        source = "--directions" if args.directions is not None else "config file key 'directions'"
+        raise ValueError(f"{source} must be a JSON list of vectors, got {directions!r}")
     directions = tuple(map(_parse_vector, directions))
     given = {key: settings[key] for key in ("seed", "n", "sigma_k") if key in settings}
     try:
-        return ExperimentConfig(**{"seed": 0, "n": 100_000, **given}, directions=directions)
+        cfg = ExperimentConfig(**{"seed": 0, "n": 100_000, **given}, directions=directions)
     except TypeError as exc:  # a file's value of the wrong type; a flag's has none
         raise ValueError(str(exc)) from exc
+    return settings, cfg
 
 
 _REPORT_FIELDS = ["section", "label", "direction", "target", "estimate", "stderr", "gap", "pass"]
@@ -465,12 +459,9 @@ def _certificate_rows(cert, which: str) -> list[dict]:
 
 def _cmd_certify_ap(args) -> Report:
     from .experiments import prepared_ap_experiment, singlet_ap_experiment
-    settings = _settings(args, _CONFIG_KEYS)
     if (args.axis is None) == (args.singlet_beta is None):
         raise ValueError("choose exactly one of --axis (prepared) or --singlet-beta")
-    cfg = _build_config(settings)
-    if not cfg.directions:
-        raise ValueError("no certification directions given (flag or config file)")
+    _, cfg = _run_config(args, _CONFIG_KEYS)
     if args.axis is not None:
         mode, cert = "prepared-ap", prepared_ap_experiment(_parse_vector(args.axis), cfg)
     else:
@@ -488,12 +479,11 @@ def _cmd_certify_ap(args) -> Report:
 def _cmd_experiment(args) -> Report:
     from .experiments import no_apbp_experiment
     from .realism import make_lhv_model
-    settings = _settings(args, (*_CONFIG_KEYS, "a", "b", "model"))
+    settings, cfg = _run_config(args, (*_CONFIG_KEYS, "a", "b", "model"))
     if settings.get("a") is None or settings.get("b") is None:
         raise ValueError("experiment needs --a and --b (flags or config file)")
     a, b = _parse_vector(settings["a"]), _parse_vector(settings["b"])
     model_name = settings.get("model", "sign-circle")
-    cfg = _build_config(settings)
     result = no_apbp_experiment(a, b, make_lhv_model(model_name), cfg)
 
     inequality = result.inequality

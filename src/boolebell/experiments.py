@@ -292,8 +292,11 @@ def no_apbp_experiment(
     direction), each read from the one map :func:`counterfactual_values`.
     The witness geometry targets a left-hand side above 1 while the actual
     triple, being genuine signs, stays at or below 1; the report shows the
-    correlation gaps absorbing the difference and at least one of the two
-    certificates failing by (target_lhs - 1)/3 - sigma_k * stderr or more.
+    correlation gaps absorbing the difference and the failing certificate
+    rows.  ``margin_ok`` tests them against the floor (target_lhs - 1)/3 -
+    sigma_k * stderr, which the witness triangle guarantees only on the
+    triple's gaps; uv is no certificate row, and Fine's CHSH adversary (in
+    the tests) fails every row by less.  ROADMAP item 16 holds the mend.
 
     Every block is drawn by one function, ``hidden``: block j comes from
     substream j with the plane (a, b), so the circle law keeps one plane and

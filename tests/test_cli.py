@@ -394,6 +394,40 @@ class TestDumpMemory:
         assert four <= 256 * self.ROWS
 
 
+# (command, key, default, value, other): a run reads `default` when neither the config
+# file nor a flag gives the key (None: the command needs it and exits 2), `value` when
+# the file or the flag alone gives it, and `other` when the file gives `value` and the
+# flag `other`
+PRECEDENCE = [
+    *((command, key, default, value, other)
+      for command in ("certify-ap", "experiment")
+      for key, default, value, other in [("seed", 0, 5, 9), ("n", 100_000, 200, 300),
+                                         ("sigma_k", 4.0, 3, 2.5)]),
+    ("certify-ap", "directions", None, [[1, 0, 0]], [[0, 1, 0], [0, 0, 1]]),
+    ("experiment", "directions", [], [[0, 0, 1]], [[0, 0, -1], [1, 0, 0]]),
+    ("experiment", "a", None, [1, 0, 0], [0, 0, 1]),
+    ("experiment", "b", None, [0, 1, 0], [0, 0, 1]),
+    ("experiment", "model", "sign-circle", "sign-sphere", "sign-circle"),
+]
+# each command's flags and config-file keys for a quick run, less the key under test
+PRECEDENCE_BASE = {
+    "certify-ap": (["certify-ap", "--axis", "[0,0,1]"], {"n": 100, "directions": [[0, 0, 1]]}),
+    "experiment": (["experiment"], {"n": 100, "a": [1, 0, 0], "b": [0, 1, 0]}),
+}
+
+
+def _setting_shown(doc: dict, command: str, key: str):
+    """The run setting ``key`` as a certify-ap or experiment JSON report shows it."""
+    if key in ("seed", "a", "b", "model"):
+        return doc[key]
+    cert = doc["certificate"] if command == "certify-ap" else doc["detail"]["certificate_u"]
+    if key != "directions":
+        return cert[key]
+    # an experiment certificate's first rows are a, b and the witness direction
+    directions = [row["direction"] for row in cert["rows"]]
+    return directions if command == "certify-ap" else directions[3:]
+
+
 class TestCertifyAndExperiment:
     def test_certify_ap_dusty_own_axis_passes(self, capsys):
         # a . a = 0.9999999999999998 against an exact estimate of 1.0
@@ -451,6 +485,31 @@ class TestCertifyAndExperiment:
                               *flags, "--format", "json")
         assert code == 0
         assert json.loads(out)["certificate"]["sigma_k"] == sigma_k
+
+    @pytest.mark.parametrize("stage", ["default", "file", "flag", "flag-over-file"])
+    @pytest.mark.parametrize("command, key, default, value, other", PRECEDENCE,
+                             ids=[f"{command}-{key}" for command, key, *_ in PRECEDENCE])
+    def test_each_setting_is_its_flag_else_the_file_else_the_default(
+        self, capsys, tmp_path, command, key, default, value, other, stage
+    ):
+        argv, file_keys = PRECEDENCE_BASE[command]
+        file_keys = {k: v for k, v in file_keys.items() if k != key}
+        if stage in ("file", "flag-over-file"):
+            file_keys[key] = value
+        flag = {"flag": value, "flag-over-file": other}.get(stage)
+        flags = [] if flag is None else [
+            f"--{key.replace('_', '-')}", flag if isinstance(flag, str) else json.dumps(flag)
+        ]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(file_keys))
+        code, out, err = invoke(capsys, *argv, "--config", str(cfg), *flags, "--format", "json")
+        expected = {"default": default, "file": value, "flag": value, "flag-over-file": other}
+        if expected[stage] is None:  # the command needs the key
+            assert (code, out) == (2, "")
+            assert err.startswith("error: ") and err.count("\n") == 1
+            return
+        assert code in (0, 1)
+        assert _setting_shown(json.loads(out), command, key) == expected[stage]
 
     @pytest.mark.parametrize("key", ["sigmak", "threads", "scenario"])
     @pytest.mark.parametrize("command", ["certify-ap", "experiment"])
@@ -531,6 +590,7 @@ BAD_CONFIG_MESSAGES = {
     "n-float": "n must be an integer, got 5000.5",
     "sigma_k-beyond-float": "sigma_k must be within the float range",
     "sigma_k-string": "sigma_k must be an int or a float, got '4'",
+    "directions-not-a-list": "config file key 'directions' must be a JSON list of vectors, got 5",
 }
 
 
@@ -699,12 +759,14 @@ class TestBadInputExitsTwo:
             (["witness", "--sweep", "1:2"], "--sweep expects START:STOP:STEP in degrees"),
             (["witness", "--sweep", "1:2:0"], "--sweep step must be positive"),
             (["witness", "--a", "[1,0,0]"], "witness needs --a and --b (or --sweep)"),
-            (["certify-ap", "--axis", "[0,0,1]"],
-             "no certification directions given (flag or config file)"),
+            (["certify-ap", "--axis", "[0,0,1]"], "certification needs at least one direction"),
+            # the mode needs only flags, so it is checked before the file is read
+            (["certify-ap", "--config", "missing.json"],
+             "choose exactly one of --axis (prepared) or --singlet-beta"),
             (["experiment", "--a", "[1,0,0]"],
              "experiment needs --a and --b (flags or config file)"),
             (["certify-ap", "--axis", "[0,0,1]", "--directions", '"[[1,0,0]]"'],
-             "--directions expects a JSON list of vectors"),
+             "--directions must be a JSON list of vectors, got '[[1,0,0]]'"),
             # flags the command would ignore
             (["witness", "--sweep", "10:11:0.5", "--a", "[0,0,1]", "--optimal"],
              "--sweep cannot be combined with --a"),
@@ -720,9 +782,9 @@ class TestBadInputExitsTwo:
              "--orthogonal-to cannot be combined with --optimal"),
         ],
         ids=["sweep-two-parts", "sweep-zero-step", "witness-one-axis", "certify-no-directions",
-             "experiment-one-axis", "directions-flag-not-a-list", "sweep-with-a", "sweep-with-b",
-             "sweep-with-optimal", "sweep-with-orthogonal-to", "plot-without-sweep",
-             "optimal-with-orthogonal-to"],
+             "certify-no-mode-before-config", "experiment-one-axis", "directions-flag-not-a-list",
+             "sweep-with-a", "sweep-with-b", "sweep-with-optimal", "sweep-with-orthogonal-to",
+             "plot-without-sweep", "optimal-with-orthogonal-to"],
     )
     def test_bad_flags_name_what_is_wrong(self, capsys, tmp_path, monkeypatch, argv, message):
         monkeypatch.chdir(tmp_path)  # a --plot that is refused must write nothing

@@ -191,3 +191,26 @@ def test_every_name_a_module_imports_is_used(path):
     }
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert {name: line for name, line in imported.items() if name not in used} == {}
+
+
+def test_every_private_definition_in_src_is_referenced():
+    # a private function or class that nothing names is dead code; no caller
+    # outside the package should reach it, so its reference must be in src/
+    trees = {path.name: ast.parse(path.read_text())
+             for path in sorted((ROOT / "src" / "boolebell").glob("*.py"))}
+    defined = {
+        node.name: f"{name}:{node.lineno}"
+        for name, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name.startswith("_") and not node.name.endswith("__")
+    }
+    referenced = {
+        node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute)
+        else node.name
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute, ast.alias))
+    }
+    assert defined
+    assert {name: where for name, where in defined.items() if name not in referenced} == {}
