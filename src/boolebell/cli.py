@@ -305,21 +305,19 @@ def _witness_sweep(args) -> Report:
 
 def _cmd_witness(args) -> Report:
     if args.sweep is not None:
-        for name in ("a", "b", "optimal", "orthogonal_to"):
+        for name in ("a", "b", "optimal"):
             if getattr(args, name) is not None:
-                raise ValueError(f"--sweep cannot be combined with --{name.replace('_', '-')}")
+                raise ValueError(f"--sweep cannot be combined with --{name}")
         return _witness_sweep(args)
     if args.plot is not None:
         raise ValueError("--plot needs --sweep")
-    if args.optimal and args.orthogonal_to:
-        raise ValueError("--orthogonal-to cannot be combined with --optimal")
     if args.a is None or args.b is None:
         raise ValueError("witness needs --a and --b (or --sweep)")
     a, b = _parse_vector(args.a), _parse_vector(args.b)
     if args.optimal:
         witness = optimal_witness(a, b)
     else:
-        witness = geometric_witness(a, b, orthogonal_to=args.orthogonal_to or "a")
+        witness = geometric_witness(a, b)
     fields = {
         "theta_deg": math.degrees(angle_between(a, b)),
         "case": witness.case_label,
@@ -563,7 +561,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", help="second axis as JSON vector")
     # store_const leaves None when absent, so every flag's presence is one test
     p.add_argument("--optimal", action="store_const", const=True, help="exactly maximized witness")
-    p.add_argument("--orthogonal-to", choices=("a", "b"))  # None reads as "a"
     p.add_argument("--sweep", help="angle sweep START:STOP:STEP in degrees "
                    "(a negative START needs the --sweep=START:STOP:STEP form)")
     p.add_argument("--plot", help="prefix for two-column plot data files")

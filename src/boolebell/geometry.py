@@ -206,9 +206,7 @@ def perpendicular(a: UnitVector3, b: UnitVector3) -> UnitVector3:
     return UnitVector3(b.x - d * a.x, b.y - d * a.y, b.z - d * a.z)
 
 
-def geometric_witness(
-    a: UnitVector3, b: UnitVector3, *, orthogonal_to: str = "a"
-) -> WitnessReport:
+def geometric_witness(a: UnitVector3, b: UnitVector3) -> WitnessReport:
     """Closed-form witness direction, split by the angle between the axes.
 
     With theta the angle between a and b:
@@ -217,16 +215,14 @@ def geometric_witness(
       - right: alpha bisects the axes; the best candidate reaches sqrt(2)
       - obtuse: same orthogonal construction; value sin(theta) + |cos(theta)|
 
-    ``orthogonal_to`` selects which axis alpha is perpendicular to in the
-    non-right cases ("a" or "b"); both give the same value.
+    In the non-right cases alpha is perpendicular to a; swapping a and b
+    gives the witness perpendicular to b, with the same value and case.
     """
     c, label = _axes(a, b)
-    if orthogonal_to not in ("a", "b"):
-        raise ValueError("orthogonal_to must be 'a' or 'b'")
     if label == "right":
         alpha = UnitVector3(a.x + b.x, a.y + b.y, a.z + b.z)
     else:
-        alpha = perpendicular(a, b) if orthogonal_to == "a" else perpendicular(b, a)
+        alpha = perpendicular(a, b)
     value, assignment = _best(_candidates(a, b, alpha, c))
     return WitnessReport(alpha=alpha, case_label=label, lhs_value=value, assignment=assignment)
 

@@ -24,6 +24,7 @@ commands without ``fractions`` (and the ``decimal`` it loads).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Iterator
 
@@ -124,7 +125,7 @@ class SignSequence:
             if stop <= start:
                 raise EmptySequence("slice selects no entries")
             return SignSequence(stop - start, self.bits >> start)
-        idx = key.__index__()
+        idx = operator.index(key)
         if idx < 0:
             idx += self.length
         if not 0 <= idx < self.length:

@@ -774,17 +774,12 @@ class TestBadInputExitsTwo:
              "--sweep cannot be combined with --b"),
             (["witness", "--sweep", "10:11:0.5", "--optimal"],
              "--sweep cannot be combined with --optimal"),
-            (["witness", "--sweep", "10:11:0.5", "--orthogonal-to", "a"],
-             "--sweep cannot be combined with --orthogonal-to"),
             (["witness", "--a", "[1,0,0]", "--b", "[0,1,0]", "--plot", "P"],
              "--plot needs --sweep"),
-            (["witness", "--a", "[1,0,0]", "--b", "[0,1,0]", "--optimal", "--orthogonal-to", "b"],
-             "--orthogonal-to cannot be combined with --optimal"),
         ],
         ids=["sweep-two-parts", "sweep-zero-step", "witness-one-axis", "certify-no-directions",
              "certify-no-mode-before-config", "experiment-one-axis", "directions-flag-not-a-list",
-             "sweep-with-a", "sweep-with-b", "sweep-with-optimal", "sweep-with-orthogonal-to",
-             "plot-without-sweep", "optimal-with-orthogonal-to"],
+             "sweep-with-a", "sweep-with-b", "sweep-with-optimal", "plot-without-sweep"],
     )
     def test_bad_flags_name_what_is_wrong(self, capsys, tmp_path, monkeypatch, argv, message):
         monkeypatch.chdir(tmp_path)  # a --plot that is refused must write nothing
@@ -1131,6 +1126,14 @@ def test_threads_flag_is_gone(capsys, command):
     code, _, err = invoke(capsys, command, "--threads", "2")
     assert code == 2
     assert "unrecognized arguments: --threads" in err
+
+
+def test_orthogonal_to_flag_is_gone(capsys):
+    # swapping --a and --b gives the witness perpendicular to the other axis
+    code, _, err = invoke(capsys, "witness", "--a", "[1,0,0]", "--b", "[0,1,0]",
+                          "--orthogonal-to", "b")
+    assert code == 2
+    assert "unrecognized arguments: --orthogonal-to" in err
 
 
 # --- a grammar fuzzer ---------------------------------------------------------

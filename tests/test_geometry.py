@@ -15,6 +15,7 @@ from boolebell.geometry import (
     geometric_witness,
     malus_lhs_all_assignments,
     optimal_witness,
+    perpendicular,
 )
 
 from test_witness_reference import PAIRS
@@ -222,15 +223,26 @@ class TestGeometricWitness:
             assert abs(det) <= 1e-9
             assert abs(np.linalg.norm(alpha.as_array()) - 1.0) <= 1e-9
 
-    def test_orthogonal_to_b_variant_matches(self):
-        for theta in (30, 60, 120, 150):
-            a, b = planar_pair(theta)
-            va = geometric_witness(a, b, orthogonal_to="a")
-            vb = geometric_witness(a, b, orthogonal_to="b")
-            assert va.lhs_value == pytest.approx(vb.lhs_value, abs=1e-9)
-            # each variant is orthogonal to its chosen axis
-            assert abs(a.dot(va.alpha)) <= 1e-9
+    def test_swapped_axes_give_the_witness_orthogonal_to_b(self):
+        rng = np.random.default_rng(4401)  # its own stream: the shared RNG's draws stay put
+        pairs = [planar_pair(theta) for theta in (30, 60, 120, 150)]
+        pairs += [(UnitVector3.from_iterable(rng.normal(size=3)),
+                   UnitVector3.from_iterable(rng.normal(size=3))) for _ in range(1000)]
+        checked = 0
+        for a, b in pairs:
+            try:
+                va = geometric_witness(a, b)
+            except ColinearAxes:
+                continue
+            if va.case_label == "right":
+                continue
+            vb = geometric_witness(b, a)
+            assert vb.alpha == perpendicular(b, a)
             assert abs(b.dot(vb.alpha)) <= 1e-9
+            assert vb.case_label == va.case_label
+            assert vb.lhs_value == pytest.approx(va.lhs_value, abs=1e-9)
+            checked += 1
+        assert checked >= 1000
 
     def test_colinear_axes_rejected(self):
         v = random_direction()
@@ -239,9 +251,9 @@ class TestGeometricWitness:
         with pytest.raises(ColinearAxes):
             geometric_witness(v, -v)
 
-    def test_bad_orthogonal_to_flag(self):
-        with pytest.raises(ValueError):
-            geometric_witness(*planar_pair(60), orthogonal_to="c")
+    def test_orthogonal_to_keyword_is_gone(self):
+        with pytest.raises(TypeError):
+            geometric_witness(*planar_pair(60), orthogonal_to="b")
 
     def test_rotation_invariance(self):
         a, b = planar_pair(72)

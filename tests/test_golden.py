@@ -110,12 +110,13 @@ for _fmt, _suffix in SUFFIX.items():
         "simulate-singlet", "--alpha", "[0.3,-0.5,0.8]", "--beta", "[-0.2,0.9,0.4]",
         "--n", "500", "--seed", "22", "--format", _fmt,
     ]
-# a single witness for the obtuse AXES pair, and for an acute pair built orthogonal to b
-ACUTE = ["--a", "[1,0,0]", "--b", "[0.6,0.7,0.2]", "--orthogonal-to", "b"]
+# a single witness for the obtuse AXES pair, and for an acute pair whose alpha
+# is orthogonal to [1,0,0], named second
+ACUTE = ["--a", "[0.6,0.7,0.2]", "--b", "[1,0,0]"]
 for _fmt in ("csv", "text"):
     _suffix = SUFFIX[_fmt]
     CASES[f"witness_obtuse.{_suffix}"] = ["witness", *AXES, "--format", _fmt]
-    CASES[f"witness_acute_orthogonal_b.{_suffix}"] = ["witness", *ACUTE, "--format", _fmt]
+    CASES[f"witness_acute.{_suffix}"] = ["witness", *ACUTE, "--format", _fmt]
     CASES[f"lhv_circle_long.{_suffix}"] = [
         "lhv", "--model", "sign-circle", "--alpha", "[0.3,-0.5,0.8]",
         "--beta", "[-0.2,0.9,0.4]", "--n", LONG_N, "--seed", "23", "--format", _fmt,

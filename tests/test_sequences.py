@@ -110,12 +110,21 @@ class TestSignSequence:
         s = SignSequence.from_text("+-+--+")
         assert s[0] == 1 and s[1] == -1 and s[-1] == 1
         assert s[1:4].to_text() == "-+-"
+        # any integer-like key, as in every Python sequence
+        assert s[np.int64(1)] == -1 and s[np.int32(-1)] == 1 and s[True] == -1
+        assert s[np.int64(1):np.int64(4)] == s[1:4]
         with pytest.raises(IndexError):
             s[6]
         with pytest.raises(EmptySequence):
             s[3:3]
         with pytest.raises(ValueError):
             s[::2]
+
+    @pytest.mark.parametrize("key", [1.5, "a", None], ids=["float", "str", "none"])
+    def test_non_integer_key_is_a_type_error(self, key):
+        # a key with no __index__ is a TypeError, as in every Python sequence
+        with pytest.raises(TypeError):
+            SignSequence.from_text("+-+")[key]
 
     def test_negation(self):
         s = SignSequence.from_text("++-")

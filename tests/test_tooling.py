@@ -4,17 +4,21 @@ The benchmark's tracer (perfbench/tracer.py) wraps library functions by
 name; a name that no longer resolves breaks every traced benchmark run, so
 deleting or renaming one of them must fail here first.  It also reads work
 counts by argument position or from a result, so the tests below run each
-traced layer and check the counts it recorded against the work done.
+traced layer and check the counts it recorded against the work done.  The
+README's CLI quick start reaches in too: every flag it names must parse.
 """
 
+import argparse
 import ast
 import importlib.util
+import re
 from collections import defaultdict
 from pathlib import Path
 
 import pytest
 
 from boolebell import experiments
+from boolebell.cli import build_parser
 from boolebell.experiments import (
     ExperimentConfig, no_apbp_experiment, prepared_ap_experiment, singlet_ap_experiment,
 )
@@ -214,3 +218,15 @@ def test_every_private_definition_in_src_is_referenced():
     }
     assert defined
     assert {name: where for name, where in defined.items() if name not in referenced} == {}
+
+
+def test_every_flag_the_cli_quick_start_names_is_parsed():
+    # a flag the README still names after it was removed sends its reader to exit 2
+    readme = (ROOT / "README.md").read_text()
+    start = readme.index("## Quick start (CLI)")
+    section = readme[start:readme.index("\n## ", start)]
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*\*?", section))
+    (sub,) = (a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    parsed = {flag for p in sub.choices.values() for a in p._actions for flag in a.option_strings}
+    # the form of a flag with its value, and the family of --dump-<name> flags
+    assert named - parsed == {"--flag", "--dump-*"}
