@@ -321,7 +321,7 @@ def test_lambda_dump_in_pieces_has_the_bytes_of_one_piece(capsys, monkeypatch, t
     argv = ["lhv", "--model", model, "--alpha", "[1,2,3]", "--beta", "[0,-1,2]", "--n", "50"]
     whole, pieces = tmp_path / "whole.csv", tmp_path / "pieces.csv"
     assert invoke(capsys, *argv, "--dump-lambdas", str(whole))[0] == 0
-    monkeypatch.setattr("boolebell.cli._DUMP_ROWS", 7)
+    monkeypatch.setattr("boolebell.cli_sampling._DUMP_ROWS", 7)
     assert invoke(capsys, *argv, "--dump-lambdas", str(pieces))[0] == 0
     assert pieces.read_bytes() == whole.read_bytes()
     assert len(whole.read_text().splitlines()) == 51
@@ -347,7 +347,7 @@ def test_dump_that_fails_midway_leaves_no_new_file(capsys, monkeypatch, tmp_path
         return np.zeros((min(stop, len(hidden)), 3))
 
     monkeypatch.chdir(tmp_path)
-    monkeypatch.setattr("boolebell.cli._DUMP_ROWS", 16)
+    monkeypatch.setattr("boolebell.cli_sampling._DUMP_ROWS", 16)
     monkeypatch.setattr("boolebell.realism._CircleDraws.lambdas", lambdas_that_fail)
     code, out, err = invoke(capsys, *LHV, "--out", "x.txt", "--dump-lambdas", "l.csv")
     assert (code, out) == (2, "")
@@ -386,7 +386,7 @@ class TestDumpMemory:
         # a piece's rows, Python lists of three floats, and the array they
         # are made from take about 210 B a row; a piece's csv text held
         # beside them, or a second piece's rows, would more than double it
-        monkeypatch.setattr("boolebell.cli._DUMP_ROWS", self.ROWS)
+        monkeypatch.setattr("boolebell.cli_sampling._DUMP_ROWS", self.ROWS)
         self.dump_peak(monkeypatch, model, 1_000, tmp_path / "warm.csv")
         four, sixteen = (self.dump_peak(monkeypatch, model, m * self.ROWS, tmp_path / f"{m}.csv")
                          for m in (4, 16))

@@ -3,13 +3,18 @@
 Each case is one CLI call whose output is written with ``--out``, plus any
 side files it is asked for (``--dump-*``, ``--plot``, ``--summary``); every
 file it writes must equal the stored copy.  Every subcommand has a case in
-each output format.  Regenerate the stored files only when an output is
-meant to change, and say which bytes changed and why:
+each output format.  The ``help*.txt`` files hold ``boolebell --help`` and
+each subcommand's ``--help`` at 80 columns, as Python 3.11's argparse lays
+them out, so that no flag is reordered, renamed or dropped unseen.
+Regenerate the stored files only when an output is meant to change, and
+say which bytes changed and why:
 
     PYTHONPATH=src python tests/test_golden.py
 """
 
 import argparse
+import contextlib
+import io
 import os
 import platform
 import subprocess
@@ -155,6 +160,12 @@ SIDE_FILES["experiment_circle_k2.txt"] = (
     ["experiment_circle_k2_summary.json"],
 )
 
+# the stored help texts: file name -> the argv before --help
+HELP = {"help.txt": []}
+for _command in ("correlate", "check-boole", "bruteforce", "witness", "simulate-prepared",
+                 "simulate-singlet", "lhv", "certify-ap", "experiment"):
+    HELP[f"help_{_command.replace('-', '_')}.txt"] = [_command]
+
 
 def case_argv(name: str, outdir: Path) -> tuple[list[str], list[str]]:
     """One case's arguments with its files written under ``outdir``, and
@@ -185,6 +196,19 @@ def test_output_matches_golden(name, tmp_path):
     assert code == _expected_code(name)
     for file in files:
         assert (tmp_path / file).read_bytes() == (GOLDEN / file).read_bytes(), file
+
+
+def help_text(name: str) -> str:
+    """What ``boolebell ARGV --help`` prints for the help case ``name``."""
+    with contextlib.redirect_stdout(out := io.StringIO()):
+        assert run([*HELP[name], "--help"]) == 0
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("name", sorted(HELP))
+def test_help_matches_golden(name, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert help_text(name).encode() == (GOLDEN / name).read_bytes()
 
 
 def _no_lambdas(hidden):
@@ -250,7 +274,8 @@ def test_every_command_has_a_case_in_every_format():
 
 
 def test_every_golden_file_has_a_case():
-    produced = set(CASES) | {file for *_, written in SIDE_FILES.values() for file in written}
+    sides = {file for *_, written in SIDE_FILES.values() for file in written}
+    produced = set(CASES) | set(HELP) | sides
     assert {path.name for path in GOLDEN.iterdir()} == produced
 
 
@@ -258,3 +283,6 @@ if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for case in sorted(CASES):
         produce(case, GOLDEN)
+    os.environ["COLUMNS"] = "80"
+    for case in sorted(HELP):
+        (GOLDEN / case).write_text(help_text(case))

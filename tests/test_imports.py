@@ -4,7 +4,8 @@
 its defining module on first use.  The CLI imports a layer only in the
 handlers that call it, and ``geometry`` and ``sequences`` import numpy only
 inside their array functions, so the geometry and exact commands start
-without numpy, OpenSSL (``_hashlib``) or the sampling layers.  ``geometry``'s
+without numpy, OpenSSL (``_hashlib``), the sampling layers or the module
+of the sampling commands' handlers (``cli_sampling``).  ``geometry``'s
 records are no dataclasses and the CLI imports ``json`` only where it parses
 or writes JSON, so ``--version`` and ``witness`` also start without
 ``dataclasses`` (and the ``inspect`` it loads), and ``--version`` and a csv
@@ -37,6 +38,7 @@ SAMPLING = (
     "numpy",
     "numpy.random",
     "_hashlib",
+    "boolebell.cli_sampling",
     "boolebell.experiments",
     "boolebell.realism",
     "boolebell.rng",
